@@ -6,14 +6,15 @@ distinct non-empty element signature, plus all m first-layer singletons
 ``phi`` of elements whose signature is exactly its label.  Parent edges
 connect a node to the maximal lattice nodes strictly contained in it.
 
-Building the lattice, computing parents, and computing covers never touch
-element keys: no ledger is involved anywhere in this module.
+Building the lattice, computing parents, computing covers and compiling a
+solve plan never touch element keys: no ledger is involved anywhere in
+this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Iterable
 
 from .setsystem import SetSystem
@@ -65,6 +66,25 @@ class LatticeNode:
         return len(self.label)
 
 
+@dataclass(frozen=True)
+class SolvePlan:
+    """Key-independent schedule of one lattice solve over fixed covers.
+
+    Slots number the lattice labels in ``labels_by_layer()`` order.
+    ``classes`` holds (slot, sorted members) for every non-empty class.
+    ``layers`` holds (layer, steps) for layers >= 2, deepest first; each
+    step is (child slot, cover member slots), children in slot order.
+    ``outputs`` is the slot of the singleton {i} for i = 1..m, and
+    ``budget`` is n + sum(|cover|).
+    """
+
+    labels: tuple[Label, ...]
+    classes: tuple[tuple[int, tuple[int, ...]], ...]
+    layers: tuple[tuple[int, tuple[tuple[int, tuple[int, ...]], ...]], ...]
+    outputs: tuple[int, ...]
+    budget: int
+
+
 class Lattice:
     """Mutable container for the node map; immutable once construction ends."""
 
@@ -72,13 +92,56 @@ class Lattice:
         self.m = m
         self.n = n
         self.nodes: dict[Label, LatticeNode] = {}
+        self._plan: tuple[dict[Label, tuple[Label, ...]], SolvePlan] | None = None
 
     def add_node(self, label: Label, phi: frozenset[int], virtual: bool = False) -> LatticeNode:
         if label in self.nodes:
             raise LatticeError(f"duplicate node {format_label(label)}")
         node = LatticeNode(label=label, phi=phi, virtual=virtual)
         self.nodes[label] = node
+        self._plan = None
         return node
+
+    def solve_plan(self, covers: dict[Label, tuple[Label, ...]]) -> SolvePlan:
+        """The solve plan for these covers, compiled on first use.
+
+        The plan is cached for the covers dict it was compiled from (by
+        identity, so the dict must not change afterwards); adding a node
+        drops it.
+        """
+        if self._plan is None or self._plan[0] is not covers:
+            self._plan = (covers, self._compile_plan(covers))
+        return self._plan[1]
+
+    def _compile_plan(self, covers: dict[Label, tuple[Label, ...]]) -> SolvePlan:
+        labels = self.labels_by_layer()
+        slot = {label: i for i, label in enumerate(labels)}
+        classes = tuple(
+            (i, tuple(sorted(self.nodes[label].phi)))
+            for i, label in enumerate(labels)
+            if self.nodes[label].phi
+        )
+        layers = []
+        for layer, group in groupby(labels, key=len):
+            if layer < 2:
+                continue
+            steps = []
+            for label in group:
+                cover = covers.get(label)
+                if cover is None:
+                    raise LatticeError(f"node {format_label(label)} has no cover")
+                missing = [c for c in cover if c not in slot]
+                if missing:
+                    raise LatticeError(
+                        f"cover member {format_label(missing[0])} of "
+                        f"{format_label(label)} is not a lattice node"
+                    )
+                steps.append((slot[label], tuple(slot[c] for c in cover)))
+            layers.append((layer, tuple(steps)))
+        layers.reverse()
+        outputs = tuple(slot[frozenset((i,))] for i in range(1, self.m + 1))
+        budget = self.n + sum(len(c) for c in covers.values())
+        return SolvePlan(tuple(labels), classes, tuple(layers), outputs, budget)
 
     def add_virtual(self, label: Label) -> LatticeNode:
         return self.add_node(label, frozenset(), virtual=True)

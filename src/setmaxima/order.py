@@ -1,15 +1,23 @@
 """Hidden total order on element keys, plus the audited comparison gateway.
 
-Every key comparison in the library flows through :meth:`KeySpace.compare`
-and increments a :class:`ComparisonLedger`.  Raw key values are private;
-the single unaudited escape hatch is :meth:`KeySpace.oracle_keys`, which
-exists only for brute-force oracles and tests.
+Every key comparison in the library is made by a :class:`KeySpace` method
+that records it in a :class:`ComparisonLedger`.  :meth:`KeySpace.compare`
+makes one comparison.  The audited batch operations make many in one call:
+:meth:`KeySpace.max_of_class` reduces a class to its largest element, and
+:meth:`KeySpace.propagate` pushes one lattice layer's champions into their
+cover members.  A batch validates its indices once, then compares inline,
+and records each comparison as the same (i, j) pair, in the same order, as
+the equivalent sequence of :meth:`KeySpace.compare` calls would.  Raw key
+values are private; the single unaudited escape hatch is
+:meth:`KeySpace.oracle_keys`, which exists only for brute-force oracles and
+tests.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Collection, Iterable, Sequence
 
 
 class ComparisonLedger:
@@ -75,17 +83,76 @@ class KeySpace:
         ledger.note(i, j)
         return -1 if self._keys[i] < self._keys[j] else 1
 
+    def _require_in_range(self, indices: Collection[int], where: str) -> None:
+        if not indices:
+            return
+        lo, hi = min(indices), max(indices)
+        if lo < 0 or hi >= len(self._keys):
+            raise IndexError(f"element index out of range in {where}: {lo if lo < 0 else hi}")
+
     def max_of_class(self, indices: Sequence[int], ledger: ComparisonLedger) -> int:
-        """Index of the largest key among ``indices``; exactly len-1 comparisons."""
+        """Index of the largest key among ``indices``; exactly len-1 comparisons.
+
+        Records the pairs ``compare(idx, best)`` would, for each later index
+        against the running best.
+        """
         if len(indices) == 0:
             raise ValueError("max_of_class of an empty class")
         if len(set(indices)) != len(indices):
             raise ValueError("max_of_class indices contain duplicates")
+        self._require_in_range(indices, "max_of_class")
+        keys = self._keys
+        transcript = ledger._transcript
         best = indices[0]
-        for idx in indices[1:]:
-            if self.compare(idx, best, ledger) > 0:
-                best = idx
+        best_key = keys[best]
+        for idx in islice(indices, 1, None):
+            if transcript is not None:
+                transcript.append((idx, best))
+            if keys[idx] > best_key:
+                best, best_key = idx, keys[idx]
+        ledger.count += len(indices) - 1
         return best
+
+    def propagate(
+        self,
+        steps: Sequence[tuple[int, Sequence[int]]],
+        champion: list[int | None],
+        ledger: ComparisonLedger,
+    ) -> None:
+        """Push each child slot's champion into its parent slots, in order.
+
+        ``champion`` maps slots to element indices (None for an empty slot)
+        and is updated in place.  A champion that meets another costs one
+        comparison, recorded as ``compare(child champion, parent champion)``
+        would.  Children must not be parents within one call (one lattice
+        layer at a time), so every key read is of an index range-checked
+        before the first comparison.
+        """
+        read = {champion[child] for child, _ in steps}
+        read.update(champion[p] for _, parents in steps for p in parents)
+        read.discard(None)
+        self._require_in_range(read, "propagate")
+        keys = self._keys
+        transcript = ledger._transcript
+        count = 0
+        for child, parents in steps:
+            value = champion[child]
+            if value is None:
+                continue
+            value_key = keys[value]
+            for parent in parents:
+                cur = champion[parent]
+                if cur is None or cur == value:
+                    # absorbing into an empty slot is free, and an element never
+                    # needs comparing with itself when it arrives on two paths
+                    champion[parent] = value
+                    continue
+                count += 1
+                if transcript is not None:
+                    transcript.append((value, cur))
+                if value_key > keys[cur]:
+                    champion[parent] = value
+        ledger.count += count
 
     def oracle_keys(self) -> tuple[int, ...]:
         """Unaudited raw key access. Oracle and test use only: production

@@ -53,9 +53,17 @@ class SetSystem:
         return violations
 
     def require_valid(self) -> "SetSystem":
+        """Raise ValueError unless the system is well formed.
+
+        A success is remembered on the instance (its fields are frozen), so
+        only the first call pays the O(p) scan.
+        """
+        if self.__dict__.get("_valid"):
+            return self
         violations = self.validate()
         if violations:
             raise ValueError("invalid set system: " + "; ".join(violations))
+        object.__setattr__(self, "_valid", True)
         return self
 
     def signature(self, element: int) -> frozenset[int]:

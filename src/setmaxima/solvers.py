@@ -6,6 +6,13 @@
 * brute-force oracle (unaudited key access, reference counts only)
 
 Each solve owns one ledger; audited solvers never read raw keys.
+
+The lattice and its covers depend only on the sets, never on the keys.
+``solve_lattice`` therefore answers a key assignment from the lattice's
+:class:`~setmaxima.lattice.SolvePlan`, compiled on the first solve over a
+(lattice, covers) pair and reused by every later one: one
+:meth:`~setmaxima.order.KeySpace.max_of_class` per non-empty class, then
+one :meth:`~setmaxima.order.KeySpace.propagate` per layer, deepest first.
 """
 
 from __future__ import annotations
@@ -108,11 +115,18 @@ def _merge_sort(items: list[int], keys: KeySpace, ledger: ComparisonLedger) -> l
     return out
 
 
-def bucket_comparison_bound(system: SetSystem) -> int:
-    """Closed form: sum(|bucket| - 1) + sum_i(b_i - 1) over signature buckets."""
+def bucket_comparison_bound(
+    system: SetSystem, signatures: list[frozenset[int]] | None = None
+) -> int:
+    """Closed form: sum(|bucket| - 1) + sum_i(b_i - 1) over signature buckets.
+
+    ``signatures`` may pass in ``system.signatures()`` already computed.
+    """
+    if signatures is None:
+        signatures = system.signatures()
     buckets: dict[frozenset[int], int] = {}
     per_set: dict[int, int] = {i: 0 for i in range(1, system.m + 1)}
-    for sig in system.signatures():
+    for sig in signatures:
         if not sig:
             continue
         if sig not in buckets:
@@ -133,28 +147,25 @@ def solve_bucket(
     system.require_valid()
     ledger = ledger if ledger is not None else ComparisonLedger()
     start = ledger.count
+    signatures = system.signatures()
     buckets: dict[frozenset[int], list[int]] = {}
-    for element, sig in enumerate(system.signatures()):
+    for element, sig in enumerate(signatures):
         if sig:
             buckets.setdefault(sig, []).append(element)
     if len(buckets) > min(system.n, (1 << system.m) - 1):
         raise AssertionError("more buckets than distinct signatures can exist")
-    champion: dict[frozenset[int], int] = {}
+    # buckets in label order; each set meets its bucket champions in that order
+    hits: list[list[int]] = [[] for _ in range(system.m + 1)]
     for sig in sorted(buckets, key=label_sort_key):
-        champion[sig] = keys.max_of_class(sorted(buckets[sig]), ledger)
-    maxima = []
-    for i in range(1, system.m + 1):
-        hits = [champion[sig] for sig in sorted(buckets, key=label_sort_key) if i in sig]
-        best = hits[0]
-        for cand in hits[1:]:
-            if keys.compare(cand, best, ledger) > 0:
-                best = cand
-        maxima.append(best)
+        champion = keys.max_of_class(buckets[sig], ledger)
+        for i in sig:
+            hits[i].append(champion)
+    maxima = tuple(keys.max_of_class(hits[i], ledger) for i in range(1, system.m + 1))
     used = ledger.count - start
-    bound = bucket_comparison_bound(system)
+    bound = bucket_comparison_bound(system, signatures)
     if used != bound:
         raise AssertionError(f"bucket count {used} != closed form {bound}")
-    return MaximaResult("bucket", maxima=tuple(maxima), comparisons=used, bound=bound)
+    return MaximaResult("bucket", maxima=maxima, comparisons=used, bound=bound)
 
 
 def solve_lattice(
@@ -170,58 +181,42 @@ def solve_lattice(
 
     With ``prebuilt`` the caller supplies the lattice and per-node covers
     (the geometric path does); otherwise covers come from the requested
-    abstract mode.  The comparison count is asserted against the budget
-    n + sum(|cover|) on every run.
+    abstract mode.  Either way the solve runs the lattice's cached
+    :class:`SolvePlan` for those covers, so a prebuilt structure pays for
+    the plan once and every later key assignment only compares.  The
+    comparison count is asserted against the budget n + sum(|cover|) on
+    every run.
     """
     system.require_valid()
     ledger = ledger if ledger is not None else ComparisonLedger()
     start = ledger.count
     if prebuilt is not None:
         lattice, covers = prebuilt
-        algorithm = "lattice"
     else:
         lattice = compute_parents(build_lattice(system))
         covers = good_covers(lattice, mode=cover_mode)
-        algorithm = "lattice"
+    if (lattice.n, lattice.m) != (system.n, system.m):
+        raise ValueError(
+            f"lattice of n={lattice.n}, m={lattice.m} does not fit "
+            f"the system of n={system.n}, m={system.m}"
+        )
+    plan = lattice.solve_plan(covers)
 
-    champion: dict[Label, int | None] = {}
-    for label in lattice.labels_by_layer():
-        node = lattice.nodes[label]
-        if node.phi:
-            champion[label] = keys.max_of_class(sorted(node.phi), ledger)
-        else:
-            champion[label] = None
+    champion: list[int | None] = [None] * len(plan.labels)
+    for slot, members in plan.classes:
+        champion[slot] = keys.max_of_class(members, ledger)
+    for layer, steps in plan.layers:
+        if debug_check:
+            _check_loop_invariant(lattice, covers, dict(zip(plan.labels, champion)), keys, layer)
+        keys.propagate(steps, champion, ledger)
 
-    by_depth = [lb for lb in lattice.labels_by_layer(descending=True) if len(lb) >= 2]
-    layer_of = len  # labels are frozensets
-    prev_layer = None
-    for label in by_depth:
-        if debug_check and layer_of(label) != prev_layer:
-            _check_loop_invariant(lattice, covers, champion, keys, layer_of(label))
-            prev_layer = layer_of(label)
-        value = champion[label]
-        if value is None:
-            continue
-        for parent in covers[label]:
-            cur = champion[parent]
-            if cur is None or cur == value:
-                # absorbing into an empty slot is free, and an element never
-                # needs comparing with itself when it arrives on two paths
-                champion[parent] = value
-            elif keys.compare(value, cur, ledger) > 0:
-                champion[parent] = value
-
-    maxima = []
-    for i in range(1, system.m + 1):
-        best = champion[frozenset((i,))]
-        if best is None:
-            raise AssertionError(f"no champion reached set {i}")
-        maxima.append(best)
+    maxima = tuple(champion[slot] for slot in plan.outputs)
+    if None in maxima:
+        raise AssertionError(f"no champion reached set {maxima.index(None) + 1}")
     used = ledger.count - start
-    bound = system.n + sum(len(c) for c in covers.values())
-    if used > bound:
-        raise AssertionError(f"lattice count {used} > budget {bound}")
-    return MaximaResult(algorithm, tuple(maxima), used, bound)
+    if used > plan.budget:
+        raise AssertionError(f"lattice count {used} > budget {plan.budget}")
+    return MaximaResult("lattice", maxima, used, plan.budget)
 
 
 def _check_loop_invariant(lattice, covers, champion, keys, layer):

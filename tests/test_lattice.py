@@ -15,7 +15,9 @@ from setmaxima.lattice import (
     good_cover_greedy,
     good_covers,
 )
+from setmaxima.order import ComparisonLedger, KeySpace
 from setmaxima.setsystem import system_from_lists
+from setmaxima.solvers import solve_lattice
 
 DATA = Path(__file__).parent / "data"
 
@@ -225,3 +227,92 @@ def test_dump_golden():
     good_covers(lat)
     expected = (DATA / "two_sets_dump.txt").read_text().rstrip("\n")
     assert lat.dump() == expected
+
+
+# ------------------------------------------------------------- solve plans
+
+
+def _covered(system, mode="greedy"):
+    lat = compute_parents(build_lattice(system))
+    return lat, good_covers(lat, mode=mode)
+
+
+def test_solve_plan_layout():
+    system = system_from_lists(6, [{0, 1, 2, 3}, {1, 2, 4}, {2, 3, 5}])
+    lat, covers = _covered(system)
+    plan = lat.solve_plan(covers)
+    assert list(plan.labels) == lat.labels_by_layer()
+    slot = {label: i for i, label in enumerate(plan.labels)}
+    assert plan.classes == tuple(
+        (slot[label], tuple(sorted(lat.nodes[label].phi)))
+        for label in plan.labels
+        if lat.nodes[label].phi
+    )
+    assert [layer for layer, _ in plan.layers] == [3, 2]
+    for layer, steps in plan.layers:
+        assert [plan.labels[child] for child, _ in steps] == [
+            lb for lb in plan.labels if len(lb) == layer
+        ]
+        for child, parents in steps:
+            assert tuple(plan.labels[p] for p in parents) == covers[plan.labels[child]]
+    assert [plan.labels[s] for s in plan.outputs] == [fs(1), fs(2), fs(3)]
+    assert plan.budget == system.n + sum(len(c) for c in covers.values())
+
+
+def test_solve_plan_cached_per_covers_dict():
+    system = gen_random_system(40, 8, 0.5, seed=3)
+    lat, greedy = _covered(system, "greedy")
+    plan = lat.solve_plan(greedy)
+    assert lat.solve_plan(greedy) is plan
+    # an equal dict is another covers dict: the plan is compiled again
+    copy = dict(greedy)
+    assert lat.solve_plan(copy) is not plan
+    # a different cover for one node shows in the plan compiled for it
+    label = next(lb for lb in lat.labels_by_layer() if len(lb) >= 2)
+    other = dict(greedy)
+    other[label] = tuple(fs(i) for i in sorted(label))
+    other_plan = lat.solve_plan(other)
+    slot = {lb: i for i, lb in enumerate(other_plan.labels)}
+    steps = dict(step for _, layer_steps in other_plan.layers for step in layer_steps)
+    assert steps[slot[label]] == tuple(slot[fs(i)] for i in sorted(label))
+    assert other_plan.budget == plan.budget - len(greedy[label]) + len(label)
+    assert lat.solve_plan(greedy) is not other_plan
+
+
+def test_add_virtual_after_solve_drops_plan():
+    system = system_from_lists(4, [{0, 1}, {1, 2}, {2, 3}])
+    lat, covers = _covered(system)
+    first = solve_lattice(system, KeySpace.random(4, 1), prebuilt=(lat, covers))
+    plan = lat.solve_plan(covers)
+    lat.add_virtual(fs(1, 3))
+    covers[fs(1, 3)] = (fs(1), fs(3))
+    replanned = lat.solve_plan(covers)
+    assert replanned is not plan and fs(1, 3) in replanned.labels
+    again = solve_lattice(system, KeySpace.random(4, 1), prebuilt=(lat, covers))
+    assert again.maxima == first.maxima
+    assert again.bound == first.bound + 2
+
+
+def test_solve_plan_rejects_bad_covers():
+    system = system_from_lists(3, [{0, 1}, {1, 2}])
+    lat, covers = _covered(system)
+    with pytest.raises(LatticeError, match="no cover"):
+        lat.solve_plan({})
+    with pytest.raises(LatticeError, match="not a lattice node"):
+        lat.solve_plan({fs(1, 2): (fs(1), fs(5))})
+
+
+def test_solve_plan_never_reads_keys(monkeypatch):
+    def forbidden(self):
+        raise AssertionError("plan compilation read raw keys")
+
+    monkeypatch.setattr(KeySpace, "oracle_keys", forbidden)
+    for seed in range(5):
+        system = gen_random_system(60, 10, 0.4, seed=seed)
+        for mode in ("greedy", "exact"):
+            lat, covers = _covered(system, mode)
+            lat.solve_plan(covers)
+            ledger = ComparisonLedger()
+            result = solve_lattice(system, KeySpace.random(60, seed), ledger=ledger,
+                                   prebuilt=(lat, covers))
+            assert ledger.count == result.comparisons <= result.bound

@@ -96,3 +96,29 @@ def test_signature_grouping_is_partition(n, seed):
     assert grouped == covered
     assert sum(len(g) for g in groups.values()) == len(covered)
     assert len(groups) <= system.n
+
+
+def test_require_valid_scans_once_per_valid_instance(monkeypatch):
+    system = system_from_lists(3, [{0, 1}, {1, 2}])
+    calls = []
+    original = SetSystem.validate
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(SetSystem, "validate", counted)
+    assert system.require_valid() is system
+    assert system.require_valid() is system
+    assert len(calls) == 1
+    # the remembered success is no field: equality and copies are unchanged
+    assert system == system_from_lists(3, [{0, 1}, {1, 2}])
+    with pytest.raises(ValueError):
+        replace(system, p=99).require_valid()
+
+
+def test_require_valid_raises_on_every_call():
+    system = system_from_lists(3, [{0, 5}])
+    for _ in range(3):
+        with pytest.raises(ValueError, match="out-of-range"):
+            system.require_valid()

@@ -1,12 +1,17 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
-from setmaxima.generators import gen_keys, gen_random_system
+from setmaxima.generators import gen_convex_instance, gen_keys, gen_random_system
+from setmaxima.geomlattice import build_geometric_lattice, solve_lattice_geometric
+from setmaxima.lattice import build_lattice, compute_parents, good_covers, label_sort_key
 from setmaxima.order import ComparisonLedger, KeySpace
 from setmaxima.setsystem import system_from_lists
 from setmaxima.solvers import (
+    MaximaResult,
+    _check_loop_invariant,
     bucket_comparison_bound,
     solve_bruteforce,
     solve_bucket,
@@ -238,3 +243,214 @@ def test_audited_solvers_never_touch_raw_keys(monkeypatch):
     solve_lattice(system, keys, cover_mode="exact")
     with pytest.raises(AssertionError):
         solve_bruteforce(system, keys)
+
+
+# ------------------------------------------------- per-pair reference solvers
+#
+# Straightforward per-node lattice and quadratic bucket loops, in which every
+# comparison is a separate ``KeySpace.compare`` call.  The production solvers
+# (solve plan, batch comparisons, one bucket pass) must give the same maxima,
+# counts and transcripts.
+
+
+def _reference_max(keys, indices, ledger):
+    if len(indices) == 0:
+        raise ValueError("empty class")
+    if len(set(indices)) != len(indices):
+        raise ValueError("duplicate indices")
+    best = indices[0]
+    for idx in indices[1:]:
+        if keys.compare(idx, best, ledger) > 0:
+            best = idx
+    return best
+
+
+def reference_solve_lattice(system, keys, cover_mode="greedy", ledger=None, prebuilt=None,
+                            debug_check=False):
+    """The per-node lattice loop: champions keyed by label, covers pushed
+    one node at a time in descending layer order."""
+    system.require_valid()
+    ledger = ledger if ledger is not None else ComparisonLedger()
+    start = ledger.count
+    if prebuilt is not None:
+        lattice, covers = prebuilt
+    else:
+        lattice = compute_parents(build_lattice(system))
+        covers = good_covers(lattice, mode=cover_mode)
+    champion = {}
+    for label in lattice.labels_by_layer():
+        phi = lattice.nodes[label].phi
+        champion[label] = _reference_max(keys, sorted(phi), ledger) if phi else None
+    prev_layer = None
+    for label in lattice.labels_by_layer(descending=True):
+        if len(label) < 2:
+            continue
+        if debug_check and len(label) != prev_layer:
+            _check_loop_invariant(lattice, covers, champion, keys, len(label))
+            prev_layer = len(label)
+        value = champion[label]
+        if value is None:
+            continue
+        for parent in covers[label]:
+            cur = champion[parent]
+            if cur is None or cur == value:
+                champion[parent] = value
+            elif keys.compare(value, cur, ledger) > 0:
+                champion[parent] = value
+    maxima = tuple(champion[frozenset((i,))] for i in range(1, system.m + 1))
+    bound = system.n + sum(len(c) for c in covers.values())
+    return MaximaResult("lattice", maxima, ledger.count - start, bound)
+
+
+def reference_solve_bucket(system, keys, ledger=None):
+    """The quadratic bucket loop: all buckets re-sorted for every set."""
+    ledger = ledger if ledger is not None else ComparisonLedger()
+    start = ledger.count
+    buckets = {}
+    for element, sig in enumerate(system.signatures()):
+        if sig:
+            buckets.setdefault(sig, []).append(element)
+    champion = {}
+    for sig in sorted(buckets, key=label_sort_key):
+        champion[sig] = _reference_max(keys, sorted(buckets[sig]), ledger)
+    maxima = []
+    for i in range(1, system.m + 1):
+        hits = [champion[sig] for sig in sorted(buckets, key=label_sort_key) if i in sig]
+        best = hits[0]
+        for cand in hits[1:]:
+            if keys.compare(cand, best, ledger) > 0:
+                best = cand
+        maxima.append(best)
+    used = ledger.count - start
+    return MaximaResult("bucket", tuple(maxima), used, bucket_comparison_bound(system))
+
+
+def _transcribed(solver, *args, **kwargs):
+    ledger = ComparisonLedger(record_transcript=True)
+    result = solver(*args, ledger=ledger, **kwargs)
+    assert ledger.count == result.comparisons
+    return result, ledger.transcript
+
+
+def _assert_same_run(got, want):
+    (res, transcript), (ref, ref_transcript) = got, want
+    assert res.maxima == ref.maxima
+    assert res.comparisons == ref.comparisons
+    assert res.bound == ref.bound
+    assert transcript == ref_transcript
+
+
+def _seeded_systems(count, n_max=50, m_max=12, offset=0):
+    for seed in range(offset, offset + count):
+        rng = random.Random(seed)
+        n, m = _feasible(rng, n_max, m_max)
+        yield seed, gen_random_system(n, m, rng.uniform(0.15, 0.9), seed)
+
+
+@pytest.mark.parametrize("cover_mode", ["greedy", "exact"])
+def test_lattice_matches_per_node_reference(cover_mode):
+    for seed, system in _seeded_systems(60):
+        keys = gen_keys(system.n, seed + 5)
+        _assert_same_run(
+            _transcribed(solve_lattice, system, keys, cover_mode=cover_mode),
+            _transcribed(reference_solve_lattice, system, keys, cover_mode=cover_mode),
+        )
+
+
+@pytest.mark.parametrize("cover_mode", ["greedy", "exact"])
+def test_prebuilt_lattice_matches_reference_over_many_assignments(cover_mode):
+    for seed, system in _seeded_systems(12, n_max=80, offset=500):
+        lat = compute_parents(build_lattice(system))
+        covers = good_covers(lat, mode=cover_mode)
+        for rep in range(4):
+            keys = gen_keys(system.n, 100 * seed + rep)
+            _assert_same_run(
+                _transcribed(solve_lattice, system, keys, prebuilt=(lat, covers)),
+                _transcribed(reference_solve_lattice, system, keys, prebuilt=(lat, covers)),
+            )
+
+
+def test_geometric_lattice_matches_reference():
+    for seed in range(6):
+        inst = gen_convex_instance(n=120, m=10, k=4, seed=seed)
+        glat = build_geometric_lattice(inst)
+        for rep in range(3):
+            keys = gen_keys(inst.n, 10 * seed + rep)
+            _assert_same_run(
+                _transcribed(solve_lattice_geometric, glat, keys),
+                _transcribed(
+                    reference_solve_lattice, glat.system, keys,
+                    prebuilt=(glat.lattice, glat.covers),
+                ),
+            )
+
+
+def test_debug_check_runs_match_reference():
+    for seed, system in _seeded_systems(10, n_max=30, m_max=8, offset=900):
+        keys = gen_keys(system.n, seed)
+        _assert_same_run(
+            _transcribed(solve_lattice, system, keys, debug_check=True),
+            _transcribed(reference_solve_lattice, system, keys, debug_check=True),
+        )
+    inst = gen_convex_instance(n=80, m=8, k=4, seed=2)
+    glat = build_geometric_lattice(inst)
+    keys = gen_keys(inst.n, 3)
+    _assert_same_run(
+        _transcribed(solve_lattice_geometric, glat, keys, debug_check=True),
+        _transcribed(
+            reference_solve_lattice, glat.system, keys,
+            prebuilt=(glat.lattice, glat.covers), debug_check=True,
+        ),
+    )
+
+
+def test_debug_check_catches_a_broken_plan():
+    # element 2 is alone in class {1,2,3} and holds the largest key
+    system = system_from_lists(6, [{0, 1, 2, 3}, {1, 2, 4}, {2, 3, 5}])
+    lat = compute_parents(build_lattice(system))
+    covers = good_covers(lat)
+    plan = lat.solve_plan(covers)
+    assert [layer for layer, _ in plan.layers] == [3, 2]
+    keys = KeySpace([1, 2, 6, 3, 4, 5])
+    assert solve_lattice(system, keys, prebuilt=(lat, covers), debug_check=True).maxima == (2, 2, 2)
+    # drop the pushes of layer 3: the check before layer 2 must notice
+    lat._plan = (covers, replace(plan, layers=plan.layers[1:]))
+    with pytest.raises(AssertionError, match="loop invariant"):
+        solve_lattice(system, keys, prebuilt=(lat, covers), debug_check=True)
+
+
+def test_bucket_matches_quadratic_reference():
+    for seed, system in _seeded_systems(60, n_max=60, offset=200):
+        keys = gen_keys(system.n, seed + 7)
+        _assert_same_run(
+            _transcribed(solve_bucket, system, keys),
+            _transcribed(reference_solve_bucket, system, keys),
+        )
+    glat = build_geometric_lattice(gen_convex_instance(n=150, m=12, k=4, seed=4))
+    keys = gen_keys(glat.system.n, 8)
+    _assert_same_run(
+        _transcribed(solve_bucket, glat.system, keys),
+        _transcribed(reference_solve_bucket, glat.system, keys),
+    )
+
+
+def test_keys_shorter_than_system_raise_like_reference():
+    # the short key space lacks element 2, which is alone in class {1,2}
+    system = system_from_lists(3, [{0, 1, 2}, {2}])
+    keys = KeySpace([5, 7])
+    with pytest.raises(IndexError):
+        reference_solve_lattice(system, keys)
+    with pytest.raises(IndexError):
+        solve_lattice(system, keys)
+    with pytest.raises(IndexError):
+        reference_solve_bucket(system, keys)
+    with pytest.raises(IndexError):
+        solve_bucket(system, keys)
+
+
+def test_prebuilt_lattice_of_another_system_is_rejected():
+    lat = compute_parents(build_lattice(system_from_lists(3, [{0, 1}, {1, 2}])))
+    covers = good_covers(lat)
+    other = system_from_lists(4, [{0, 1}, {1, 2}])
+    with pytest.raises(ValueError):
+        solve_lattice(other, KeySpace.random(4, 1), prebuilt=(lat, covers))
