@@ -39,6 +39,24 @@ CSV_COLUMNS = (
 )
 
 
+def _solve_lattice(system, keys, cover, glat):
+    if cover == "geometric":
+        if glat is None:
+            raise ValueError("geometric cover mode needs a geometric instance")
+        return solve_lattice_geometric(glat, keys)
+    return solve_lattice(system, keys, cover_mode=cover)
+
+
+# The one solver registry: name -> solve(system, keys, cover, glat).  The
+# baseline entries look their solver up on each call, so it can be patched.
+SOLVERS = {
+    "lattice": _solve_lattice,
+    "sort": lambda system, keys, cover, glat: solve_sort(system, keys),
+    "bucket": lambda system, keys, cover, glat: solve_bucket(system, keys),
+    "brute": lambda system, keys, cover, glat: solve_bruteforce(system, keys),
+}
+
+
 @dataclass(frozen=True)
 class BenchRecord:
     instance_id: str
@@ -61,7 +79,7 @@ class BenchConfig:
     k: int = 4
     density: float = 0.3
     seeds: tuple[int, ...] = (0,)
-    algos: tuple[str, ...] = ("lattice", "sort", "bucket", "brute")
+    algos: tuple[str, ...] = tuple(SOLVERS)
     cover: str = "geometric"  # greedy | exact | geometric (geometric kinds only)
     jobs: int = 1
 
@@ -72,6 +90,9 @@ class BenchConfig:
             raise ValueError(f"unknown instance kind {self.kind!r}")
         if self.cover not in ("greedy", "exact", "geometric"):
             raise ValueError(f"unknown cover mode {self.cover!r}")
+        unknown = [a for a in self.algos if a not in SOLVERS]
+        if unknown:
+            raise ValueError(f"unknown algorithm {unknown[0]!r}")
 
 
 def run_solver(
@@ -81,19 +102,10 @@ def run_solver(
     cover: str = "greedy",
     glat: GeometricLattice | None = None,
 ) -> MaximaResult:
-    if algo == "brute":
-        return solve_bruteforce(system, keys)
-    if algo == "sort":
-        return solve_sort(system, keys)
-    if algo == "bucket":
-        return solve_bucket(system, keys)
-    if algo == "lattice":
-        if cover == "geometric":
-            if glat is None:
-                raise ValueError("geometric cover mode needs a geometric instance")
-            return solve_lattice_geometric(glat, keys)
-        return solve_lattice(system, keys, cover_mode=cover)
-    raise ValueError(f"unknown algorithm {algo!r}")
+    solve = SOLVERS.get(algo)
+    if solve is None:
+        raise ValueError(f"unknown algorithm {algo!r}")
+    return solve(system, keys, cover, glat)
 
 
 def _run_one(task: tuple) -> list[BenchRecord]:
@@ -230,9 +242,8 @@ def verify_instance(
     lines.append("construction comparisons: 0")
 
     oracle = solve_bruteforce(system, keys)
-    algos = ["lattice", "sort", "bucket", "brute"]
     covers = ["geometric"] if glat is not None else ["greedy", "exact"]
-    for algo in algos:
+    for algo in SOLVERS:
         for cover in covers if algo == "lattice" else [covers[0]]:
             result = run_solver(algo, system, keys, cover=cover, glat=glat)
             agree = result.maxima == oracle.maxima

@@ -2,7 +2,9 @@
 
 Subcommands: gen (emit a JSON instance), solve (one instance, one
 algorithm), verify (full cross-check), bench (sweep to CSV).
-Exit codes: 0 ok, 1 verification failure, 2 input error.
+Exit codes: 0 ok, 1 verification failure or internal invariant failure
+(``LatticeError``, ``InternalInconsistencyError``), 2 input error
+(including ``GeometryError``).  Every error prints one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import json
 import math
 import sys
 
-from .bench import BenchConfig, run_bench, run_solver, verify_instance
+from .bench import SOLVERS, BenchConfig, run_bench, run_solver, verify_instance
 from .generators import (
     GenerationError,
     gen_convex_instance,
@@ -20,7 +22,8 @@ from .generators import (
     gen_random_system,
     gen_rect_instance,
 )
-from .geomlattice import build_geometric_lattice, induced_system
+from .geometry import GeometryError
+from .geomlattice import InternalInconsistencyError, build_geometric_lattice, induced_system
 from .instance_io import (
     InputError,
     ProblemInstance,
@@ -28,10 +31,12 @@ from .instance_io import (
     load_instance,
     save_instance,
 )
+from .lattice import LatticeError
 from .solvers import solve_bruteforce
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
+EXIT_INTERNAL_ERROR = 1
 EXIT_INPUT_ERROR = 2
 
 
@@ -53,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="run one algorithm on one instance")
     solve.add_argument("instance")
-    solve.add_argument("--algo", choices=("lattice", "sort", "bucket", "brute"), default="lattice")
+    solve.add_argument("--algo", choices=tuple(SOLVERS), default="lattice")
     solve.add_argument(
         "--cover",
         choices=("greedy", "exact", "geometric"),
@@ -76,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--k", type=int, default=4)
     bench.add_argument("--density", type=float, default=0.3)
     bench.add_argument("--seeds", type=int, default=1, help="seeds 0..S-1 per size")
-    bench.add_argument("--algos", default="lattice,sort,bucket,brute")
+    bench.add_argument("--algos", default=",".join(SOLVERS))
     bench.add_argument("--cover", choices=("greedy", "exact", "geometric"), default=None)
     bench.add_argument("--jobs", type=int, default=1)
     bench.add_argument("--out", required=True, help="CSV output path")
@@ -180,9 +185,17 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (InputError, GenerationError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (InputError, GenerationError, GeometryError, FileNotFoundError, ValueError) as exc:
+        _report(exc)
         return EXIT_INPUT_ERROR
+    except (LatticeError, InternalInconsistencyError) as exc:
+        _report(exc, type(exc).__name__)
+        return EXIT_INTERNAL_ERROR
+
+
+def _report(exc: Exception, kind: str | None = None) -> None:
+    message = " ".join(str(exc).split())
+    print(f"error: {kind + ': ' if kind else ''}{message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

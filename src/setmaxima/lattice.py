@@ -13,6 +13,7 @@ this module.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, groupby
 from typing import Iterable
@@ -75,7 +76,10 @@ class SolvePlan:
     ``layers`` holds (layer, steps) for layers >= 2, deepest first; each
     step is (child slot, cover member slots), children in slot order.
     ``outputs`` is the slot of the singleton {i} for i = 1..m, and
-    ``budget`` is n + sum(|cover|).
+    ``budget`` is n + sum(|cover|).  Class members come from frozensets, so
+    they are duplicate-free; compiling checks they are non-negative, and
+    ``top`` is the largest of them (-1 without classes), so a solve
+    range-checks every class against its keys at once.
     """
 
     labels: tuple[Label, ...]
@@ -83,6 +87,7 @@ class SolvePlan:
     layers: tuple[tuple[int, tuple[tuple[int, tuple[int, ...]], ...]], ...]
     outputs: tuple[int, ...]
     budget: int
+    top: int
 
 
 class Lattice:
@@ -121,6 +126,9 @@ class Lattice:
             for i, label in enumerate(labels)
             if self.nodes[label].phi
         )
+        if any(members[0] < 0 for _, members in classes):
+            raise LatticeError("a class holds a negative element index")
+        top = max((members[-1] for _, members in classes), default=-1)
         layers = []
         for layer, group in groupby(labels, key=len):
             if layer < 2:
@@ -141,7 +149,7 @@ class Lattice:
         layers.reverse()
         outputs = tuple(slot[frozenset((i,))] for i in range(1, self.m + 1))
         budget = self.n + sum(len(c) for c in covers.values())
-        return SolvePlan(tuple(labels), classes, tuple(layers), outputs, budget)
+        return SolvePlan(tuple(labels), classes, tuple(layers), outputs, budget, top)
 
     def add_virtual(self, label: Label) -> LatticeNode:
         return self.add_node(label, frozenset(), virtual=True)
@@ -198,26 +206,33 @@ def build_lattice(system: SetSystem) -> Lattice:
     return lat
 
 
-# All-pairs subset testing is fastest for small lattices; big lattices
-# (sweep-scale geometric ones) have small labels and sparse overlap, where
-# the inverted index wins.
-_DENSE_NODE_LIMIT = 1500
+def compute_parents(lattice: Lattice) -> Lattice:
+    """Populate each node's parents: maximal lattice nodes strictly below it.
 
-
-def compute_parents(lattice: Lattice, dense_limit: int = _DENSE_NODE_LIMIT) -> Lattice:
-    """Populate each node's parents: maximal lattice nodes strictly below it."""
+    Each node is filed once, under the index of its label that the fewest
+    nodes contain (ties to the smallest index).  A strict subset K of J is
+    filed under an index of K, hence of J, so scanning the files of J's
+    indices meets every candidate exactly once: never more tests than all
+    pairs, nor than an inverted index over every index.
+    """
     nodes = list(lattice.nodes.values())
-    if len(nodes) <= dense_limit:
-        candidates = {node.label: _subsets_dense(node, nodes) for node in nodes}
-    else:
-        by_index: dict[int, list[LatticeNode]] = {}
-        for node in nodes:
-            for i in node.label:
-                by_index.setdefault(i, []).append(node)
-        candidates = {node.label: _subsets_indexed(node, by_index) for node in nodes}
+    freq = Counter(i for node in nodes for i in node.label)
+    files: dict[int, list[LatticeNode]] = {}
+    for node in nodes:
+        rarest = min(node.label, key=lambda i: (freq[i], i))
+        files.setdefault(rarest, []).append(node)
+    order = {node.label: (-node.layer, label_sort_key(node.label)) for node in nodes}
 
     for node in nodes:
-        subs = sorted(candidates[node.label], key=lambda s: (-len(s.label), label_sort_key(s.label)))
+        jm = node.mask
+        subs = [
+            cand
+            for i in node.label
+            for cand in files.get(i, ())
+            if cand.mask & jm == cand.mask and cand.mask != jm
+        ]
+        # maximality filter: largest candidates first, keep those below no kept one
+        subs.sort(key=lambda s: order[s.label])
         kept: list[LatticeNode] = []
         for cand in subs:
             cm = cand.mask
@@ -225,25 +240,6 @@ def compute_parents(lattice: Lattice, dense_limit: int = _DENSE_NODE_LIMIT) -> L
                 kept.append(cand)
         node.parents = frozenset(c.label for c in kept)
     return lattice
-
-
-def _subsets_dense(node: LatticeNode, nodes: list[LatticeNode]) -> list[LatticeNode]:
-    jm = node.mask
-    return [k for k in nodes if k.mask != jm and k.mask & jm == k.mask]
-
-
-def _subsets_indexed(node: LatticeNode, by_index: dict[int, list[LatticeNode]]) -> list[LatticeNode]:
-    jm = node.mask
-    out = []
-    seen = set()
-    for i in node.label:
-        for cand in by_index[i]:
-            cm = cand.mask
-            if cm not in seen:
-                seen.add(cm)
-                if cm != jm and cm & jm == cm:
-                    out.append(cand)
-    return out
 
 
 def _require_parents(node: LatticeNode) -> list[Label]:

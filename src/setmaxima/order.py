@@ -3,14 +3,16 @@
 Every key comparison in the library is made by a :class:`KeySpace` method
 that records it in a :class:`ComparisonLedger`.  :meth:`KeySpace.compare`
 makes one comparison.  The audited batch operations make many in one call:
-:meth:`KeySpace.max_of_class` reduces a class to its largest element, and
-:meth:`KeySpace.propagate` pushes one lattice layer's champions into their
-cover members.  A batch validates its indices once, then compares inline,
-and records each comparison as the same (i, j) pair, in the same order, as
-the equivalent sequence of :meth:`KeySpace.compare` calls would.  Raw key
-values are private; the single unaudited escape hatch is
-:meth:`KeySpace.oracle_keys`, which exists only for brute-force oracles and
-tests.
+:meth:`KeySpace.max_of_class` reduces a class to its largest element,
+:meth:`KeySpace.reduce_classes` reduces every class of a compiled solve
+plan, and :meth:`KeySpace.propagate` pushes one lattice layer's champions
+into their cover members.  A batch validates its indices once (for
+``reduce_classes``, the plan's largest index; the plan checked the rest
+when it was compiled), then compares inline, and records each comparison
+as the same (i, j) pair, in the same order, as the equivalent sequence of
+:meth:`KeySpace.compare` calls would.  Raw key values are private; the
+single unaudited escape hatch is :meth:`KeySpace.oracle_keys`, which exists
+only for brute-force oracles and tests.
 """
 
 from __future__ import annotations
@@ -112,6 +114,40 @@ class KeySpace:
                 best, best_key = idx, keys[idx]
         ledger.count += len(indices) - 1
         return best
+
+    def reduce_classes(
+        self,
+        classes: Sequence[tuple[int, Sequence[int]]],
+        top: int,
+        champion: list[int | None],
+        ledger: ComparisonLedger,
+    ) -> None:
+        """``champion[slot] = max_of_class(members)`` for each (slot, members).
+
+        For classes checked once in advance, as a compiled solve plan's are:
+        each must be non-empty, duplicate-free and non-negative, and ``top``
+        must be the largest member of all.  Only ``top`` is range-checked
+        here, once per call; comparisons and transcript equal the
+        :meth:`max_of_class` calls'.
+        """
+        if top >= len(self._keys):
+            raise IndexError(f"element index out of range in reduce_classes: {top}")
+        # max_of_class's loop, inlined: a method call per class is a visible
+        # share of a whole solve
+        keys = self._keys
+        transcript = ledger._transcript
+        count = 0
+        for slot, members in classes:
+            best = members[0]
+            best_key = keys[best]
+            for idx in islice(members, 1, None):
+                if transcript is not None:
+                    transcript.append((idx, best))
+                if keys[idx] > best_key:
+                    best, best_key = idx, keys[idx]
+            champion[slot] = best
+            count += len(members) - 1
+        ledger.count += count
 
     def propagate(
         self,

@@ -11,8 +11,10 @@ The lattice and its covers depend only on the sets, never on the keys.
 ``solve_lattice`` therefore answers a key assignment from the lattice's
 :class:`~setmaxima.lattice.SolvePlan`, compiled on the first solve over a
 (lattice, covers) pair and reused by every later one: one
-:meth:`~setmaxima.order.KeySpace.max_of_class` per non-empty class, then
-one :meth:`~setmaxima.order.KeySpace.propagate` per layer, deepest first.
+:meth:`~setmaxima.order.KeySpace.reduce_classes` over every non-empty
+class (checked once, when the plan is compiled, and range-checked once per
+solve), then one :meth:`~setmaxima.order.KeySpace.propagate` per layer,
+deepest first.
 """
 
 from __future__ import annotations
@@ -203,8 +205,7 @@ def solve_lattice(
     plan = lattice.solve_plan(covers)
 
     champion: list[int | None] = [None] * len(plan.labels)
-    for slot, members in plan.classes:
-        champion[slot] = keys.max_of_class(members, ledger)
+    keys.reduce_classes(plan.classes, plan.top, champion, ledger)
     for layer, steps in plan.layers:
         if debug_check:
             _check_loop_invariant(lattice, covers, dict(zip(plan.labels, champion)), keys, layer)
@@ -251,11 +252,3 @@ def _check_loop_invariant(lattice, covers, champion, keys, layer):
                     f"loop invariant broken at layer {layer}: node holds "
                     f"{champion[label]}, reachable max is {expected}"
                 )
-
-
-ALGORITHMS = {
-    "lattice": solve_lattice,
-    "sort": solve_sort,
-    "bucket": solve_bucket,
-    "brute": solve_bruteforce,
-}

@@ -226,15 +226,15 @@ def test_check_cover_chains_rejects_overlap():
         check_cover_chains(fs(1, 2, 3), (fs(1), fs(1, 2)), cache)
 
 
-def test_parent_paths_agree_on_geometric_lattices():
+def test_parents_match_brute_force_on_geometric_lattices():
     from setmaxima.lattice import build_lattice, compute_parents
 
     inst = gen_convex_instance(n=400, m=30, k=4, seed=77)
-    system = induced_system(inst)
-    dense = compute_parents(build_lattice(system), dense_limit=10**9)
-    indexed = compute_parents(build_lattice(system), dense_limit=0)
-    for label, node in dense.nodes.items():
-        assert node.parents == indexed.nodes[label].parents
+    lat = compute_parents(build_lattice(induced_system(inst)))
+    labels = list(lat.nodes)
+    for label, node in lat.nodes.items():
+        below = [i for i in labels if i < label]
+        assert node.parents == {i for i in below if not any(i < k for k in below)}
 
 
 def test_solve_geometric_matches_oracle_random():

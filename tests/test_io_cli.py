@@ -213,3 +213,59 @@ def test_cli_verify_detects_solver_mismatch(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(bench_mod, "solve_sort", lying_sort)
     assert main(["verify", str(path)]) == 1
     assert "DISAGREE" in capsys.readouterr().out
+
+
+def _fail_during_build(monkeypatch, exc):
+    import setmaxima.cli as cli_mod
+
+    def failing_build(geometry):
+        raise exc
+
+    monkeypatch.setattr(cli_mod, "build_geometric_lattice", failing_build)
+
+
+def _solve_two_squares(tmp_path):
+    path = tmp_path / "two_squares.json"
+    path.write_text(json.dumps(TWO_SQUARES))
+    return main(["solve", str(path), "--cover", "geometric"])
+
+
+def test_cli_geometry_error_exit_2(tmp_path, capsys, monkeypatch):
+    from setmaxima.geometry import GeometryError
+
+    _fail_during_build(monkeypatch, GeometryError("cannot clip by a degenerate polygon"))
+    assert _solve_two_squares(tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err == "error: cannot clip by a degenerate polygon\n"
+
+
+def test_cli_lattice_error_exit_1(tmp_path, capsys, monkeypatch):
+    from setmaxima.lattice import LatticeError
+
+    _fail_during_build(monkeypatch, LatticeError("node {1,2} has no cover"))
+    assert _solve_two_squares(tmp_path) == 1
+    assert capsys.readouterr().err == "error: LatticeError: node {1,2} has no cover\n"
+
+
+def test_cli_internal_inconsistency_exit_1(tmp_path, capsys, monkeypatch):
+    from setmaxima.geomlattice import InternalInconsistencyError
+
+    _fail_during_build(monkeypatch, InternalInconsistencyError("chains overlap\non {1,2}"))
+    assert _solve_two_squares(tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err == "error: InternalInconsistencyError: chains overlap on {1,2}\n"
+
+
+def test_cli_algorithms_come_from_the_registry(tmp_path, capsys):
+    from setmaxima.bench import SOLVERS, BenchConfig, run_solver
+    from setmaxima.order import KeySpace
+
+    assert tuple(SOLVERS) == ("lattice", "sort", "bucket", "brute")
+    system = system_from_lists(3, [{0, 1}, {1, 2}])
+    with pytest.raises(ValueError, match="unknown algorithm"):
+        run_solver("quick", system, KeySpace([1, 2, 3]))
+    with pytest.raises(ValueError, match="unknown algorithm"):
+        BenchConfig(algos=("lattice", "quick"))
+    with pytest.raises(SystemExit):
+        main(["solve", str(tmp_path / "any.json"), "--algo", "quick"])
+    assert "invalid choice" in capsys.readouterr().err

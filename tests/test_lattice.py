@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -85,27 +86,63 @@ def test_parents_shadowing():
 
 
 def _brute_parents(labels):
+    """Maximal labels strictly below each label, straight from the definition."""
     out = {}
     for j in labels:
-        out[j] = frozenset(
-            i
-            for i in labels
-            if i < j and not any(i < k < j for k in labels)
-        )
+        below = [i for i in labels if i < j]
+        out[j] = frozenset(i for i in below if not any(i < k for k in below))
     return out
 
 
-@pytest.mark.parametrize("dense_limit", [1500, 0])
-def test_parents_match_brute_force(dense_limit):
-    for seed in range(25):
+def _assert_parents_match_brute_force(lat):
+    expected = _brute_parents(set(lat.nodes))
+    for label, node in lat.nodes.items():
+        assert node.parents == expected[label], label
+
+
+@pytest.mark.parametrize("first_seed", [0, 1500])
+def test_parents_match_brute_force(first_seed):
+    for seed in range(first_seed, first_seed + 25):
         rng = random.Random(seed)
-        system = gen_random_system(
-            n=rng.randint(1, 25), m=rng.randint(1, 9), density=rng.uniform(0.2, 0.8), seed=seed
-        )
-        lat = compute_parents(build_lattice(system), dense_limit=dense_limit)
-        expected = _brute_parents(set(lat.nodes))
-        for label, node in lat.nodes.items():
-            assert node.parents == expected[label], label
+        n, m = rng.randint(1, 25), rng.randint(1, 9)
+        # n elements admit at most 2**n - 1 distinct non-empty sets
+        m = min(m, 2**n - 1)
+        system = gen_random_system(n=n, m=m, density=rng.uniform(0.2, 0.8), seed=seed)
+        _assert_parents_match_brute_force(compute_parents(build_lattice(system)))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_parents_match_brute_force_dense_abstract(seed):
+    # the shape of the abstract-dense benchmark, scaled down: wide labels, ~m
+    # nodes per index, few subset pairs beyond the singletons
+    system = gen_random_system(n=300, m=30, density=0.5, seed=seed)
+    lat = compute_parents(build_lattice(system))
+    assert len(lat.nodes) > 250
+    _assert_parents_match_brute_force(lat)
+
+
+def test_parents_of_a_nested_chain():
+    # set i holds elements i-1.., so element e has signature {1..e+1}
+    m = 12
+    system = system_from_lists(m, [set(range(i - 1, m)) for i in range(1, m + 1)])
+    lat = compute_parents(build_lattice(system))
+    _assert_parents_match_brute_force(lat)
+    for top in range(2, m + 1):
+        assert lat.node(range(1, top + 1)).parents == {fs(*range(1, top)), fs(top)}
+
+
+def test_parents_when_rarest_indices_tie():
+    # every index lies in the same number of labels, so each node is filed
+    # under its smallest index
+    lat = Lattice(m=5, n=0)
+    for size in (1, 2, 4):
+        for label in combinations(range(1, 6), size):
+            lat.add_node(frozenset(label), frozenset())
+    compute_parents(lat)
+    _assert_parents_match_brute_force(lat)
+    assert lat.node({1, 2, 3, 4}).parents == {
+        fs(*pair) for pair in combinations((1, 2, 3, 4), 2)
+    }
 
 
 def test_greedy_cover_two_of_three():
@@ -300,6 +337,18 @@ def test_solve_plan_rejects_bad_covers():
         lat.solve_plan({})
     with pytest.raises(LatticeError, match="not a lattice node"):
         lat.solve_plan({fs(1, 2): (fs(1), fs(5))})
+
+
+def test_solve_plan_checks_classes_once():
+    lat, covers = _covered(system_from_lists(5, [{0, 1, 4}, {1, 2}]))
+    assert lat.solve_plan(covers).top == 4
+    bad = Lattice(m=1, n=2)
+    bad.add_node(fs(1), frozenset({-1, 0}))
+    with pytest.raises(LatticeError, match="negative"):
+        bad.solve_plan({})
+    empty = Lattice(m=1, n=0)
+    empty.add_node(fs(1), frozenset())
+    assert empty.solve_plan({}).top == -1
 
 
 def test_solve_plan_never_reads_keys(monkeypatch):

@@ -166,6 +166,42 @@ def test_max_of_class_transcript_equals_compare_calls():
         assert ledger.count == reference.count == len(indices) - 1
 
 
+def test_reduce_classes_equals_max_of_class_calls():
+    for seed in range(20):
+        rng = random.Random(seed)
+        n = rng.randint(1, 40)
+        ks = KeySpace.random(n, seed)
+        elements = list(range(n))
+        rng.shuffle(elements)
+        classes, slot = [], 0
+        while elements:
+            size = rng.randint(1, len(elements))
+            classes.append((slot, tuple(sorted(elements[:size]))))
+            elements, slot = elements[size:], slot + rng.randint(1, 3)
+        top = max(members[-1] for _, members in classes)
+        champion = [None] * (slot + 1)
+        ledger = ComparisonLedger(record_transcript=True)
+        ks.reduce_classes(classes, top, champion, ledger)
+        reference = ComparisonLedger(record_transcript=True)
+        for s, members in classes:
+            assert champion[s] == ks.max_of_class(members, reference)
+        assert ledger.transcript == reference.transcript
+        assert ledger.count == reference.count
+
+
+def test_reduce_classes_range_checks_top_once():
+    ks = KeySpace([1, 2, 3])
+    champion = [None, None]
+    ledger = ComparisonLedger()
+    with pytest.raises(IndexError):
+        ks.reduce_classes([(0, (0, 1)), (1, (2, 3))], 3, champion, ledger)
+    assert ledger.count == 0 and champion == [None, None]
+    ks.reduce_classes([(0, (0, 1)), (1, (2,))], 2, champion, ledger)
+    assert champion == [1, 2] and ledger.count == 1
+    ks.reduce_classes([], -1, champion, ledger)
+    assert ledger.count == 1
+
+
 def test_propagate_transcript_equals_compare_calls():
     for seed in range(40):
         rng = random.Random(seed)

@@ -448,6 +448,22 @@ def test_keys_shorter_than_system_raise_like_reference():
         solve_bucket(system, keys)
 
 
+def test_keys_shorter_than_system_raise_with_a_compiled_plan():
+    # once the plan is compiled, only its largest element is range-checked
+    system = system_from_lists(4, [{0, 1, 3}, {1, 2, 3}])
+    lat = compute_parents(build_lattice(system))
+    covers = good_covers(lat)
+    solve_lattice(system, KeySpace.random(4, 1), prebuilt=(lat, covers))
+    plan = lat.solve_plan(covers)
+    assert plan.top == 3
+    ledger = ComparisonLedger()
+    with pytest.raises(IndexError):
+        solve_lattice(system, KeySpace([4, 2, 3]), ledger=ledger, prebuilt=(lat, covers))
+    assert ledger.count == 0
+    assert lat.solve_plan(covers) is plan
+    assert solve_lattice(system, KeySpace([1, 2, 3, 4]), prebuilt=(lat, covers)).maxima == (3, 3)
+
+
 def test_prebuilt_lattice_of_another_system_is_rejected():
     lat = compute_parents(build_lattice(system_from_lists(3, [{0, 1}, {1, 2}])))
     covers = good_covers(lat)
