@@ -28,6 +28,10 @@ class Point2(NamedTuple):
     y: int | Fraction
 
 
+# polygon labels whose boundary carries an edge
+Owners = frozenset[int]
+
+
 def orientation(p: Point2, q: Point2, r: Point2) -> int:
     """Sign of the cross product (q-p) x (r-p): +1 left turn, 0 collinear, -1 right."""
     ax, ay = p
@@ -114,10 +118,9 @@ def strict_hull(points: Iterable[Point2]) -> list[Point2]:
     return hull if len(hull) >= 3 else []
 
 
-def _canonical_rotation(vertices: tuple[Point2, ...]) -> tuple[Point2, ...]:
+def _canonical_start(vertices: Sequence[Point2]) -> int:
     # start at the lowest-then-leftmost vertex so edge order is reproducible
-    start = min(range(len(vertices)), key=lambda i: (vertices[i][1], vertices[i][0]))
-    return vertices[start:] + vertices[:start]
+    return min(range(len(vertices)), key=lambda i: (vertices[i][1], vertices[i][0]))
 
 
 @dataclass(frozen=True)
@@ -149,7 +152,8 @@ class ConvexPolygon:
                     minima += 1
             if minima != 1:
                 raise GeometryError("vertex cycle winds more than once")
-            verts = _canonical_rotation(verts)
+            start = _canonical_start(verts)
+            verts = verts[start:] + verts[:start]
         else:
             verts = tuple(sorted(verts, key=lambda p: (p[1], p[0])))
         object.__setattr__(self, "vertices", verts)
@@ -216,17 +220,25 @@ def contains_polygon(outer: ConvexPolygon, inner: ConvexPolygon) -> bool:
     return all(point_in_convex(outer, v) != OUTSIDE for v in inner.vertices)
 
 
-def _dedup_cyclic(verts: list[Point2]) -> list[Point2]:
-    out: list[Point2] = []
-    for p in verts:
-        if not out or tuple(p) != tuple(out[-1]):
+def _dedup_cyclic(verts: list[Point2], owners: list[Owners]) -> None:
+    """Drop repeated consecutive vertices in place; each zero-length edge
+    goes, so a repeat hands its owners to the copy that stays."""
+    out, out_owners = [], []
+    for p, own in zip(verts, owners):
+        if out and p == out[-1]:
+            out_owners[-1] = own
+        else:
             out.append(p)
-    while len(out) >= 2 and tuple(out[0]) == tuple(out[-1]):
+            out_owners.append(own)
+    while len(out) >= 2 and out[0] == out[-1]:
         out.pop()
-    return out
+        out_owners.pop()
+    verts[:], owners[:] = out, out_owners
 
 
-def _drop_collinear(verts: list[Point2]) -> list[Point2]:
+def _drop_collinear(verts: list[Point2], owners: list[Owners]) -> None:
+    """Drop straight-angle vertices in place; the two edges they join
+    become one, owned by both edges' owners."""
     changed = True
     while changed and len(verts) >= 3:
         changed = False
@@ -235,45 +247,78 @@ def _drop_collinear(verts: list[Point2]) -> list[Point2]:
             b = verts[i]
             c = verts[(i + 1) % len(verts)]
             if orientation(a, b, c) == 0:
+                owners[i - 1] = owners[i - 1] | owners[i]
                 del verts[i]
+                del owners[i]
                 changed = True
                 break
-    return verts
+
+
+def clip_with_owners(
+    subject: Sequence[Point2],
+    owners: Sequence[Owners],
+    clip: ConvexPolygon,
+    clip_owner: Owners,
+) -> tuple[list[Point2], list[Owners]]:
+    """Sutherland-Hodgman clip of a convex CCW subject by a convex clip
+    polygon, exact, carrying edge ownership along.
+
+    ``owners[i]`` labels the subject edge from vertex i to vertex i + 1;
+    ``clip_owner`` labels every clip edge.  Returns the (possibly
+    degenerate) CCW vertex list, rotated as ``ConvexPolygon`` stores it, and
+    aligned with it the owners of each output edge: the owners of the
+    subject edge it lies on, joined with ``clip_owner`` when it lies on a
+    clip edge.  When every subject edge is labelled with the polygons
+    whose boundary carries it, so is every output edge; of a degenerate
+    result, both sides of a segment carry every owner of its line, and a
+    point has no edge and so no owners.
+    """
+    if clip.is_degenerate:
+        raise GeometryError("cannot clip by a degenerate polygon")
+    verts = list(subject)
+    owns = list(owners)
+    for a, b in clip.edges():
+        if not verts:
+            break
+        sides = [orientation(a, b, p) for p in verts]
+        out: list[Point2] = []
+        out_owners: list[Owners] = []
+        last = len(verts) - 1
+        for i, p in enumerate(verts):
+            j = i + 1 if i < last else 0
+            sp, sq, own = sides[i], sides[j], owns[i]
+            if sp >= 0:
+                out.append(p)
+                if sq >= 0:
+                    # an edge lying on the clip line is a clip edge too
+                    out_owners.append(own | clip_owner if sp == sq == 0 else own)
+                elif sp > 0:
+                    out_owners.append(own)
+                    out.append(line_intersection(a, b, p, verts[j]))
+                    out_owners.append(clip_owner)
+                else:
+                    out_owners.append(clip_owner)
+            elif sq > 0:
+                out.append(line_intersection(a, b, p, verts[j]))
+                out_owners.append(own)
+        verts, owns = out, out_owners
+    _dedup_cyclic(verts, owns)
+    if len(verts) <= 1:
+        return verts, [frozenset()] * len(verts)
+    if all(orientation(verts[0], verts[1], p) == 0 for p in verts):
+        # tangency collapsed the region to a segment: keep its extremes
+        line_owners = frozenset().union(*owns)
+        return [min(verts), max(verts)], [line_owners, line_owners]
+    _drop_collinear(verts, owns)
+    start = _canonical_start(verts)
+    return verts[start:] + verts[:start], owns[start:] + owns[:start]
 
 
 def clip_convex(subject: Sequence[Point2], clip: ConvexPolygon) -> list[Point2]:
     """Sutherland-Hodgman clip of a convex CCW subject by a convex clip
     polygon, exact; returns the (possibly degenerate) CCW vertex list."""
-    if clip.is_degenerate:
-        raise GeometryError("cannot clip by a degenerate polygon")
-    output = list(subject)
-    for a, b in clip.edges():
-        if not output:
-            break
-        input_list = output
-        output = []
-        prev = input_list[-1]
-        prev_side = orientation(a, b, prev)
-        for cur in input_list:
-            cur_side = orientation(a, b, cur)
-            if cur_side >= 0:
-                if prev_side < 0:
-                    output.append(line_intersection(a, b, prev, cur))
-                output.append(cur)
-            elif prev_side > 0:
-                output.append(line_intersection(a, b, prev, cur))
-            prev, prev_side = cur, cur_side
-    output = _dedup_cyclic(output)
-    if len(output) <= 1:
-        return output
-    anchor = output[0]
-    other = next((p for p in output[1:] if tuple(p) != tuple(anchor)), None)
-    if other is None:
-        return [anchor]
-    if all(orientation(anchor, other, p) == 0 for p in output):
-        # tangency collapsed the region to a segment: keep its extremes
-        return [min(output), max(output)]
-    return _drop_collinear(output)
+    none = frozenset()
+    return clip_with_owners(subject, [none] * len(subject), clip, none)[0]
 
 
 def convex_intersection(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon | None:

@@ -2,11 +2,14 @@
 intersection regions, side-count-bounded covers, and the circle embedding.
 
 The cover construction works edge by edge on a node's region Q: an edge
-contributed solely by polygons outside an index subset witnesses a strictly
-larger region whose label is that subset.  Any hitting set of at most k
-edges (k = max polygon side count) yields a cover of size <= k; pairs whose
+owned by polygons outside an index subset witnesses a strictly larger
+region whose label is that subset.  Any hitting set of at most k edges
+(k = max polygon side count) yields a cover of size <= k; pairs whose
 joint region exceeds Q get merged.  Labels that are not lattice nodes are
-inserted as virtual nodes (empty class) and covered recursively.
+inserted as virtual nodes (empty class) and covered recursively.  The
+clipping records which polygons own each region edge (carry it on their
+boundary), so witness sets and chains are set operations; the exact
+segment predicates stay as their oracle.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 
@@ -24,13 +28,13 @@ from .geometry import (
     Chain,
     ConvexPolygon,
     GeometryError,
+    Owners,
     Point2,
     _as_exact,
     chains,
-    clip_convex,
+    clip_with_owners,
     orientation,
     point_in_convex,
-    segment_in_segment,
 )
 from .lattice import (
     Label,
@@ -138,35 +142,72 @@ def induced_system(instance: GeometricInstance) -> SetSystem:
     return SetSystem(n=instance.n, sets=tuple(induced_membership(instance)))
 
 
+# a region (None when empty) and its edge owners (None unless full)
+_Entry = tuple[ConvexPolygon | None, tuple[Owners, ...] | None]
+
+
 class RegionCache:
     """Memoized intersection regions Q_I, shared across all cover work.
 
     Regions are computed by clipping along the sorted label prefix so that
     nested labels share work.  A cached value of None means the region is
-    empty; degenerate regions are cached as degenerate polygons.
+    empty; degenerate regions are cached as degenerate polygons.  Beside
+    each full region the cache keeps its edge owners: for each edge, in
+    ``edges()`` order, the indices of the label whose polygon carries that
+    edge on its boundary, as the clipping tracked them.
     """
 
     def __init__(self, instance: GeometricInstance):
         self.polygons = instance.polygons
-        self._memo: dict[tuple[int, ...], ConvexPolygon | None] = {}
+        # one shared owner set per polygon: most region edges have one owner
+        self._owner = [frozenset((j,)) for j in range(1, len(self.polygons) + 1)]
+        self._memo: dict[tuple[int, ...], _Entry] = {}
 
     def region(self, label: Label) -> ConvexPolygon | None:
+        return self._entry(label)[0]
+
+    def owners(self, label: Label) -> tuple[Owners, ...] | None:
+        """Owners of each edge of the region of ``label``; None when the
+        region is empty or degenerate (no cover work reads those)."""
+        return self._entry(label)[1]
+
+    def _entry(self, label: Label) -> _Entry:
         key = tuple(sorted(label))
-        if key in self._memo:
-            return self._memo[key]
-        if len(key) == 1:
-            result = self.polygons[key[0] - 1]
+        memo = self._memo
+        entry = memo.get(key)
+        if entry is not None:
+            return entry
+        # walk down to the longest cached prefix, then clip forward
+        size = len(key) - 1
+        while size and key[:size] not in memo:
+            size -= 1
+        if size:
+            entry = memo[key[:size]]
         else:
-            base = self.region(frozenset(key[:-1]))
-            last = self.polygons[key[-1] - 1]
-            if base is None or base.is_degenerate or last.is_degenerate:
-                # a degenerate prefix region only shrinks further; treat as empty
-                result = None if base is None else _clip_degenerate(base, last)
-            else:
-                verts = clip_convex(base.vertices, last)
-                result = ConvexPolygon(tuple(verts)) if verts else None
-        self._memo[key] = result
-        return result
+            first = self.polygons[key[0] - 1]
+            owners = None if first.is_degenerate else (self._owner[key[0] - 1],) * first.sides
+            entry = memo[key[:1]] = (first, owners)
+            size = 1
+        for size in range(size, len(key)):
+            entry = memo[key[: size + 1]] = self._clip(entry, key[size])
+        return entry
+
+    def _clip(self, entry: _Entry, index: int) -> _Entry:
+        base, owners = entry
+        last = self.polygons[index - 1]
+        if base is None:
+            return None, None
+        if base.is_degenerate:
+            # a degenerate region only shrinks further
+            return _clip_degenerate(base, last), None
+        if last.is_degenerate:
+            # intersecting is symmetric: clip the degenerate polygon instead
+            return _clip_degenerate(last, base), None
+        verts, owners = clip_with_owners(base.vertices, owners, last, self._owner[index - 1])
+        if not verts:
+            return None, None
+        region = ConvexPolygon(tuple(verts))
+        return region, None if region.is_degenerate else tuple(owners)
 
 
 def _clip_degenerate(region: ConvexPolygon, poly: ConvexPolygon) -> ConvexPolygon | None:
@@ -208,22 +249,6 @@ class GeometricLattice:
     @property
     def fallback_count(self) -> int:
         return len(self.fallback_labels)
-
-
-def _edge_label_sets(
-    label: Label, region: ConvexPolygon, polygons: tuple[ConvexPolygon, ...]
-) -> list[frozenset[int]]:
-    """For each edge of the region, the indices of ``label`` whose polygon
-    does not carry that edge on its boundary (= the edge witnesses them)."""
-    out = []
-    for a, b in region.edges():
-        witness = frozenset(
-            i
-            for i in label
-            if not any(segment_in_segment(a, b, u, v) for u, v in polygons[i - 1].edges())
-        )
-        out.append(witness)
-    return out
 
 
 def _choose_hitting_edges(
@@ -269,7 +294,8 @@ def geometric_cover(
         )
     if region.is_degenerate:
         return None
-    edge_sets = _edge_label_sets(label, region, cache.polygons)
+    # an edge witnesses the indices whose polygons do not carry it
+    edge_sets = [label - owners for owners in cache.owners(label)]
     hit = frozenset().union(*edge_sets) if edge_sets else frozenset()
     if not hit >= label:
         return None
@@ -341,6 +367,53 @@ def check_cover_chains(
     return per_member
 
 
+def owner_chains(owners: tuple[Owners, ...], member: Label) -> list[Chain]:
+    """Chains of a region inside the region of ``member``, from the
+    region's edge owners; ``member`` must be a subset of the region's label.
+
+    An edge lies on the boundary of Q_member exactly when a polygon of
+    ``member`` owns it, so a chain is a maximal cyclic run of edges whose
+    owners miss ``member``; this is ``chains(Q_member, region)`` without
+    segment tests.
+    """
+    free = [member.isdisjoint(own) for own in owners]
+    if all(free):
+        return [Chain(tuple(range(len(free))))]
+    start = free.index(False)
+    cycle = [(start + t) % len(free) for t in range(len(free))]
+    return [Chain(tuple(run)) for is_free, run in groupby(cycle, key=free.__getitem__) if is_free]
+
+
+def check_owner_chains(label: Label, cover: tuple[Label, ...], cache: RegionCache) -> None:
+    """``check_cover_chains`` on edge owners: every cover member must
+    produce at least one chain over the node's region, and chains of
+    distinct members must not share edges.  Raises on violation.
+
+    The build runs this check; ``check_cover_chains`` makes the same
+    check with exact segment predicates and stays as its oracle.
+    """
+    owners = cache.owners(label)
+    per_member: dict[Label, list[Chain]] = {}
+    for member in cover:
+        cs = owner_chains(owners, member)
+        if not cs:
+            raise InternalInconsistencyError(
+                f"cover member {format_label(member)} of {format_label(label)} "
+                "has no chains"
+            )
+        per_member[member] = cs
+    claimed: dict[int, Label] = {}
+    for member in sorted(per_member, key=label_sort_key):
+        for chain in per_member[member]:
+            for edge in chain.edge_indices:
+                other = claimed.setdefault(edge, member)
+                if other != member:
+                    raise InternalInconsistencyError(
+                        f"chains of {format_label(other)} and "
+                        f"{format_label(member)} overlap on {format_label(label)}"
+                    )
+
+
 def build_geometric_lattice(instance: GeometricInstance) -> GeometricLattice:
     """Induce the set system, build the lattice, and attach geometric covers
     (inserting virtual nodes for cover labels without elements).
@@ -368,9 +441,8 @@ def build_geometric_lattice(instance: GeometricInstance) -> GeometricLattice:
             else:
                 cover = tuple(frozenset((i,)) for i in sorted(label))
         else:
-            check_cover_chains(label, cover, cache)
+            check_owner_chains(label, cover, cache)
         covers[label] = cover
-        lattice.nodes[label].good_cover = cover
         for member in cover:
             if member not in lattice.nodes:
                 lattice.add_virtual(member)

@@ -53,7 +53,6 @@ class LatticeNode:
     phi: frozenset[int]
     virtual: bool = False
     parents: frozenset[Label] | None = None
-    good_cover: tuple[Label, ...] | None = None
     mask: int = field(default=0, repr=False)
 
     def __post_init__(self):
@@ -167,8 +166,8 @@ class Lattice:
             key=lambda lb: ((-len(lb) if descending else len(lb)), label_sort_key(lb)),
         )
 
-    def dump(self) -> str:
-        """One node per line: 'label | phi | parents | good_cover', layers ascending."""
+    def dump(self, covers: dict[Label, tuple[Label, ...]]) -> str:
+        """One node per line: 'label | phi | parents | cover', layers ascending."""
         lines = []
         for label in self.labels_by_layer():
             node = self.nodes[label]
@@ -179,11 +178,9 @@ class Lattice:
                 parents = ";".join(
                     format_label(p) for p in sorted(node.parents, key=label_sort_key)
                 )
-            if node.good_cover is None:
-                cover = "-"
-            else:
-                cover = ";".join(format_label(c) for c in node.good_cover)
-            lines.append(f"{format_label(label)} | {phi} | {parents} | {cover}")
+            cover = covers.get(label)
+            cover_text = "-" if cover is None else ";".join(format_label(c) for c in cover)
+            lines.append(f"{format_label(label)} | {phi} | {parents} | {cover_text}")
         return "\n".join(lines)
 
 
@@ -305,7 +302,7 @@ def good_cover_exact(
 
 
 def good_covers(lattice: Lattice, mode: str = "greedy", budget: int = 20) -> dict[Label, tuple[Label, ...]]:
-    """Covers for every node of layer >= 2, stored on the nodes as well.
+    """Covers for every node of layer >= 2.
 
     mode 'exact' falls back to greedy per node when the budget trips.
     """
@@ -323,6 +320,5 @@ def good_covers(lattice: Lattice, mode: str = "greedy", budget: int = 20) -> dic
                 cover = good_cover_greedy(node, lattice)
         else:
             cover = good_cover_greedy(node, lattice)
-        node.good_cover = cover
         covers[label] = cover
     return covers

@@ -15,8 +15,10 @@ from setmaxima.geometry import (
     Point2,
     chains,
     clip_convex,
+    clip_with_owners,
     contains_polygon,
     convex_intersection,
+    edge_on_boundary,
     line_intersection,
     on_segment,
     orientation,
@@ -320,6 +322,100 @@ def test_clip_convex_subject_shrinks():
     verts = clip_convex(square.vertices, tri)
     got = ConvexPolygon(tuple(verts))
     assert got == ConvexPolygon((Point2(0, 0), Point2(4, 0), Point2(4, 4), Point2(0, 4)))
+
+
+# ------------------------------------------------------------ edge ownership
+
+
+def rect(x0, y0, x1, y1):
+    return ConvexPolygon((Point2(x0, y0), Point2(x1, y0), Point2(x1, y1), Point2(x0, y1)))
+
+
+def owned_clip(p, q):
+    """p (label 1) clipped by q (label 2): the region (None when empty)
+    and its edge owners."""
+    one, two = frozenset({1}), frozenset({2})
+    verts, owners = clip_with_owners(p.vertices, [one] * len(p.vertices), q, two)
+    return (ConvexPolygon(tuple(verts)) if verts else None), owners
+
+
+def owned_edges(region, owners):
+    return [(a, b, set(own)) for (a, b), own in zip(region.edges(), owners, strict=True)]
+
+
+def test_owners_two_squares_sharing_a_collinear_bottom_edge():
+    region, owners = owned_clip(rect(0, 0, 4, 4), rect(2, 0, 6, 3))
+    assert owned_edges(region, owners) == [
+        (Point2(2, 0), Point2(4, 0), {1, 2}),
+        (Point2(4, 0), Point2(4, 3), {1}),
+        (Point2(4, 3), Point2(2, 3), {2}),
+        (Point2(2, 3), Point2(2, 0), {2}),
+    ]
+
+
+def test_owners_subject_edge_on_the_clip_line():
+    tri = ConvexPolygon((Point2(0, 0), Point2(6, 0), Point2(0, 6)))
+    region, owners = owned_clip(rect(0, 0, 4, 4), tri)
+    assert owned_edges(region, owners) == [
+        (Point2(0, 0), Point2(4, 0), {1, 2}),
+        (Point2(4, 0), Point2(4, 2), {1}),
+        (Point2(4, 2), Point2(2, 4), {2}),
+        (Point2(2, 4), Point2(0, 4), {1}),
+        (Point2(0, 4), Point2(0, 0), {1, 2}),
+    ]
+
+
+def test_owners_clip_through_vertices():
+    # the clip line x + y = 4 runs through the square's corners (4,0) and (0,4)
+    tri = ConvexPolygon((Point2(4, 0), Point2(0, 4), Point2(-8, -8)))
+    region, owners = owned_clip(rect(0, 0, 4, 4), tri)
+    assert owned_edges(region, owners) == [
+        (Point2(0, 0), Point2(4, 0), {1}),
+        (Point2(4, 0), Point2(0, 4), {2}),
+        (Point2(0, 4), Point2(0, 0), {1}),
+    ]
+
+
+def test_owners_tangent_clip_collapses_to_a_segment():
+    seg, owners = owned_clip(rect(0, 0, 4, 4), rect(4, 0, 8, 4))
+    assert seg.vertices == (Point2(4, 0), Point2(4, 4))
+    assert owners == [{1, 2}, {1, 2}]
+    for (a, b), own in zip(seg.edges(), owners):
+        assert edge_on_boundary(rect(0, 0, 4, 4), a, b) and edge_on_boundary(rect(4, 0, 8, 4), a, b)
+    # a single point has no edge, so no owners
+    point, owners = owned_clip(rect(0, 0, 4, 4), rect(4, 4, 8, 8))
+    assert point.vertices == (Point2(4, 4),) and owners == [frozenset()]
+
+
+def test_owners_survive_repeated_and_straight_subject_vertices():
+    # (4,0) repeats: its zero-length edge goes with its owner {9}; (2,0) is
+    # a straight angle: its two edges merge and keep both owners
+    subject = [Point2(0, 0), Point2(2, 0), Point2(4, 0), Point2(4, 0), Point2(4, 4), Point2(0, 4)]
+    owners = [frozenset({o}) for o in (1, 3, 9, 4, 5, 6)]
+    verts, got = clip_with_owners(subject, owners, rect(-1, -1, 9, 9), frozenset({2}))
+    assert verts == [Point2(0, 0), Point2(4, 0), Point2(4, 4), Point2(0, 4)]
+    assert got == [{1, 3}, {4}, {5}, {6}]
+
+
+def test_owners_match_segment_predicates_on_grid_polygons():
+    # small grids make shared edges, vertex contacts and tangencies common
+    rng = random.Random(17)
+    full = 0
+    for _ in range(600):
+        hulls = []
+        while len(hulls) < 2:
+            h = strict_hull(Point2(rng.randint(0, 8), rng.randint(0, 8)) for _ in range(5))
+            if h:
+                hulls.append(ConvexPolygon(tuple(h)))
+        p, q = hulls
+        region, owners = owned_clip(p, q)
+        if region is None or region.is_degenerate:
+            continue
+        full += 1
+        for (a, b), own in zip(region.edges(), owners, strict=True):
+            expected = {j for j, poly in ((1, p), (2, q)) if edge_on_boundary(poly, a, b)}
+            assert own == expected, (p, q, a, b)
+    assert full > 100
 
 
 # --------------------------------------------------------------------- chains

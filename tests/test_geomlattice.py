@@ -1,19 +1,38 @@
+import math
 import random
+import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from setmaxima.generators import gen_convex_instance, gen_keys, gen_rect_instance
-from setmaxima.geometry import OUTSIDE, ConvexPolygon, Point2, point_in_convex
+from setmaxima.generators import (
+    GenerationError,
+    gen_convex_instance,
+    gen_keys,
+    gen_rect_instance,
+)
+from setmaxima.geometry import (
+    OUTSIDE,
+    ConvexPolygon,
+    Point2,
+    chains,
+    point_in_convex,
+    segment_in_segment,
+    strict_hull,
+)
 from setmaxima.geomlattice import (
     GeometricInstance,
+    InternalInconsistencyError,
     RegionCache,
     build_geometric_lattice,
     check_cover_chains,
+    check_owner_chains,
     circle_embedding,
     geometric_cover,
     induced_membership,
     induced_system,
+    owner_chains,
     solve_lattice_geometric,
 )
 from setmaxima.order import ComparisonLedger, KeySpace
@@ -220,10 +239,126 @@ def test_check_cover_chains_rejects_overlap():
         points=(Point2(8, 8),), polygons=(a, b, c), k=4
     )
     cache = RegionCache(inst)
-    from setmaxima.geomlattice import InternalInconsistencyError
-
     with pytest.raises(InternalInconsistencyError):
         check_cover_chains(fs(1, 2, 3), (fs(1), fs(1, 2)), cache)
+    with pytest.raises(InternalInconsistencyError, match="overlap"):
+        check_owner_chains(fs(1, 2, 3), (fs(1), fs(1, 2)), cache)
+
+
+def test_check_owner_chains_rejects_a_member_without_chains():
+    # the region of {1, 2} is the region of {2} here: {2} has no chain over it
+    inst = GeometricInstance(
+        points=(Point2(3, 3),), polygons=(square(0, 0, 10, 10), square(2, 2, 6, 6)), k=4
+    )
+    cache = RegionCache(inst)
+    with pytest.raises(InternalInconsistencyError, match="no chains"):
+        check_owner_chains(fs(1, 2), (fs(1), fs(2)), cache)
+
+
+# ------------------------------------------- edge owners against predicates
+
+
+def _predicate_edge_label_sets(label, region, polygons):
+    """Reference: the witness sets as found before clipping tracked edge
+    owners, by testing every region edge against every polygon edge."""
+    out = []
+    for a, b in region.edges():
+        witness = frozenset(
+            i
+            for i in label
+            if not any(segment_in_segment(a, b, u, v) for u, v in polygons[i - 1].edges())
+        )
+        out.append(witness)
+    return out
+
+
+def _assert_owners_match_predicates(glat):
+    """Witness sets and chains from edge owners equal the segment-test
+    ones on every non-fallback node; returns the number of covers checked."""
+    cache = glat.regions
+    fallbacks = set(glat.fallback_labels)
+    checked = 0
+    for label, cover in glat.covers.items():
+        if label in fallbacks:
+            continue
+        region, owners = cache.region(label), cache.owners(label)
+        assert [label - own for own in owners] == _predicate_edge_label_sets(
+            label, region, cache.polygons
+        )
+        for member in cover:
+            assert owner_chains(owners, member) == chains(cache.region(member), region)
+        checked += 1
+    return checked
+
+
+def test_owners_match_predicates_on_acceptance_geometric_seeds():
+    # the seeds and shapes of the acceptance suite's geometric corpus
+    instances = 0
+    seed = 0
+    while instances < 200:
+        seed += 1
+        rng = random.Random(77_000 + seed)
+        n = int(10 ** rng.uniform(2.0, math.log10(2000)))
+        m = rng.randint(2, max(2, min(200, n // 10)))
+        k = (3, 4, 6, 8)[seed % 4]
+        try:
+            instance = gen_convex_instance(n=n, m=m, k=k, seed=seed)
+        except GenerationError:
+            continue
+        assert _assert_owners_match_predicates(build_geometric_lattice(instance)) > 0
+        instances += 1
+
+
+def test_owners_match_predicates_on_tangency_heavy_instances():
+    checked = 0
+    for inst, _trial in _tangency_heavy_instances(120):
+        checked += _assert_owners_match_predicates(build_geometric_lattice(inst))
+    assert checked > 0
+
+
+@pytest.mark.parametrize("k", [4, 8])
+def test_owners_match_predicates_on_random_convex(k):
+    for seed in range(6):
+        inst = gen_convex_instance(n=400, m=40, k=k, seed=seed + 700)
+        assert _assert_owners_match_predicates(build_geometric_lattice(inst)) > 0
+
+
+# ------------------------------------------------------------- long labels
+
+
+def test_region_of_a_label_longer_than_the_recursion_limit():
+    sets = [
+        frozenset((0,) + rest)
+        for size in range(2, 12)
+        for rest in combinations(range(1, 12), size)
+    ][:1024]
+    inst = circle_embedding(SetSystem(n=12, sets=tuple(sets)))
+    label = frozenset(range(1, len(sets) + 1))
+    assert len(label) > sys.getrecursionlimit()
+    region = RegionCache(inst).region(label)
+    # every set holds element 0, and sets {0, a, b} and {0, c, d} meet only there
+    assert region.vertices == (inst.points[0],)
+
+
+def test_fan_of_a_thousand_thin_triangles_solves():
+    # every triangle has the apex (0, 0), so the top node's label holds all
+    # 1000 polygons; its region is that point and the node falls back
+    m, radius = 1000, 1 << 19
+
+    def at(r, t):
+        return Point2(round(r * math.cos(t)), round(r * math.sin(t)))
+
+    polygons, points = [], [Point2(0, 0)]
+    for i in range(m):
+        t0, t1 = 2 * math.pi * i / m, 2 * math.pi * (i + 1) / m
+        polygons.append(ConvexPolygon((Point2(0, 0), at(radius, t0), at(radius, t1))))
+        points.append(at(0.6 * radius, (t0 + t1) / 2))
+    inst = GeometricInstance(points=tuple(points), polygons=tuple(polygons), k=3)
+    glat = build_geometric_lattice(inst)
+    assert glat.fallback_labels == (frozenset(range(1, m + 1)),)
+    keys = gen_keys(inst.n, 5)
+    res = solve_lattice_geometric(glat, keys)
+    assert res.maxima == solve_bruteforce(glat.system, keys).maxima
 
 
 def test_parents_match_brute_force_on_geometric_lattices():
@@ -251,16 +386,13 @@ def test_solve_geometric_matches_oracle_random():
         assert res.comparisons <= res.bound
 
 
-def test_tangency_heavy_instances_solve_correctly():
-    # small integer grids make shared edges, vertex contacts, and nesting
-    # common; degenerate nodes fall back but answers must stay exact
-    from setmaxima.geometry import strict_hull
-
+def _tangency_heavy_instances(count):
+    """``count`` small instances on integer grids, which make shared edges,
+    vertex contacts and nesting common; each with its trial number."""
     rng = random.Random(2)
     built = 0
-    fallbacks = 0
     trial = 0
-    while built < 120:
+    while built < count:
         trial += 1
         m = rng.randint(2, 5)
         polys = []
@@ -281,16 +413,22 @@ def test_tangency_heavy_instances_solve_correctly():
             for _ in range(rng.randint(4, 20))
         )
         inst = GeometricInstance(points=points, polygons=tuple(polys), k=4)
-        system = induced_system(inst)
-        if system.validate():
+        if induced_system(inst).validate():
             continue
+        yield inst, trial
+        built += 1
+
+
+def test_tangency_heavy_instances_solve_correctly():
+    # degenerate nodes fall back but answers must stay exact
+    fallbacks = 0
+    for inst, trial in _tangency_heavy_instances(120):
         glat = build_geometric_lattice(inst)
         keys = gen_keys(inst.n, trial)
         res = solve_lattice_geometric(glat, keys)
         assert res.maxima == solve_bruteforce(glat.system, keys).maxima
         assert res.comparisons <= res.bound
         fallbacks += glat.fallback_count
-        built += 1
     assert fallbacks > 0  # degeneracies must actually occur at this scale
 
 
@@ -349,5 +487,17 @@ def test_circle_embedding_solvable():
     inst = circle_embedding(system)
     glat = build_geometric_lattice(inst)
     keys = gen_keys(9, 2)
+    res = solve_lattice_geometric(glat, keys)
+    assert res.maxima == solve_bruteforce(system, keys).maxima
+
+
+def test_circle_embedding_full_polygon_then_segment():
+    # the label {1, 2} clips a full polygon by a later segment polygon
+    system = system_from_lists(6, [{0, 1, 2, 3}, {1, 2}, {4, 5}])
+    inst = circle_embedding(system)
+    assert RegionCache(inst).region(fs(1, 2)) == inst.polygons[1]
+    glat = build_geometric_lattice(inst)
+    assert glat.fallback_labels == (fs(1, 2),)
+    keys = gen_keys(6, 3)
     res = solve_lattice_geometric(glat, keys)
     assert res.maxima == solve_bruteforce(system, keys).maxima

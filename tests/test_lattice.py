@@ -261,9 +261,9 @@ def test_reachability_in_pruned_dag():
 
 def test_dump_golden():
     lat = compute_parents(build_lattice(system_from_lists(3, [{0, 1}, {1, 2}])))
-    good_covers(lat)
+    covers = good_covers(lat)
     expected = (DATA / "two_sets_dump.txt").read_text().rstrip("\n")
-    assert lat.dump() == expected
+    assert lat.dump(covers) == expected
 
 
 # ------------------------------------------------------------- solve plans
