@@ -1,15 +1,21 @@
 """Convex-polygon set systems: containment-induced systems, per-node
 intersection regions, side-count-bounded covers, and the circle embedding.
 
+Every region Q_I comes from one Sutherland-Hodgman clip loop, whether a
+polygon of I is full or a point or segment (as the circle embedding makes
+them); only two degenerate polygons meet by a separate short rule.  The
+clipping records which polygons own each region edge (carry it on their
+boundary).
+
 The cover construction works edge by edge on a node's region Q: an edge
 owned by polygons outside an index subset witnesses a strictly larger
 region whose label is that subset.  Any hitting set of at most k edges
 (k = max polygon side count) yields a cover of size <= k; pairs whose
-joint region exceeds Q get merged.  Labels that are not lattice nodes are
-inserted as virtual nodes (empty class) and covered recursively.  The
-clipping records which polygons own each region edge (carry it on their
-boundary), so witness sets and chains are set operations; the exact
-segment predicates stay as their oracle.
+joint region exceeds Q get merged, which the owners decide: the union of
+a pair exceeds Q exactly when it fits inside one witness set.  Labels
+that are not lattice nodes are inserted as virtual nodes (empty class)
+and covered recursively.  Witness sets, merges and chains are set
+operations on owners; the exact segment predicates stay as their oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import groupby
 
 import numpy as np
@@ -30,9 +35,9 @@ from .geometry import (
     GeometryError,
     Owners,
     Point2,
-    _as_exact,
     chains,
     clip_with_owners,
+    line_intersection,
     orientation,
     point_in_convex,
 )
@@ -78,7 +83,7 @@ class GeometricInstance:
             if abs(p[0]) > COORD_BOUND or abs(p[1]) > COORD_BOUND:
                 violations.append(f"point {idx} exceeds the coordinate bound")
         for j, poly in enumerate(self.polygons, start=1):
-            if not poly.is_degenerate and poly.sides > self.k:
+            if poly.sides > self.k:
                 violations.append(f"polygon {j} has {poly.sides} > k sides")
             for v in poly.vertices:
                 if abs(v[0]) > COORD_BOUND or abs(v[1]) > COORD_BOUND:
@@ -106,13 +111,6 @@ class _PointIndex:
     def members(self, poly: ConvexPolygon) -> frozenset[int]:
         if len(self.coords) == 0:
             return frozenset()
-        if poly.is_degenerate:
-            return frozenset(
-                int(i)
-                for i in range(len(self.coords))
-                if point_in_convex(poly, Point2(int(self.coords[i, 0]), int(self.coords[i, 1])))
-                != OUTSIDE
-            )
         xmin, ymin, xmax, ymax = poly.bbox()
         lo = int(np.searchsorted(self.xs, xmin, side="left"))
         hi = int(np.searchsorted(self.xs, xmax, side="right"))
@@ -193,46 +191,44 @@ class RegionCache:
         return entry
 
     def _clip(self, entry: _Entry, index: int) -> _Entry:
-        base, owners = entry
-        last = self.polygons[index - 1]
-        if base is None:
+        subject, owners = entry
+        if subject is None:
             return None, None
-        if base.is_degenerate:
-            # a degenerate region only shrinks further
-            return _clip_degenerate(base, last), None
-        if last.is_degenerate:
+        clip = self.polygons[index - 1]
+        if clip.is_degenerate:
+            if subject.is_degenerate:
+                return _meet_degenerate(subject, clip), None
             # intersecting is symmetric: clip the degenerate polygon instead
-            return _clip_degenerate(last, base), None
-        verts, owners = clip_with_owners(base.vertices, owners, last, self._owner[index - 1])
+            subject, clip = clip, subject
+        if subject.is_degenerate:
+            # the result is degenerate too, and its owners are not kept
+            owners = (frozenset(),) * len(subject.vertices)
+        verts, owners = clip_with_owners(subject.vertices, owners, clip, self._owner[index - 1])
         if not verts:
             return None, None
         region = ConvexPolygon(tuple(verts))
         return region, None if region.is_degenerate else tuple(owners)
 
 
-def _clip_degenerate(region: ConvexPolygon, poly: ConvexPolygon) -> ConvexPolygon | None:
-    if len(region.vertices) == 1:
-        inside = point_in_convex(poly, region.vertices[0]) != OUTSIDE
-        return region if inside else None
-    a, b = region.vertices
-    t0, t1 = Fraction(0), Fraction(1)
-    for u, v in poly.edges():
-        fa = (v[0] - u[0]) * (a[1] - u[1]) - (v[1] - u[1]) * (a[0] - u[0])
-        fb = (v[0] - u[0]) * (b[1] - u[1]) - (v[1] - u[1]) * (b[0] - u[0])
-        if fa < 0 and fb < 0:
-            return None
-        if fa >= 0 and fb >= 0:
-            continue
-        t = Fraction(fa, fa - fb)
-        if fa < 0:
-            t0 = max(t0, t)
-        else:
-            t1 = min(t1, t)
-        if t0 > t1:
-            return None
-    p0 = Point2(_as_exact(a[0] + t0 * (b[0] - a[0])), _as_exact(a[1] + t0 * (b[1] - a[1])))
-    p1 = Point2(_as_exact(a[0] + t1 * (b[0] - a[0])), _as_exact(a[1] + t1 * (b[1] - a[1])))
-    return ConvexPolygon((p0,)) if p0 == p1 else ConvexPolygon((p0, p1))
+def _meet_degenerate(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon | None:
+    """Intersection of two point or segment polygons.
+
+    A vertex of either that lies on the other bounds the intersection, and
+    such vertices are its extremes; with none, two segments can still cross
+    at one point interior to both.
+    """
+    kept = {v for v in p.vertices if point_in_convex(q, v) != OUTSIDE}
+    kept.update(v for v in q.vertices if point_in_convex(p, v) != OUTSIDE)
+    if kept:
+        return ConvexPolygon(tuple(kept))
+    if len(p.vertices) == len(q.vertices) == 2:
+        a, b = p.vertices
+        c, d = q.vertices
+        if orientation(a, b, c) * orientation(a, b, d) < 0 and (
+            orientation(c, d, a) * orientation(c, d, b) < 0
+        ):
+            return ConvexPolygon((line_intersection(a, b, c, d),))
+    return None
 
 
 @dataclass
@@ -296,23 +292,20 @@ def geometric_cover(
         return None
     # an edge witnesses the indices whose polygons do not carry it
     edge_sets = [label - owners for owners in cache.owners(label)]
-    hit = frozenset().union(*edge_sets) if edge_sets else frozenset()
-    if not hit >= label:
-        return None
     chosen = _choose_hitting_edges(label, edge_sets, k)
     if chosen is None:
         return None
     members = sorted({edge_sets[e] for e in chosen}, key=label_sort_key)
 
-    # merge any pair whose joint region still exceeds this node's region
+    # merge any pair whose joint region still exceeds this node's region,
+    # that is whose union misses the owners of some edge of this region
     changed = True
     while changed:
         changed = False
         for ai in range(len(members)):
             for bi in range(ai + 1, len(members)):
                 union = members[ai] | members[bi]
-                joint = cache.region(union)
-                if joint is not None and not joint.is_degenerate and joint != region:
+                if any(union <= w for w in edge_sets):
                     merged = members[: ai] + members[ai + 1 : bi] + members[bi + 1 :]
                     merged.append(union)
                     members = sorted(set(merged), key=label_sort_key)
@@ -333,8 +326,6 @@ def geometric_cover(
                 f"cover member {format_label(member)} does not strictly "
                 f"enclose the region of {format_label(label)}"
             )
-    if len(members) > k:
-        return None
     return tuple(members)
 
 

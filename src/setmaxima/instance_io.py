@@ -63,13 +63,13 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
     try:
         n = int(doc["n"])
         raw_sets = doc["sets"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"missing or malformed required field: {exc}") from exc
     if not isinstance(raw_sets, list):
         raise InputError("'sets' must be a list of integer lists")
     try:
         system = SetSystem(n=n, sets=tuple(frozenset(map(int, s)) for s in raw_sets))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed 'sets': {exc}") from exc
     violations = system.validate()
     if violations:
@@ -79,7 +79,7 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
     if "keys" in doc and doc["keys"] is not None:
         try:
             keys = KeySpace(int(v) for v in doc["keys"])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed 'keys': {exc}") from exc
         if keys.n != n:
             raise InputError(f"got {keys.n} keys for {n} elements")
@@ -112,7 +112,7 @@ def _geometry_from_dict(geo: dict, n: int) -> GeometricInstance:
         k = int(geo["k"])
     except GeometryError as exc:
         raise InputError(f"bad polygon in geometry block: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed geometry block: {exc}") from exc
     if len(points) != n:
         raise InputError(f"geometry has {len(points)} points for {n} elements")
@@ -135,4 +135,6 @@ def load_instance(path: str | Path) -> ProblemInstance:
         raise InputError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: JSON nested too deeply") from exc
     return instance_from_dict(doc)

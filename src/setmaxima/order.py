@@ -103,17 +103,9 @@ class KeySpace:
         if len(set(indices)) != len(indices):
             raise ValueError("max_of_class indices contain duplicates")
         self._require_in_range(indices, "max_of_class")
-        keys = self._keys
-        transcript = ledger._transcript
-        best = indices[0]
-        best_key = keys[best]
-        for idx in islice(indices, 1, None):
-            if transcript is not None:
-                transcript.append((idx, best))
-            if keys[idx] > best_key:
-                best, best_key = idx, keys[idx]
-        ledger.count += len(indices) - 1
-        return best
+        champion: list[int | None] = [None]
+        self.reduce_classes(((0, indices),), max(indices), champion, ledger)
+        return champion[0]
 
     def reduce_classes(
         self,
@@ -132,8 +124,6 @@ class KeySpace:
         """
         if top >= len(self._keys):
             raise IndexError(f"element index out of range in reduce_classes: {top}")
-        # max_of_class's loop, inlined: a method call per class is a visible
-        # share of a whole solve
         keys = self._keys
         transcript = ledger._transcript
         count = 0

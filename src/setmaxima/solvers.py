@@ -156,18 +156,24 @@ def solve_bucket(
             buckets.setdefault(sig, []).append(element)
     if len(buckets) > min(system.n, (1 << system.m) - 1):
         raise AssertionError("more buckets than distinct signatures can exist")
-    # buckets in label order; each set meets its bucket champions in that order
-    hits: list[list[int]] = [[] for _ in range(system.m + 1)]
-    for sig in sorted(buckets, key=label_sort_key):
-        champion = keys.max_of_class(buckets[sig], ledger)
+    # buckets in label order; each set meets its bucket champions in that order.
+    # Members are ascending and champions are members, so the largest bucket
+    # member bounds every index either reduction reads.
+    order = sorted(buckets, key=label_sort_key)
+    top = max((members[-1] for members in buckets.values()), default=-1)
+    champion: list[int | None] = [None] * len(order)
+    keys.reduce_classes([(s, buckets[sig]) for s, sig in enumerate(order)], top, champion, ledger)
+    hits: list[list[int]] = [[] for _ in range(system.m)]
+    for slot, sig in enumerate(order):
         for i in sig:
-            hits[i].append(champion)
-    maxima = tuple(keys.max_of_class(hits[i], ledger) for i in range(1, system.m + 1))
+            hits[i - 1].append(champion[slot])
+    maxima: list[int | None] = [None] * system.m
+    keys.reduce_classes(list(enumerate(hits)), top, maxima, ledger)
     used = ledger.count - start
     bound = bucket_comparison_bound(system, signatures)
     if used != bound:
         raise AssertionError(f"bucket count {used} != closed form {bound}")
-    return MaximaResult("bucket", maxima=maxima, comparisons=used, bound=bound)
+    return MaximaResult("bucket", maxima=tuple(maxima), comparisons=used, bound=bound)
 
 
 def solve_lattice(

@@ -1,10 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  Everything is seeded; corpora are built once per module.
+lines.  Everything is seeded; the abstract corpus is built once per module
+and the geometric one once per session (``corpora.py``).
 """
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,8 +47,8 @@ from setmaxima.solvers import (
 )
 
 N_ABSTRACT = 1000
-N_GEOMETRIC = 200
-K_CYCLE = (3, 4, 6, 8)
+# the geometric corpus (N_GEOMETRIC convex instances) is built in corpora.py
+# and shared through the session-scoped ``geometric_corpus`` fixture
 
 
 def report(criterion, name, detail):
@@ -61,14 +61,6 @@ def report(criterion, name, detail):
 @dataclass
 class AbstractCase:
     system: SetSystem
-    keys: KeySpace
-    results: dict
-
-
-@dataclass
-class GeometricCase:
-    instance: object
-    glat: object
     keys: KeySpace
     results: dict
 
@@ -95,34 +87,6 @@ def abstract_corpus():
             "lattice": solve_lattice(system, keys, cover_mode="greedy"),
         }
         cases.append(AbstractCase(system, keys, results))
-    return cases
-
-
-@pytest.fixture(scope="module")
-def geometric_corpus():
-    cases = []
-    seed = 0
-    while len(cases) < N_GEOMETRIC:
-        seed += 1
-        rng = random.Random(77_000 + seed)
-        n = int(10 ** rng.uniform(2.0, math.log10(2000)))
-        m = rng.randint(2, max(2, min(200, n // 10)))
-        k = K_CYCLE[seed % len(K_CYCLE)]
-        try:
-            instance = gen_convex_instance(n=n, m=m, k=k, seed=seed)
-        except GenerationError:
-            continue
-        glat = build_geometric_lattice(instance)
-        keys = gen_keys(n, seed + 900_000)
-        results = {
-            "brute": solve_bruteforce(glat.system, keys),
-            "sort": solve_sort(glat.system, keys),
-            "bucket": solve_bucket(glat.system, keys),
-            "lattice": solve_lattice(
-                glat.system, keys, prebuilt=(glat.lattice, glat.covers)
-            ),
-        }
-        cases.append(GeometricCase(instance, glat, keys, results))
     return cases
 
 

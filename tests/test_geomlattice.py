@@ -7,7 +7,6 @@ from itertools import combinations
 import pytest
 
 from setmaxima.generators import (
-    GenerationError,
     gen_convex_instance,
     gen_keys,
     gen_rect_instance,
@@ -291,22 +290,44 @@ def _assert_owners_match_predicates(glat):
     return checked
 
 
-def test_owners_match_predicates_on_acceptance_geometric_seeds():
-    # the seeds and shapes of the acceptance suite's geometric corpus
-    instances = 0
-    seed = 0
-    while instances < 200:
-        seed += 1
-        rng = random.Random(77_000 + seed)
-        n = int(10 ** rng.uniform(2.0, math.log10(2000)))
-        m = rng.randint(2, max(2, min(200, n // 10)))
-        k = (3, 4, 6, 8)[seed % 4]
-        try:
-            instance = gen_convex_instance(n=n, m=m, k=k, seed=seed)
-        except GenerationError:
+def test_owners_match_predicates_on_acceptance_geometric_seeds(geometric_corpus):
+    for case in geometric_corpus:
+        assert _assert_owners_match_predicates(case.glat) > 0
+
+
+def _merge_tests_match_regions(glat):
+    """geometric_cover merges a pair when its union fits inside one witness
+    set; with complete owners that is "the joint region is full and differs
+    from the node's region".  Checks both on every pair of a node's witness
+    sets; returns the numbers of pairs and of pairs that merge."""
+    cache = glat.regions
+    fallbacks = set(glat.fallback_labels)
+    pairs = merges = 0
+    for label in glat.covers:
+        if label in fallbacks:
             continue
-        assert _assert_owners_match_predicates(build_geometric_lattice(instance)) > 0
-        instances += 1
+        region = cache.region(label)
+        witnesses = {label - own for own in cache.owners(label)} - {frozenset()}
+        for a, b in combinations(sorted(witnesses, key=sorted), 2):
+            union = a | b
+            joint = cache.region(union)
+            larger = not joint.is_degenerate and joint != region
+            assert any(union <= w for w in witnesses) == larger, (label, union)
+            pairs += 1
+            merges += larger
+    return pairs, merges
+
+
+def test_merge_test_matches_joint_regions_on_acceptance_geometric_seeds(geometric_corpus):
+    assert sum(_merge_tests_match_regions(case.glat)[0] for case in geometric_corpus) > 0
+
+
+def test_merge_test_matches_joint_regions_on_tangency_heavy_instances():
+    # shared edges give multi-owner witness sets, so some pairs do merge
+    merges = 0
+    for inst, _trial in _tangency_heavy_instances(120):
+        merges += _merge_tests_match_regions(build_geometric_lattice(inst))[1]
+    assert merges > 0
 
 
 def test_owners_match_predicates_on_tangency_heavy_instances():
@@ -489,6 +510,79 @@ def test_circle_embedding_solvable():
     keys = gen_keys(9, 2)
     res = solve_lattice_geometric(glat, keys)
     assert res.maxima == solve_bruteforce(system, keys).maxima
+
+
+def _mixed_circle_embeddings(count, seed):
+    """``count`` circle embeddings whose sets hold 1 to 5 elements, so
+    points, segments and full polygons meet in every combination."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(4, 9)
+        sets = {frozenset(rng.sample(range(n), rng.randint(1, min(5, n)))) for _ in range(6)}
+        sets = sorted(sets, key=sorted)[: rng.randint(2, 6)]
+        yield circle_embedding(SetSystem(n=n, sets=tuple(sets)))
+
+
+def test_regions_do_not_depend_on_polygon_order():
+    mixed = 0
+    for inst in _mixed_circle_embeddings(150, 11):
+        m = inst.m
+        flipped = GeometricInstance(inst.points, inst.polygons[::-1], inst.k)
+        cache, flipped_cache = RegionCache(inst), RegionCache(flipped)
+        degenerate = {j for j, poly in enumerate(inst.polygons, 1) if poly.is_degenerate}
+        for size in range(2, m + 1):
+            for label in combinations(range(1, m + 1), size):
+                mirror = frozenset(m + 1 - j for j in label)
+                assert cache.region(frozenset(label)) == flipped_cache.region(mirror), label
+                mixed += bool(degenerate & set(label))
+    assert mixed > 1000
+
+
+def test_segment_and_point_of_a_circle_embedding_meet_at_the_point():
+    inst = circle_embedding(system_from_lists(5, [{1, 3}, {1}, {0, 2, 4}]))
+    assert RegionCache(inst).region(fs(1, 2)) == ConvexPolygon((inst.points[1],))
+
+
+@pytest.mark.parametrize(
+    "first, second, meet",
+    [
+        (((0, 0), (4, 0)), ((2, 0), (6, 0)), ((2, 0), (4, 0))),  # collinear overlap
+        (((0, 0), (6, 0)), ((2, 0), (4, 0)), ((2, 0), (4, 0))),  # collinear nesting
+        (((0, 0), (2, 0)), ((2, 0), (4, 0)), ((2, 0),)),  # collinear, touching
+        (((0, 0), (2, 0)), ((3, 0), (4, 0)), None),  # collinear, apart
+        (((0, 0), (4, 0)), ((0, 1), (4, 1)), None),  # parallel
+        (((0, 0), (4, 0)), ((2, 0), (2, 3)), ((2, 0),)),  # T-junction
+        (((0, 0), (3, 1)), ((0, 1), (3, 0)), ((Fraction(3, 2), Fraction(1, 2)),)),  # crossing
+        (((0, 0), (4, 4)), ((0, 4), (1, 3)), None),  # lines cross, segments do not
+        (((0, 0), (4, 4)), ((2, 2),), ((2, 2),)),  # point on segment
+        (((0, 0), (4, 4)), ((2, 3),), None),  # point off segment
+    ],
+)
+def test_degenerate_polygons_meet_in_their_intersection(first, second, meet):
+    polygons = tuple(ConvexPolygon(tuple(Point2(*v) for v in vs)) for vs in (first, second))
+    want = None if meet is None else ConvexPolygon(tuple(Point2(*v) for v in meet))
+    for order in (polygons, polygons[::-1]):
+        inst = GeometricInstance(points=(), polygons=order, k=3)
+        assert RegionCache(inst).region(fs(1, 2)) == want
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [
+        ((3, 4),),  # a point
+        ((0, 2), (6, 2)),  # horizontal
+        ((2, -1), (2, 5)),  # vertical
+        ((0, 0), (6, 4)),  # slanted up
+        ((6, 0), (0, 3)),  # slanted down
+    ],
+)
+def test_induced_membership_of_degenerate_polygons(vertices):
+    points = tuple(Point2(x, y) for x in range(-1, 8) for y in range(-2, 7))
+    poly = ConvexPolygon(tuple(Point2(*v) for v in vertices))
+    inst = GeometricInstance(points=points, polygons=(poly,), k=3)
+    want = frozenset(e for e, pt in enumerate(points) if point_in_convex(poly, pt) != OUTSIDE)
+    assert induced_membership(inst) == [want]
+    assert len(want) >= len(vertices)
 
 
 def test_circle_embedding_full_polygon_then_segment():

@@ -1,6 +1,11 @@
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setmaxima.cli import main
 from setmaxima.generators import gen_convex_instance, gen_keys
@@ -269,3 +274,114 @@ def test_cli_algorithms_come_from_the_registry(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["solve", str(tmp_path / "any.json"), "--algo", "quick"])
     assert "invalid choice" in capsys.readouterr().err
+
+
+# ------------------------------------------------------- malformed documents
+
+# 1e400 reads as infinity, which no integer field may hold
+_INFINITE_FIELDS = {
+    "n": '{"n": 1e400, "sets": [[0]]}',
+    "set member": '{"n": 1, "sets": [[1e400]]}',
+    "key": '{"n": 1, "sets": [[0]], "keys": [1e400]}',
+    "coordinate": (
+        '{"n": 1, "sets": [[0]], "geometry": '
+        '{"points": [[1e400, 0]], "polygons": [[[0, 0]]], "k": 3}}'
+    ),
+    "k": (
+        '{"n": 1, "sets": [[0]], "geometry": '
+        '{"points": [[0, 0]], "polygons": [[[0, 0]]], "k": 1e400}}'
+    ),
+}
+
+
+def _verify_text(tmp_path, text):
+    """Exit code and stderr of ``verify`` on a document with this text."""
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    return _verify(path)
+
+
+def _verify(path):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["verify", str(path), "--seed", "1"])
+    return code, err.getvalue()
+
+
+def _assert_one_error_line(err):
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("field", list(_INFINITE_FIELDS))
+def test_cli_infinite_integer_field_exit_2(tmp_path, field):
+    code, err = _verify_text(tmp_path, _INFINITE_FIELDS[field])
+    assert code == 2
+    _assert_one_error_line(err)
+
+
+def test_cli_deeply_nested_document_exit_2(tmp_path):
+    code, err = _verify_text(tmp_path, "[" * 200_000 + "]" * 200_000)
+    assert code == 2
+    _assert_one_error_line(err)
+
+
+ABSTRACT = {"n": 4, "sets": [[0, 1, 2], [2, 3]], "keys": [4, 2, 3, 1]}
+
+# values that replace a field; the placeholders become raw JSON text
+_RAW = {
+    "<inf>": "1e400",
+    "<nan>": "NaN",
+    "<deep>": "[" * 50_000 + "]" * 50_000,
+}
+_JUNK = ["x", None, [], {}, 2.5, -1, 3, 99, True, [[0]], *_RAW]
+
+
+def _paths(node, prefix=()):
+    """Every path of keys and indices into a document, the root first."""
+    yield prefix
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        items = ()
+    for step, child in items:
+        yield from _paths(child, prefix + (step,))
+
+
+@st.composite
+def _malformed_documents(draw):
+    doc = copy.deepcopy(draw(st.sampled_from([TWO_SQUARES, ABSTRACT])))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from([p for p in _paths(doc) if p]))
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(_JUNK)))
+        if not doc:
+            break
+    text = json.dumps(doc)
+    for token, raw in _RAW.items():
+        text = text.replace(json.dumps(token), raw)
+    return text
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_malformed_documents())
+def test_cli_malformed_documents_exit_0_or_2(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(text)
+    try:
+        load_instance(path)
+        rejected = False
+    except InputError:
+        rejected = True
+    code, err = _verify(path)
+    if rejected:
+        assert code == 2
+        _assert_one_error_line(err)
+    else:
+        assert code == 0, err
