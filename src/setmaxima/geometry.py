@@ -1,9 +1,19 @@
 """Exact 2D primitives: orientation, hulls, convex polygons, clipping, chains.
 
 All arithmetic is exact.  Input coordinates are integers bounded by
-COORD_BOUND (so batched int64 evaluation elsewhere cannot overflow);
-intersection vertices arising from edge crossings are `fractions.Fraction`
-rationals.  Nothing in this module performs key comparisons.
+COORD_BOUND = 2^20, so batched int64 evaluation elsewhere cannot overflow.
+
+Clipping works on homogeneous integers and never divides.  Every input
+edge has a line (a, b, c) = (ay-by, bx-ax, ax*by-ay*bx), positive on its
+left; every region vertex is a point (X, Y, W) = L1 x L2 of two such lines
+with W > 0, standing for (X/W, Y/W); a side test is the sign of
+a*X + b*Y + c*W.  A clip makes each new vertex from two input lines, never
+from earlier vertices, so the numbers do not grow: |a|, |b| <= 2^21 and
+|c| <= 2^41 give |X|, |Y| <= 2^63 and W <= 2^43 (the two diagonals of the
+coordinate box reach it), and side-test dot products stay below 2^86.
+Points compare by cross-multiplication.  Only the functions that take or
+return ``Point2`` convert, to ``fractions.Fraction`` coordinates where a
+vertex is not integral.  Nothing in this module performs key comparisons.
 """
 
 from __future__ import annotations
@@ -87,17 +97,6 @@ def _as_exact(value) -> int | Fraction:
     return value
 
 
-def line_intersection(a: Point2, b: Point2, c: Point2, d: Point2) -> Point2:
-    """Intersection point of the (non-parallel) lines ab and cd, exact."""
-    r = (b[0] - a[0], b[1] - a[1])
-    s = (d[0] - c[0], d[1] - c[1])
-    denom = r[0] * s[1] - r[1] * s[0]
-    if denom == 0:
-        raise GeometryError("line_intersection on parallel lines")
-    t = Fraction((c[0] - a[0]) * s[1] - (c[1] - a[1]) * s[0], denom)
-    return Point2(_as_exact(a[0] + t * r[0]), _as_exact(a[1] + t * r[1]))
-
-
 def strict_hull(points: Iterable[Point2]) -> list[Point2]:
     """Convex hull with strictly convex corners (collinear points dropped), CCW."""
     pts = sorted(set(Point2(*p) for p in points))
@@ -157,6 +156,14 @@ class ConvexPolygon:
         else:
             verts = tuple(sorted(verts, key=lambda p: (p[1], p[0])))
         object.__setattr__(self, "vertices", verts)
+
+    @classmethod
+    def trusted(cls, vertices: tuple[Point2, ...]) -> "ConvexPolygon":
+        """A full polygon from vertices already in the stored form (strictly
+        convex, CCW from the lowest-then-leftmost one), without the check."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "vertices", vertices)
+        return poly
 
     @property
     def sides(self) -> int:
@@ -220,38 +227,278 @@ def contains_polygon(outer: ConvexPolygon, inner: ConvexPolygon) -> bool:
     return all(point_in_convex(outer, v) != OUTSIDE for v in inner.vertices)
 
 
-def _dedup_cyclic(verts: list[Point2], owners: list[Owners]) -> None:
-    """Drop repeated consecutive vertices in place; each zero-length edge
-    goes, so a repeat hands its owners to the copy that stays."""
-    out, out_owners = [], []
-    for p, own in zip(verts, owners):
-        if out and p == out[-1]:
-            out_owners[-1] = own
+# ------------------------------------------------------------ homogeneous form
+
+HPoint = tuple[int, int, int]  # (X, Y, W) with W > 0: the point (X/W, Y/W)
+Line = tuple[int, int, int]  # (a, b, c): a*x + b*y + c = 0, positive on its left
+
+
+def homogeneous(p: Point2) -> HPoint:
+    x, y = p
+    if type(x) is int and type(y) is int:
+        return (x, y, 1)
+    x, y = Fraction(x), Fraction(y)
+    return (x.numerator * y.denominator, y.numerator * x.denominator, x.denominator * y.denominator)
+
+
+def _ratio(num: int, den: int) -> int | Fraction:
+    return num // den if num % den == 0 else Fraction(num, den)
+
+
+def to_point(v: HPoint) -> Point2:
+    """The ``Point2`` of a homogeneous point, with int coordinates where integral."""
+    x, y, w = v
+    if w == 1:
+        return Point2(x, y)
+    return Point2(_ratio(x, w), _ratio(y, w))
+
+
+def join(p: HPoint, q: HPoint) -> Line:
+    """The line through p and q, directed from p to q; zero when p == q."""
+    px, py, pw = p
+    qx, qy, qw = q
+    return (py * qw - pw * qy, pw * qx - px * qw, px * qy - py * qx)
+
+
+def meet(l1: Line, l2: Line) -> HPoint | None:
+    """The point where two lines cross, with W > 0; None when they are parallel."""
+    a1, b1, c1 = l1
+    a2, b2, c2 = l2
+    w = a1 * b2 - a2 * b1
+    if w > 0:
+        return (b1 * c2 - b2 * c1, c1 * a2 - c2 * a1, w)
+    if w < 0:
+        return (b2 * c1 - b1 * c2, c2 * a1 - c1 * a2, -w)
+    return None
+
+
+def same_point(p: HPoint, q: HPoint) -> bool:
+    return p[0] * q[2] == q[0] * p[2] and p[1] * q[2] == q[1] * p[2]
+
+
+def _side(line: Line, v: HPoint) -> int:
+    """Positive when v lies left of the line, zero on it, negative right."""
+    return line[0] * v[0] + line[1] * v[1] + line[2] * v[2]
+
+
+def _parallel(l1: Line, l2: Line) -> bool:
+    return l1[0] * l2[1] == l2[0] * l1[1]
+
+
+def _before(p: HPoint, q: HPoint, axis: int) -> bool:
+    """Whether p precedes q ordered by coordinate ``axis``, then by the other."""
+    d = p[axis] * q[2] - q[axis] * p[2]
+    if d == 0:
+        d = p[1 - axis] * q[2] - q[1 - axis] * p[2]
+    return d < 0
+
+
+class Region(NamedTuple):
+    """A convex region in homogeneous form, as the clip kernel makes it.
+
+    A full region has three or more vertices, strictly convex and CCW from
+    the lowest-then-leftmost one, as ``ConvexPolygon`` stores them.  Edge i
+    runs from vertex i to vertex i + 1, lies on ``lines[i]`` (directed
+    along the edge) and is carried on the boundary of the polygons
+    ``owners[i]``.  One vertex is a point, whose one edge has the zero
+    line; two are a segment, whose two edges run both ways along its line.
+    No vertex at all is the empty region.
+    """
+
+    vertices: tuple[HPoint, ...]
+    lines: tuple[Line, ...]
+    owners: tuple[Owners, ...]
+
+    @property
+    def is_degenerate(self) -> bool:
+        return len(self.vertices) < 3
+
+    def polygon(self) -> ConvexPolygon | None:
+        """The region as a ``ConvexPolygon``; None when empty."""
+        if not self.vertices:
+            return None
+        verts = tuple(to_point(v) for v in self.vertices)
+        # a point or segment gets ConvexPolygon's vertex order
+        return ConvexPolygon(verts) if len(verts) < 3 else ConvexPolygon.trusted(verts)
+
+
+def same_region(p: Region, q: Region) -> bool:
+    """Whether two regions have the same vertices, in the same order."""
+    return len(p.vertices) == len(q.vertices) and all(
+        same_point(u, v) for u, v in zip(p.vertices, q.vertices)
+    )
+
+
+def region_of(points: Sequence[Point2], owners: Sequence[Owners]) -> Region:
+    """A vertex cycle in homogeneous form, its lines computed as it stands;
+    ``owners[i]`` owns the edge from point i to point i + 1."""
+    verts = tuple(homogeneous(p) for p in points)
+    lines = tuple(join(p, q) for p, q in zip(verts, verts[1:] + verts[:1]))
+    return Region(verts, lines, tuple(owners))
+
+
+def clip_region(subject: Region, clip_lines: Sequence[Line], clip_owner: Owners) -> Region:
+    """Sutherland-Hodgman clip of a convex CCW subject by the convex polygon
+    whose CCW edges lie on ``clip_lines``, exact and without division.
+
+    Each output edge is owned by the owners of the subject edge it lies on,
+    joined with ``clip_owner`` when it lies on a clip line.  When every
+    subject edge is labelled with the polygons whose boundary carries it,
+    so is every output edge; of a degenerate result, both sides of a
+    segment carry every owner of its line, and a point has no edge and so
+    no owners.
+
+    The subject is taken to be in the form this function returns (as
+    ``region_of`` makes it of a ``ConvexPolygon``); the result of any
+    other subject, which may repeat vertices or have straight angles,
+    needs ``canonical`` after the clip.
+    """
+    verts, lines, owns = subject
+    # a full canonical subject that each clip line misses or cuts across
+    # its interior stays canonical but for the rotation
+    plain = len(verts) >= 3
+    for line in clip_lines:
+        if not verts:
+            break
+        a, b, c = line
+        sides = [a * x + b * y + c * w for x, y, w in verts]
+        if min(sides) > 0:
+            continue
+        plain = plain and 0 not in sides
+        out: list[HPoint] = []
+        out_lines: list[Line] = []
+        out_owners: list[Owners] = []
+        last = len(verts) - 1
+        for i, sp in enumerate(sides):
+            sq = sides[i + 1 if i < last else 0]
+            if sp >= 0:
+                out.append(verts[i])
+                if sq >= 0:
+                    out_lines.append(lines[i])
+                    # an edge lying on the clip line is a clip edge too
+                    out_owners.append(owns[i] | clip_owner if sp == sq == 0 else owns[i])
+                    continue
+                if sp > 0:
+                    out_lines.append(lines[i])
+                    out_owners.append(owns[i])
+                    out.append(meet(lines[i], line))
+                out_lines.append(line)
+                out_owners.append(clip_owner)
+            elif sq > 0:
+                out.append(meet(lines[i], line))
+                out_lines.append(lines[i])
+                out_owners.append(owns[i])
+        verts, lines, owns = out, out_lines, out_owners
+    if verts is subject.vertices:
+        return subject
+    if plain and verts:
+        return _rotated(verts, lines, owns)
+    return canonical(Region(verts, lines, owns))
+
+
+def canonical(region: Region) -> Region:
+    """A vertex cycle in ``Region`` form: repeats and straight angles gone,
+    a collapsed cycle cut to its point or segment, and a full one rotated
+    to start at its lowest-then-leftmost vertex."""
+    verts, lines, owners = region
+    # a repeated vertex closes a zero-length edge: the copy that stays
+    # takes over the edge that leaves the repeat
+    vs: list[HPoint] = []
+    ls: list[Line] = []
+    ows: list[Owners] = []
+    for p, line, own in zip(verts, lines, owners):
+        if vs and same_point(p, vs[-1]):
+            ls[-1], ows[-1] = line, own
         else:
-            out.append(p)
-            out_owners.append(own)
-    while len(out) >= 2 and out[0] == out[-1]:
-        out.pop()
-        out_owners.pop()
-    verts[:], owners[:] = out, out_owners
+            vs.append(p)
+            ls.append(line)
+            ows.append(own)
+    while len(vs) >= 2 and same_point(vs[0], vs[-1]):
+        vs.pop()
+        ls.pop()
+        ows.pop()
+    if len(vs) <= 1:
+        return Region(tuple(vs), ((0, 0, 0),) * len(vs), (frozenset(),) * len(vs))
+    if all(_parallel(ls[0], line) for line in ls):
+        # tangency collapsed the region to a segment: keep its extremes
+        lo = hi = vs[0]
+        for p in vs:
+            if _before(p, lo, 0):
+                lo = p
+            elif _before(hi, p, 0):
+                hi = p
+        # a line (a, b, c) runs in direction (b, -a): point it from lo to hi
+        a, b, c = ls[0]
+        ahead = ls[0] if b > 0 or (b == 0 and a < 0) else (-a, -b, -c)
+        own = frozenset().union(*ows)
+        return Region((lo, hi), (ahead, (-ahead[0], -ahead[1], -ahead[2])), (own, own))
+    n = len(vs)
+    corners = [i for i in range(n) if not _parallel(ls[i - 1], ls[i])]
+    if len(corners) < n:
+        # a straight angle joins its two edges into one, owned by both
+        ends = corners[1:] + [corners[0] + n]
+        ows = [
+            ows[i] if end == i + 1 else frozenset().union(*(ows[j % n] for j in range(i, end)))
+            for i, end in zip(corners, ends)
+        ]
+        vs = [vs[i] for i in corners]
+        ls = [ls[i] for i in corners]
+    return _rotated(vs, ls, ows)
 
 
-def _drop_collinear(verts: list[Point2], owners: list[Owners]) -> None:
-    """Drop straight-angle vertices in place; the two edges they join
-    become one, owned by both edges' owners."""
-    changed = True
-    while changed and len(verts) >= 3:
-        changed = False
-        for i in range(len(verts)):
-            a = verts[i - 1]
-            b = verts[i]
-            c = verts[(i + 1) % len(verts)]
-            if orientation(a, b, c) == 0:
-                owners[i - 1] = owners[i - 1] | owners[i]
-                del verts[i]
-                del owners[i]
-                changed = True
-                break
+def _rotated(verts: list[HPoint], lines: list[Line], owners: list[Owners]) -> Region:
+    """A full cycle as a ``Region`` starting at its lowest-then-leftmost vertex."""
+    start = 0
+    for i in range(1, len(verts)):
+        if _before(verts[i], verts[start], 1):
+            start = i
+    return Region(
+        tuple(verts[start:] + verts[:start]),
+        tuple(lines[start:] + lines[:start]),
+        tuple(owners[start:] + owners[:start]),
+    )
+
+
+def _on(region: Region, v: HPoint) -> bool:
+    """Whether v lies on a point or segment region."""
+    if len(region.vertices) == 1:
+        return same_point(region.vertices[0], v)
+    p, q = region.vertices
+    # on the line, and between the ends in x and in y
+    return _side(region.lines[0], v) == 0 and all(
+        (v[i] * p[2] - p[i] * v[2]) * (q[i] * v[2] - v[i] * q[2]) >= 0 for i in (0, 1)
+    )
+
+
+def meet_degenerate(first: Region, second: Region) -> Region:
+    """Intersection of two point or segment regions.
+
+    A vertex of either that lies on the other bounds the intersection, and
+    such vertices are its extremes; with none, two segments can still cross
+    at one point interior to both.  Two vertices that stay lie on a line
+    of both.
+    """
+    kept = [v for v in first.vertices if _on(second, v)]
+    kept += [v for v in second.vertices if _on(first, v)]
+    if not kept and len(first.vertices) == len(second.vertices) == 2:
+        (p, q), (r, s) = first.vertices, second.vertices
+        l1, l2 = first.lines[0], second.lines[0]
+        if _side(l1, r) * _side(l1, s) < 0 and _side(l2, p) * _side(l2, q) < 0:
+            kept.append(meet(l1, l2))
+    line = first.lines[0] if len(first.vertices) == 2 else second.lines[0]
+    return canonical(Region(kept, [line] * len(kept), [frozenset()] * len(kept)))
+
+
+# ------------------------------------------------------- Point2 entry points
+
+
+def line_intersection(a: Point2, b: Point2, c: Point2, d: Point2) -> Point2:
+    """Intersection point of the (non-parallel) lines ab and cd, exact."""
+    h = [homogeneous(p) for p in (a, b, c, d)]
+    v = meet(join(h[0], h[1]), join(h[2], h[3]))
+    if v is None:
+        raise GeometryError("line_intersection on parallel lines")
+    return to_point(v)
 
 
 def clip_with_owners(
@@ -261,57 +508,20 @@ def clip_with_owners(
     clip_owner: Owners,
 ) -> tuple[list[Point2], list[Owners]]:
     """Sutherland-Hodgman clip of a convex CCW subject by a convex clip
-    polygon, exact, carrying edge ownership along.
+    polygon, exact, carrying edge ownership along (``clip_region`` on
+    ``Point2`` vertices).
 
     ``owners[i]`` labels the subject edge from vertex i to vertex i + 1;
     ``clip_owner`` labels every clip edge.  Returns the (possibly
-    degenerate) CCW vertex list, rotated as ``ConvexPolygon`` stores it, and
-    aligned with it the owners of each output edge: the owners of the
-    subject edge it lies on, joined with ``clip_owner`` when it lies on a
-    clip edge.  When every subject edge is labelled with the polygons
-    whose boundary carries it, so is every output edge; of a degenerate
-    result, both sides of a segment carry every owner of its line, and a
-    point has no edge and so no owners.
+    degenerate) CCW vertex list, rotated as ``ConvexPolygon`` stores it
+    (a segment from its least to its greatest point), and aligned with it
+    the owners of each output edge.
     """
     if clip.is_degenerate:
         raise GeometryError("cannot clip by a degenerate polygon")
-    verts = list(subject)
-    owns = list(owners)
-    for a, b in clip.edges():
-        if not verts:
-            break
-        sides = [orientation(a, b, p) for p in verts]
-        out: list[Point2] = []
-        out_owners: list[Owners] = []
-        last = len(verts) - 1
-        for i, p in enumerate(verts):
-            j = i + 1 if i < last else 0
-            sp, sq, own = sides[i], sides[j], owns[i]
-            if sp >= 0:
-                out.append(p)
-                if sq >= 0:
-                    # an edge lying on the clip line is a clip edge too
-                    out_owners.append(own | clip_owner if sp == sq == 0 else own)
-                elif sp > 0:
-                    out_owners.append(own)
-                    out.append(line_intersection(a, b, p, verts[j]))
-                    out_owners.append(clip_owner)
-                else:
-                    out_owners.append(clip_owner)
-            elif sq > 0:
-                out.append(line_intersection(a, b, p, verts[j]))
-                out_owners.append(own)
-        verts, owns = out, out_owners
-    _dedup_cyclic(verts, owns)
-    if len(verts) <= 1:
-        return verts, [frozenset()] * len(verts)
-    if all(orientation(verts[0], verts[1], p) == 0 for p in verts):
-        # tangency collapsed the region to a segment: keep its extremes
-        line_owners = frozenset().union(*owns)
-        return [min(verts), max(verts)], [line_owners, line_owners]
-    _drop_collinear(verts, owns)
-    start = _canonical_start(verts)
-    return verts[start:] + verts[:start], owns[start:] + owns[:start]
+    clip_lines = region_of(clip.vertices, ()).lines
+    region = canonical(clip_region(region_of(subject, owners), clip_lines, clip_owner))
+    return [to_point(v) for v in region.vertices], list(region.owners)
 
 
 def clip_convex(subject: Sequence[Point2], clip: ConvexPolygon) -> list[Point2]:

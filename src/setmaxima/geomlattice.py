@@ -1,11 +1,13 @@
 """Convex-polygon set systems: containment-induced systems, per-node
 intersection regions, side-count-bounded covers, and the circle embedding.
 
-Every region Q_I comes from one Sutherland-Hodgman clip loop, whether a
-polygon of I is full or a point or segment (as the circle embedding makes
-them); only two degenerate polygons meet by a separate short rule.  The
-clipping records which polygons own each region edge (carry it on their
-boundary).
+Every region Q_I comes from one Sutherland-Hodgman clip loop on
+homogeneous integers (``geometry.clip_region``), whether a polygon of I is
+full or a point or segment (as the circle embedding makes them); only two
+degenerate polygons meet by a separate short rule.  The clipping records
+which polygons own each region edge (carry it on their boundary).  The
+build reads regions in that form and never makes a ``ConvexPolygon`` or a
+``Fraction`` from one.
 
 The cover construction works edge by edge on a node's region Q: an edge
 owned by polygons outside an index subset witnesses a strictly larger
@@ -23,23 +25,25 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby
 
 import numpy as np
 
 from .geometry import (
     COORD_BOUND,
-    OUTSIDE,
     Chain,
     ConvexPolygon,
     GeometryError,
     Owners,
     Point2,
+    Region,
     chains,
-    clip_with_owners,
-    line_intersection,
+    clip_region,
+    meet_degenerate,
     orientation,
-    point_in_convex,
+    region_of,
+    same_region,
 )
 from .lattice import (
     Label,
@@ -97,6 +101,12 @@ class GeometricInstance:
             raise ValueError("invalid geometric instance: " + "; ".join(violations))
         return self
 
+    @cached_property
+    def membership(self) -> tuple[frozenset[int], ...]:
+        """Per-polygon member sets, computed once per instance."""
+        index = _PointIndex(self.points)
+        return tuple(index.members(poly) for poly in self.polygons)
+
 
 class _PointIndex:
     """Points sorted by x for bbox prefiltering of containment queries."""
@@ -132,26 +142,22 @@ def induced_membership(instance: GeometricInstance) -> list[frozenset[int]]:
     """Per-polygon member sets: element i belongs to polygon j when it lies
     in the interior or on the perimeter.  Exact (int64 stays in range
     because coordinates are bounded)."""
-    index = _PointIndex(instance.points)
-    return [index.members(poly) for poly in instance.polygons]
+    return list(instance.membership)
 
 
 def induced_system(instance: GeometricInstance) -> SetSystem:
     return SetSystem(n=instance.n, sets=tuple(induced_membership(instance)))
 
 
-# a region (None when empty) and its edge owners (None unless full)
-_Entry = tuple[ConvexPolygon | None, tuple[Owners, ...] | None]
-
-
 class RegionCache:
     """Memoized intersection regions Q_I, shared across all cover work.
 
     Regions are computed by clipping along the sorted label prefix so that
-    nested labels share work.  A cached value of None means the region is
-    empty; degenerate regions are cached as degenerate polygons.  Beside
-    each full region the cache keeps its edge owners: for each edge, in
-    ``edges()`` order, the indices of the label whose polygon carries that
+    nested labels share work.  Each is kept as the ``Region`` the clip
+    kernel makes (homogeneous vertices, edge lines and edge owners), the
+    empty and degenerate ones included; ``region()`` converts one to a
+    ``ConvexPolygon`` on request and keeps no copy.  The owners of a full
+    region's edge are the indices of the label whose polygon carries that
     edge on its boundary, as the clipping tracked them.
     """
 
@@ -159,17 +165,25 @@ class RegionCache:
         self.polygons = instance.polygons
         # one shared owner set per polygon: most region edges have one owner
         self._owner = [frozenset((j,)) for j in range(1, len(self.polygons) + 1)]
-        self._memo: dict[tuple[int, ...], _Entry] = {}
+        none = frozenset()
+        self._input = [
+            region_of(poly.vertices, (none if poly.is_degenerate else own,) * len(poly.vertices))
+            for poly, own in zip(self.polygons, self._owner)
+        ]
+        self._memo: dict[tuple[int, ...], Region] = {}
 
     def region(self, label: Label) -> ConvexPolygon | None:
-        return self._entry(label)[0]
+        return self.entry(label).polygon()
 
     def owners(self, label: Label) -> tuple[Owners, ...] | None:
         """Owners of each edge of the region of ``label``; None when the
         region is empty or degenerate (no cover work reads those)."""
-        return self._entry(label)[1]
+        entry = self.entry(label)
+        return None if entry.is_degenerate else entry.owners
 
-    def _entry(self, label: Label) -> _Entry:
+    def entry(self, label: Label) -> Region:
+        """The region of ``label`` as the clip kernel made it (with no
+        vertices when empty)."""
         key = tuple(sorted(label))
         memo = self._memo
         entry = memo.get(key)
@@ -182,53 +196,22 @@ class RegionCache:
         if size:
             entry = memo[key[:size]]
         else:
-            first = self.polygons[key[0] - 1]
-            owners = None if first.is_degenerate else (self._owner[key[0] - 1],) * first.sides
-            entry = memo[key[:1]] = (first, owners)
+            entry = memo[key[:1]] = self._input[key[0] - 1]
             size = 1
         for size in range(size, len(key)):
             entry = memo[key[: size + 1]] = self._clip(entry, key[size])
         return entry
 
-    def _clip(self, entry: _Entry, index: int) -> _Entry:
-        subject, owners = entry
-        if subject is None:
-            return None, None
-        clip = self.polygons[index - 1]
+    def _clip(self, entry: Region, index: int) -> Region:
+        if not entry.vertices:
+            return entry
+        clip = self._input[index - 1]
         if clip.is_degenerate:
-            if subject.is_degenerate:
-                return _meet_degenerate(subject, clip), None
+            if entry.is_degenerate:
+                return meet_degenerate(entry, clip)
             # intersecting is symmetric: clip the degenerate polygon instead
-            subject, clip = clip, subject
-        if subject.is_degenerate:
-            # the result is degenerate too, and its owners are not kept
-            owners = (frozenset(),) * len(subject.vertices)
-        verts, owners = clip_with_owners(subject.vertices, owners, clip, self._owner[index - 1])
-        if not verts:
-            return None, None
-        region = ConvexPolygon(tuple(verts))
-        return region, None if region.is_degenerate else tuple(owners)
-
-
-def _meet_degenerate(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon | None:
-    """Intersection of two point or segment polygons.
-
-    A vertex of either that lies on the other bounds the intersection, and
-    such vertices are its extremes; with none, two segments can still cross
-    at one point interior to both.
-    """
-    kept = {v for v in p.vertices if point_in_convex(q, v) != OUTSIDE}
-    kept.update(v for v in q.vertices if point_in_convex(p, v) != OUTSIDE)
-    if kept:
-        return ConvexPolygon(tuple(kept))
-    if len(p.vertices) == len(q.vertices) == 2:
-        a, b = p.vertices
-        c, d = q.vertices
-        if orientation(a, b, c) * orientation(a, b, d) < 0 and (
-            orientation(c, d, a) * orientation(c, d, b) < 0
-        ):
-            return ConvexPolygon((line_intersection(a, b, c, d),))
-    return None
+            entry, clip = clip, entry
+        return clip_region(entry, clip.lines, self._owner[index - 1])
 
 
 @dataclass
@@ -283,15 +266,15 @@ def geometric_cover(
     """Cover of size <= k for the region of ``label``, or None when the
     construction does not apply (degenerate region, or an index witnessed
     by no edge; callers then fall back to an abstract cover)."""
-    region = cache.region(label)
-    if region is None:
+    region = cache.entry(label)
+    if not region.vertices:
         raise InternalInconsistencyError(
             f"no region for populated node {format_label(label)}"
         )
     if region.is_degenerate:
         return None
     # an edge witnesses the indices whose polygons do not carry it
-    edge_sets = [label - owners for owners in cache.owners(label)]
+    edge_sets = [label - owners for owners in region.owners]
     chosen = _choose_hitting_edges(label, edge_sets, k)
     if chosen is None:
         return None
@@ -320,8 +303,8 @@ def geometric_cover(
                 f"cover member {format_label(member)} not strictly below "
                 f"{format_label(label)}"
             )
-        member_region = cache.region(member)
-        if member_region is None or member_region.is_degenerate or member_region == region:
+        member_region = cache.entry(member)
+        if member_region.is_degenerate or same_region(member_region, region):
             raise InternalInconsistencyError(
                 f"cover member {format_label(member)} does not strictly "
                 f"enclose the region of {format_label(label)}"

@@ -57,35 +57,48 @@ def instance_to_dict(instance: ProblemInstance) -> dict:
     return doc
 
 
+def _integer(value, what: str) -> int:
+    # int() would truncate floats and parse strings, and bool is an int
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InputError(f"{what} must be an integer, not {type(value).__name__}")
+
+
 def instance_from_dict(doc: dict) -> ProblemInstance:
     if not isinstance(doc, dict):
         raise InputError("instance document must be a JSON object")
     try:
-        n = int(doc["n"])
+        raw_n = doc["n"]
         raw_sets = doc["sets"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"missing or malformed required field: {exc}") from exc
-    if not isinstance(raw_sets, list):
+    except KeyError as exc:
+        raise InputError(f"missing required field: {exc}") from exc
+    n = _integer(raw_n, "'n'")
+    if not isinstance(raw_sets, list) or not all(isinstance(s, list) for s in raw_sets):
         raise InputError("'sets' must be a list of integer lists")
-    try:
-        system = SetSystem(n=n, sets=tuple(frozenset(map(int, s)) for s in raw_sets))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"malformed 'sets': {exc}") from exc
+    system = SetSystem(
+        n=n,
+        sets=tuple(
+            frozenset(_integer(e, f"a member of set {j}") for e in s)
+            for j, s in enumerate(raw_sets, start=1)
+        ),
+    )
     violations = system.validate()
     if violations:
         raise InputError("invalid set system: " + "; ".join(violations))
 
     keys = None
-    if "keys" in doc and doc["keys"] is not None:
+    if doc.get("keys") is not None:
+        if not isinstance(doc["keys"], list):
+            raise InputError("'keys' must be a list of integers")
         try:
-            keys = KeySpace(int(v) for v in doc["keys"])
-        except (TypeError, ValueError, OverflowError) as exc:
+            keys = KeySpace(_integer(v, "a key") for v in doc["keys"])
+        except ValueError as exc:
             raise InputError(f"malformed 'keys': {exc}") from exc
         if keys.n != n:
             raise InputError(f"got {keys.n} keys for {n} elements")
 
     geometry = None
-    if "geometry" in doc and doc["geometry"] is not None:
+    if doc.get("geometry") is not None:
         geometry = _geometry_from_dict(doc["geometry"], n)
         induced = induced_membership(geometry)
         if tuple(induced) != system.sets:
@@ -100,19 +113,26 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
     return ProblemInstance(system=system, keys=keys, geometry=geometry)
 
 
+def _point(pair, what: str) -> Point2:
+    x, y = pair
+    return Point2(_integer(x, what), _integer(y, what))
+
+
 def _geometry_from_dict(geo: dict, n: int) -> GeometricInstance:
     if not isinstance(geo, dict):
         raise InputError("'geometry' must be an object")
     try:
-        points = tuple(Point2(int(x), int(y)) for x, y in geo["points"])
-        polygons = tuple(
-            ConvexPolygon(tuple(Point2(int(x), int(y)) for x, y in poly))
-            for poly in geo["polygons"]
+        points = tuple(
+            _point(p, f"a coordinate of point {i}") for i, p in enumerate(geo["points"])
         )
-        k = int(geo["k"])
+        polygons = tuple(
+            ConvexPolygon(tuple(_point(v, f"a coordinate of polygon {j}") for v in poly))
+            for j, poly in enumerate(geo["polygons"], start=1)
+        )
+        k = _integer(geo["k"], "'k'")
     except GeometryError as exc:
         raise InputError(f"bad polygon in geometry block: {exc}") from exc
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed geometry block: {exc}") from exc
     if len(points) != n:
         raise InputError(f"geometry has {len(points)} points for {n} elements")

@@ -1,3 +1,5 @@
+import gc
+
 import hypothesis
 import pytest
 
@@ -11,4 +13,9 @@ hypothesis.settings.load_profile("default")
 
 @pytest.fixture(scope="session")
 def geometric_corpus():
-    return build_geometric_corpus()
+    corpus = build_geometric_corpus()
+    # the corpus lives to the end of the session: move it out of the
+    # collector's generations so later gc.collect() calls skip it
+    gc.collect()
+    gc.freeze()
+    return corpus

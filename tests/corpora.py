@@ -9,8 +9,15 @@ import random
 from dataclasses import dataclass
 
 from setmaxima.generators import GenerationError, gen_convex_instance, gen_keys
-from setmaxima.geomlattice import build_geometric_lattice
+from setmaxima.geometry import ConvexPolygon, Point2, strict_hull
+from setmaxima.geomlattice import (
+    GeometricInstance,
+    build_geometric_lattice,
+    circle_embedding,
+    induced_system,
+)
 from setmaxima.order import KeySpace
+from setmaxima.setsystem import SetSystem
 from setmaxima.solvers import solve_bruteforce, solve_bucket, solve_lattice, solve_sort
 
 N_GEOMETRIC = 200
@@ -54,3 +61,47 @@ def build_geometric_corpus():
         }
         cases.append(GeometricCase(seed, instance, glat, keys, results))
     return cases
+
+
+def tangency_heavy_instances(count):
+    """``count`` small instances on integer grids, which make shared edges,
+    vertex contacts and nesting common; each with its trial number."""
+    rng = random.Random(2)
+    built = 0
+    trial = 0
+    while built < count:
+        trial += 1
+        m = rng.randint(2, 5)
+        polys = []
+        for _ in range(m):
+            for _ in range(80):
+                pts = [
+                    Point2(rng.randint(0, 12), rng.randint(0, 12))
+                    for _ in range(rng.randint(3, 6))
+                ]
+                h = strict_hull(pts)
+                if 3 <= len(h) <= 4:
+                    polys.append(ConvexPolygon(tuple(h)))
+                    break
+        if len(polys) < m:
+            continue
+        points = tuple(
+            Point2(rng.randint(0, 12), rng.randint(0, 12))
+            for _ in range(rng.randint(4, 20))
+        )
+        inst = GeometricInstance(points=points, polygons=tuple(polys), k=4)
+        if induced_system(inst).validate():
+            continue
+        yield inst, trial
+        built += 1
+
+
+def mixed_circle_embeddings(count, seed):
+    """``count`` circle embeddings whose sets hold 1 to 5 elements, so
+    points, segments and full polygons meet in every combination."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(4, 9)
+        sets = {frozenset(rng.sample(range(n), rng.randint(1, min(5, n)))) for _ in range(6)}
+        sets = sorted(sets, key=sorted)[: rng.randint(2, 6)]
+        yield circle_embedding(SetSystem(n=n, sets=tuple(sets)))

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from corpora import mixed_circle_embeddings, tangency_heavy_instances
 
 from setmaxima.generators import (
     gen_convex_instance,
@@ -18,7 +19,6 @@ from setmaxima.geometry import (
     chains,
     point_in_convex,
     segment_in_segment,
-    strict_hull,
 )
 from setmaxima.geomlattice import (
     GeometricInstance,
@@ -325,14 +325,14 @@ def test_merge_test_matches_joint_regions_on_acceptance_geometric_seeds(geometri
 def test_merge_test_matches_joint_regions_on_tangency_heavy_instances():
     # shared edges give multi-owner witness sets, so some pairs do merge
     merges = 0
-    for inst, _trial in _tangency_heavy_instances(120):
+    for inst, _trial in tangency_heavy_instances(120):
         merges += _merge_tests_match_regions(build_geometric_lattice(inst))[1]
     assert merges > 0
 
 
 def test_owners_match_predicates_on_tangency_heavy_instances():
     checked = 0
-    for inst, _trial in _tangency_heavy_instances(120):
+    for inst, _trial in tangency_heavy_instances(120):
         checked += _assert_owners_match_predicates(build_geometric_lattice(inst))
     assert checked > 0
 
@@ -407,43 +407,10 @@ def test_solve_geometric_matches_oracle_random():
         assert res.comparisons <= res.bound
 
 
-def _tangency_heavy_instances(count):
-    """``count`` small instances on integer grids, which make shared edges,
-    vertex contacts and nesting common; each with its trial number."""
-    rng = random.Random(2)
-    built = 0
-    trial = 0
-    while built < count:
-        trial += 1
-        m = rng.randint(2, 5)
-        polys = []
-        for _ in range(m):
-            for _ in range(80):
-                pts = [
-                    Point2(rng.randint(0, 12), rng.randint(0, 12))
-                    for _ in range(rng.randint(3, 6))
-                ]
-                h = strict_hull(pts)
-                if 3 <= len(h) <= 4:
-                    polys.append(ConvexPolygon(tuple(h)))
-                    break
-        if len(polys) < m:
-            continue
-        points = tuple(
-            Point2(rng.randint(0, 12), rng.randint(0, 12))
-            for _ in range(rng.randint(4, 20))
-        )
-        inst = GeometricInstance(points=points, polygons=tuple(polys), k=4)
-        if induced_system(inst).validate():
-            continue
-        yield inst, trial
-        built += 1
-
-
 def test_tangency_heavy_instances_solve_correctly():
     # degenerate nodes fall back but answers must stay exact
     fallbacks = 0
-    for inst, trial in _tangency_heavy_instances(120):
+    for inst, trial in tangency_heavy_instances(120):
         glat = build_geometric_lattice(inst)
         keys = gen_keys(inst.n, trial)
         res = solve_lattice_geometric(glat, keys)
@@ -512,20 +479,9 @@ def test_circle_embedding_solvable():
     assert res.maxima == solve_bruteforce(system, keys).maxima
 
 
-def _mixed_circle_embeddings(count, seed):
-    """``count`` circle embeddings whose sets hold 1 to 5 elements, so
-    points, segments and full polygons meet in every combination."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        n = rng.randint(4, 9)
-        sets = {frozenset(rng.sample(range(n), rng.randint(1, min(5, n)))) for _ in range(6)}
-        sets = sorted(sets, key=sorted)[: rng.randint(2, 6)]
-        yield circle_embedding(SetSystem(n=n, sets=tuple(sets)))
-
-
 def test_regions_do_not_depend_on_polygon_order():
     mixed = 0
-    for inst in _mixed_circle_embeddings(150, 11):
+    for inst in mixed_circle_embeddings(150, 11):
         m = inst.m
         flipped = GeometricInstance(inst.points, inst.polygons[::-1], inst.k)
         cache, flipped_cache = RegionCache(inst), RegionCache(flipped)

@@ -319,6 +319,75 @@ def test_cli_infinite_integer_field_exit_2(tmp_path, field):
     _assert_one_error_line(err)
 
 
+# a field that holds something other than an integer; "<v>" marks it
+_NON_INTEGER_FIELDS = {
+    "n": '{"n": <v>, "sets": [[0]]}',
+    "set member": '{"n": 2, "sets": [[0, <v>]]}',
+    "key": '{"n": 2, "sets": [[0, 1]], "keys": [5, <v>]}',
+    "coordinate": (
+        '{"n": 1, "sets": [[0]], "geometry": '
+        '{"points": [[0, <v>]], "polygons": [[[0, 0]]], "k": 3}}'
+    ),
+    "k": (
+        '{"n": 1, "sets": [[0]], "geometry": '
+        '{"points": [[0, 0]], "polygons": [[[0, 0]]], "k": <v>}}'
+    ),
+}
+
+
+@pytest.mark.parametrize("field", list(_NON_INTEGER_FIELDS))
+def test_cli_non_integer_field_exit_2(tmp_path, field):
+    # each of these once read as the integer 1 (int() truncates and parses)
+    for value in ("1.0", "1.9", '"1"', "true"):
+        text = _NON_INTEGER_FIELDS[field].replace("<v>", value)
+        code, err = _verify_text(tmp_path, text)
+        assert code == 2, text
+        _assert_one_error_line(err)
+        assert "must be an integer" in err, text
+
+
+def test_non_integers_are_not_coerced():
+    with pytest.raises(InputError, match="'n' must be an integer, not float"):
+        instance_from_dict({"n": 2.9, "sets": ["01", [True]], "keys": [1.5, "7"]})
+    with pytest.raises(InputError, match="'sets' must be a list of integer lists"):
+        instance_from_dict({"n": 2, "sets": ["01", [True]]})
+    with pytest.raises(InputError, match="member of set 1 must be an integer, not bool"):
+        instance_from_dict({"n": 2, "sets": [[True]]})
+    with pytest.raises(InputError, match="key must be an integer, not str"):
+        instance_from_dict({"n": 2, "sets": [[0, 1]], "keys": [1, "7"]})
+    with pytest.raises(InputError, match="'keys' must be a list"):
+        instance_from_dict({"n": 2, "sets": [[0, 1]], "keys": "12"})
+
+
+def test_load_and_build_find_membership_once(tmp_path, monkeypatch):
+    from setmaxima.geomlattice import _PointIndex, build_geometric_lattice
+
+    inst = gen_convex_instance(n=300, m=25, k=4, seed=4)
+    path = tmp_path / "geo.json"
+    save_instance(path, ProblemInstance(system=induced_system(inst), geometry=inst))
+    members = _PointIndex.members
+    calls = []
+
+    def counted(self, poly):
+        calls.append(poly)
+        return members(self, poly)
+
+    monkeypatch.setattr(_PointIndex, "members", counted)
+    loaded = load_instance(path)
+    glat = build_geometric_lattice(loaded.geometry)
+    assert len(calls) == inst.m
+    assert glat.system.sets == loaded.system.sets
+
+
+def test_cli_sets_disagreeing_with_geometry_exit_2(tmp_path):
+    doc = json.loads(json.dumps(TWO_SQUARES))
+    doc["sets"] = [[0, 1], [2]]
+    code, err = _verify_text(tmp_path, json.dumps(doc))
+    assert code == 2
+    _assert_one_error_line(err)
+    assert "disagrees" in err
+
+
 def test_cli_deeply_nested_document_exit_2(tmp_path):
     code, err = _verify_text(tmp_path, "[" * 200_000 + "]" * 200_000)
     assert code == 2
