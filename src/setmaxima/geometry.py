@@ -117,11 +117,6 @@ def strict_hull(points: Iterable[Point2]) -> list[Point2]:
     return hull if len(hull) >= 3 else []
 
 
-def _canonical_start(vertices: Sequence[Point2]) -> int:
-    # start at the lowest-then-leftmost vertex so edge order is reproducible
-    return min(range(len(vertices)), key=lambda i: (vertices[i][1], vertices[i][0]))
-
-
 @dataclass(frozen=True)
 class ConvexPolygon:
     """Strictly convex CCW polygon; one or two vertices model the degenerate
@@ -151,16 +146,15 @@ class ConvexPolygon:
                     minima += 1
             if minima != 1:
                 raise GeometryError("vertex cycle winds more than once")
-            start = _canonical_start(verts)
-            verts = verts[start:] + verts[:start]
-        else:
-            verts = tuple(sorted(verts, key=lambda p: (p[1], p[0])))
-        object.__setattr__(self, "vertices", verts)
+        # start at the lowest-then-leftmost vertex so edge order is reproducible
+        start = _lowest([homogeneous(p) for p in verts])
+        object.__setattr__(self, "vertices", verts[start:] + verts[:start])
 
     @classmethod
     def trusted(cls, vertices: tuple[Point2, ...]) -> "ConvexPolygon":
-        """A full polygon from vertices already in the stored form (strictly
-        convex, CCW from the lowest-then-leftmost one), without the check."""
+        """A polygon from vertices already in the form ``__post_init__``
+        leaves them (from the lowest-then-leftmost one, and a full polygon
+        strictly convex and CCW), without the check."""
         poly = object.__new__(cls)
         object.__setattr__(poly, "vertices", vertices)
         return poly
@@ -285,21 +279,30 @@ def _parallel(l1: Line, l2: Line) -> bool:
     return l1[0] * l2[1] == l2[0] * l1[1]
 
 
-def _before(p: HPoint, q: HPoint, axis: int) -> bool:
-    """Whether p precedes q ordered by coordinate ``axis``, then by the other."""
-    d = p[axis] * q[2] - q[axis] * p[2]
+def _lower(p: HPoint, q: HPoint) -> bool:
+    """Whether p lies below q, or level with q and left of it."""
+    d = p[1] * q[2] - q[1] * p[2]
     if d == 0:
-        d = p[1 - axis] * q[2] - q[1 - axis] * p[2]
+        d = p[0] * q[2] - q[0] * p[2]
     return d < 0
+
+
+def _lowest(verts: Sequence[HPoint]) -> int:
+    """Index of the lowest-then-leftmost vertex, where a region starts."""
+    start = 0
+    for i in range(1, len(verts)):
+        if _lower(verts[i], verts[start]):
+            start = i
+    return start
 
 
 class Region(NamedTuple):
     """A convex region in homogeneous form, as the clip kernel makes it.
 
-    A full region has three or more vertices, strictly convex and CCW from
-    the lowest-then-leftmost one, as ``ConvexPolygon`` stores them.  Edge i
-    runs from vertex i to vertex i + 1, lies on ``lines[i]`` (directed
-    along the edge) and is carried on the boundary of the polygons
+    A region starts at its lowest-then-leftmost vertex, as ``ConvexPolygon``
+    stores it; a full one has three or more vertices, strictly convex and
+    CCW.  Edge i runs from vertex i to vertex i + 1, lies on ``lines[i]``
+    (directed along the edge) and is carried on the boundary of the polygons
     ``owners[i]``.  One vertex is a point, whose one edge has the zero
     line; two are a segment, whose two edges run both ways along its line.
     No vertex at all is the empty region.
@@ -317,9 +320,7 @@ class Region(NamedTuple):
         """The region as a ``ConvexPolygon``; None when empty."""
         if not self.vertices:
             return None
-        verts = tuple(to_point(v) for v in self.vertices)
-        # a point or segment gets ConvexPolygon's vertex order
-        return ConvexPolygon(verts) if len(verts) < 3 else ConvexPolygon.trusted(verts)
+        return ConvexPolygon.trusted(tuple(to_point(v) for v in self.vertices))
 
 
 def same_region(p: Region, q: Region) -> bool:
@@ -348,15 +349,12 @@ def clip_region(subject: Region, clip_lines: Sequence[Line], clip_owner: Owners)
     segment carry every owner of its line, and a point has no edge and so
     no owners.
 
-    The subject is taken to be in the form this function returns (as
-    ``region_of`` makes it of a ``ConvexPolygon``); the result of any
-    other subject, which may repeat vertices or have straight angles,
+    A subject that no clip line cuts comes back as it is, so one not in
+    the form this function returns (as ``region_of`` makes it of a
+    ``ConvexPolygon``), which may repeat vertices or have straight angles,
     needs ``canonical`` after the clip.
     """
     verts, lines, owns = subject
-    # a full canonical subject that each clip line misses or cuts across
-    # its interior stays canonical but for the rotation
-    plain = len(verts) >= 3
     for line in clip_lines:
         if not verts:
             break
@@ -364,7 +362,6 @@ def clip_region(subject: Region, clip_lines: Sequence[Line], clip_owner: Owners)
         sides = [a * x + b * y + c * w for x, y, w in verts]
         if min(sides) > 0:
             continue
-        plain = plain and 0 not in sides
         out: list[HPoint] = []
         out_lines: list[Line] = []
         out_owners: list[Owners] = []
@@ -391,15 +388,13 @@ def clip_region(subject: Region, clip_lines: Sequence[Line], clip_owner: Owners)
         verts, lines, owns = out, out_lines, out_owners
     if verts is subject.vertices:
         return subject
-    if plain and verts:
-        return _rotated(verts, lines, owns)
     return canonical(Region(verts, lines, owns))
 
 
 def canonical(region: Region) -> Region:
     """A vertex cycle in ``Region`` form: repeats and straight angles gone,
-    a collapsed cycle cut to its point or segment, and a full one rotated
-    to start at its lowest-then-leftmost vertex."""
+    a collapsed cycle cut to its point or segment, and the rest rotated to
+    start at its lowest-then-leftmost vertex."""
     verts, lines, owners = region
     # a repeated vertex closes a zero-length edge: the copy that stays
     # takes over the edge that leaves the repeat
@@ -423,13 +418,13 @@ def canonical(region: Region) -> Region:
         # tangency collapsed the region to a segment: keep its extremes
         lo = hi = vs[0]
         for p in vs:
-            if _before(p, lo, 0):
+            if _lower(p, lo):
                 lo = p
-            elif _before(hi, p, 0):
+            elif _lower(hi, p):
                 hi = p
         # a line (a, b, c) runs in direction (b, -a): point it from lo to hi
         a, b, c = ls[0]
-        ahead = ls[0] if b > 0 or (b == 0 and a < 0) else (-a, -b, -c)
+        ahead = ls[0] if a < 0 or (a == 0 and b > 0) else (-a, -b, -c)
         own = frozenset().union(*ows)
         return Region((lo, hi), (ahead, (-ahead[0], -ahead[1], -ahead[2])), (own, own))
     n = len(vs)
@@ -443,19 +438,11 @@ def canonical(region: Region) -> Region:
         ]
         vs = [vs[i] for i in corners]
         ls = [ls[i] for i in corners]
-    return _rotated(vs, ls, ows)
-
-
-def _rotated(verts: list[HPoint], lines: list[Line], owners: list[Owners]) -> Region:
-    """A full cycle as a ``Region`` starting at its lowest-then-leftmost vertex."""
-    start = 0
-    for i in range(1, len(verts)):
-        if _before(verts[i], verts[start], 1):
-            start = i
+    start = _lowest(vs)
     return Region(
-        tuple(verts[start:] + verts[:start]),
-        tuple(lines[start:] + lines[:start]),
-        tuple(owners[start:] + owners[:start]),
+        tuple(vs[start:] + vs[:start]),
+        tuple(ls[start:] + ls[:start]),
+        tuple(ows[start:] + ows[:start]),
     )
 
 
@@ -513,15 +500,16 @@ def clip_with_owners(
 
     ``owners[i]`` labels the subject edge from vertex i to vertex i + 1;
     ``clip_owner`` labels every clip edge.  Returns the (possibly
-    degenerate) CCW vertex list, rotated as ``ConvexPolygon`` stores it
-    (a segment from its least to its greatest point), and aligned with it
-    the owners of each output edge.
+    degenerate) CCW vertex list, a full one rotated as ``ConvexPolygon``
+    stores it and a segment from its least to its greatest point, and
+    aligned with it the owners of each output edge.
     """
     if clip.is_degenerate:
         raise GeometryError("cannot clip by a degenerate polygon")
     clip_lines = region_of(clip.vertices, ()).lines
     region = canonical(clip_region(region_of(subject, owners), clip_lines, clip_owner))
-    return [to_point(v) for v in region.vertices], list(region.owners)
+    points = [to_point(v) for v in region.vertices]
+    return (sorted(points) if len(points) == 2 else points), list(region.owners)
 
 
 def clip_convex(subject: Sequence[Point2], clip: ConvexPolygon) -> list[Point2]:

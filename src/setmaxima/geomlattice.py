@@ -103,7 +103,10 @@ class GeometricInstance:
 
     @cached_property
     def membership(self) -> tuple[frozenset[int], ...]:
-        """Per-polygon member sets, computed once per instance."""
+        """Per-polygon member sets, computed once per instance: element i
+        belongs to polygon j when it lies in the interior or on the
+        perimeter.  Exact (int64 stays in range because coordinates are
+        bounded)."""
         index = _PointIndex(self.points)
         return tuple(index.members(poly) for poly in self.polygons)
 
@@ -139,14 +142,12 @@ class _PointIndex:
 
 
 def induced_membership(instance: GeometricInstance) -> list[frozenset[int]]:
-    """Per-polygon member sets: element i belongs to polygon j when it lies
-    in the interior or on the perimeter.  Exact (int64 stays in range
-    because coordinates are bounded)."""
+    """``instance.membership`` as a list."""
     return list(instance.membership)
 
 
 def induced_system(instance: GeometricInstance) -> SetSystem:
-    return SetSystem(n=instance.n, sets=tuple(induced_membership(instance)))
+    return SetSystem(n=instance.n, sets=instance.membership)
 
 
 class RegionCache:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .geometry import ConvexPolygon, GeometryError, Point2
-from .geomlattice import GeometricInstance, induced_membership
+from .geomlattice import GeometricInstance
 from .order import KeySpace
 from .setsystem import SetSystem
 
@@ -57,11 +57,14 @@ def instance_to_dict(instance: ProblemInstance) -> dict:
     return doc
 
 
-def _integer(value, what: str) -> int:
-    # int() would truncate floats and parse strings, and bool is an int
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise InputError(f"{what} must be an integer, not {type(value).__name__}")
+def _integers(values, what: str) -> list[int]:
+    """``values`` as a list, each of them an integer."""
+    values = list(values)
+    for value in values:
+        # int() would truncate floats and parse strings, and bool is an int
+        if type(value) is not int:
+            raise InputError(f"{what} must be an integer, not {type(value).__name__}")
+    return values
 
 
 def instance_from_dict(doc: dict) -> ProblemInstance:
@@ -72,13 +75,13 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
         raw_sets = doc["sets"]
     except KeyError as exc:
         raise InputError(f"missing required field: {exc}") from exc
-    n = _integer(raw_n, "'n'")
+    (n,) = _integers([raw_n], "'n'")
     if not isinstance(raw_sets, list) or not all(isinstance(s, list) for s in raw_sets):
         raise InputError("'sets' must be a list of integer lists")
     system = SetSystem(
         n=n,
         sets=tuple(
-            frozenset(_integer(e, f"a member of set {j}") for e in s)
+            frozenset(_integers(s, f"a member of set {j}"))
             for j, s in enumerate(raw_sets, start=1)
         ),
     )
@@ -91,7 +94,7 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
         if not isinstance(doc["keys"], list):
             raise InputError("'keys' must be a list of integers")
         try:
-            keys = KeySpace(_integer(v, "a key") for v in doc["keys"])
+            keys = KeySpace(_integers(doc["keys"], "a key"))
         except ValueError as exc:
             raise InputError(f"malformed 'keys': {exc}") from exc
         if keys.n != n:
@@ -100,8 +103,8 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
     geometry = None
     if doc.get("geometry") is not None:
         geometry = _geometry_from_dict(doc["geometry"], n)
-        induced = induced_membership(geometry)
-        if tuple(induced) != system.sets:
+        induced = geometry.membership
+        if induced != system.sets:
             bad = [
                 j + 1
                 for j, (got, want) in enumerate(zip(induced, system.sets))
@@ -113,23 +116,21 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
     return ProblemInstance(system=system, keys=keys, geometry=geometry)
 
 
-def _point(pair, what: str) -> Point2:
-    x, y = pair
-    return Point2(_integer(x, what), _integer(y, what))
-
-
 def _geometry_from_dict(geo: dict, n: int) -> GeometricInstance:
     if not isinstance(geo, dict):
         raise InputError("'geometry' must be an object")
     try:
         points = tuple(
-            _point(p, f"a coordinate of point {i}") for i, p in enumerate(geo["points"])
+            Point2(*_integers(p, f"a coordinate of point {i}"))
+            for i, p in enumerate(geo["points"])
         )
         polygons = tuple(
-            ConvexPolygon(tuple(_point(v, f"a coordinate of polygon {j}") for v in poly))
+            ConvexPolygon(
+                tuple(Point2(*_integers(v, f"a coordinate of polygon {j}")) for v in poly)
+            )
             for j, poly in enumerate(geo["polygons"], start=1)
         )
-        k = _integer(geo["k"], "'k'")
+        (k,) = _integers([geo["k"]], "'k'")
     except GeometryError as exc:
         raise InputError(f"bad polygon in geometry block: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:

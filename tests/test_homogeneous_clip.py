@@ -9,6 +9,8 @@ clip functions.
 """
 
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -302,23 +304,31 @@ def test_line_intersection_matches_reference():
 
 
 def test_general_position_build_makes_no_fraction_vertex(monkeypatch):
-    # loading checks each input polygon once; the build checks none and
-    # intersects no lines in Point2 form
+    # loading checks each input polygon once; the build checks none, turns
+    # no region into Point2 form and intersects no lines in Point2 form
     inst = gen_convex_instance(n=600, m=60, k=4, seed=17)
     doc = instance_to_dict(ProblemInstance(system=geomlattice.induced_system(inst), geometry=inst))
-    counts = {"polygons": 0, "intersections": 0}
-    post_init = ConvexPolygon.__post_init__
+    counts = Counter()
 
-    def counted_post_init(self):
-        counts["polygons"] += 1
-        post_init(self)
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
 
-    def counted_intersection(*args):
-        counts["intersections"] += 1
-        return line_intersection(*args)
+        return wrapper
 
-    monkeypatch.setattr(ConvexPolygon, "__post_init__", counted_post_init)
-    monkeypatch.setattr(geometry, "line_intersection", counted_intersection)
+    checked = counted("checked", ConvexPolygon.__post_init__)
+    trusted = counted("trusted", ConvexPolygon.trusted.__func__)
+    monkeypatch.setattr(ConvexPolygon, "__post_init__", checked)
+    monkeypatch.setattr(ConvexPolygon, "trusted", classmethod(trusted))
+    # every binding of the Point2 conversions, wherever a module imported them
+    for module in [m for name, m in sys.modules.items() if name.startswith("setmaxima")]:
+        for name in ("line_intersection", "to_point", "_ratio"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     glat = build_geometric_lattice(instance_from_dict(doc).geometry)
     assert glat.fallback_labels == () and len(glat.covers) > 0
-    assert counts == {"polygons": inst.m, "intersections": 0}
+    assert counts == {"checked": inst.m}
+    # the counters see a conversion when one happens
+    glat.regions.region(next(iter(glat.covers)))
+    assert counts["to_point"] > 0 and counts["trusted"] == 1
