@@ -5,14 +5,15 @@ that records it in a :class:`ComparisonLedger`.  :meth:`KeySpace.compare`
 makes one comparison.  The audited batch operations make many in one call:
 :meth:`KeySpace.max_of_class` reduces a class to its largest element,
 :meth:`KeySpace.reduce_classes` reduces every class of a compiled solve
-plan, and :meth:`KeySpace.propagate` pushes one lattice layer's champions
-into their cover members.  A batch validates its indices once (for
-``reduce_classes``, the plan's largest index; the plan checked the rest
-when it was compiled), then compares inline, and records each comparison
-as the same (i, j) pair, in the same order, as the equivalent sequence of
-:meth:`KeySpace.compare` calls would.  Raw key values are private; the
-single unaudited escape hatch is :meth:`KeySpace.oracle_keys`, which exists
-only for brute-force oracles and tests.
+plan, :meth:`KeySpace.propagate` pushes one lattice layer's champions
+into their cover members, and :meth:`KeySpace.merge_sort` sorts a list of
+elements.  A batch validates its indices once (for ``reduce_classes``, the
+plan's largest index; the plan checked the rest when it was compiled),
+then compares inline, and records each comparison as the same (i, j) pair,
+in the same order, as the equivalent sequence of :meth:`KeySpace.compare`
+calls would.  Raw key values are private; the single unaudited escape hatch
+is :meth:`KeySpace.oracle_keys`, which exists only for brute-force oracles
+and tests.
 """
 
 from __future__ import annotations
@@ -179,6 +180,61 @@ class KeySpace:
                 if value_key > keys[cur]:
                     champion[parent] = value
         ledger.count += count
+
+    def merge_sort(self, items: Iterable[int], ledger: ComparisonLedger) -> list[int]:
+        """``items`` in ascending key order, by top-down merge sort.
+
+        A run splits at ``len // 2`` and sorts its left half first; each merge
+        compares the heads of its two halves, recorded as
+        ``compare(left head, right head)`` would.  The items must be distinct
+        and in range, which is checked before the first comparison.
+        """
+        items = list(items)
+        if len(set(items)) != len(items):
+            raise ValueError("merge_sort items contain duplicates")
+        self._require_in_range(items, "merge_sort")
+        keys = self._keys
+        transcript = ledger._transcript
+        count = 0
+
+        def sort(run: list[int]) -> list[int]:
+            nonlocal count
+            size = len(run)
+            if size <= 1:
+                return run
+            mid = size // 2
+            left, right = sort(run[:mid]), sort(run[mid:])
+            out: list[int] = []
+            take = out.append
+            i = j = 0
+            a, b = left[0], right[0]
+            a_key, b_key = keys[a], keys[b]
+            while True:
+                if transcript is not None:
+                    transcript.append((a, b))
+                if a_key < b_key:
+                    take(a)
+                    i += 1
+                    if i == mid:
+                        break
+                    a = left[i]
+                    a_key = keys[a]
+                else:
+                    take(b)
+                    j += 1
+                    if j == size - mid:
+                        break
+                    b = right[j]
+                    b_key = keys[b]
+            # every comparison moved one head to the output
+            count += i + j
+            out += left[i:]
+            out += right[j:]
+            return out
+
+        result = sort(items)
+        ledger.count += count
+        return result
 
     def oracle_keys(self) -> tuple[int, ...]:
         """Unaudited raw key access. Oracle and test use only: production

@@ -19,7 +19,6 @@ deepest first.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .lattice import (
@@ -71,13 +70,16 @@ def solve_bruteforce(system: SetSystem, keys: KeySpace) -> MaximaResult:
 
 
 def sort_comparison_bound(n: int) -> int:
-    return n * math.ceil(math.log2(n)) if n > 1 else 0
+    """n * ceil(log2 n), in integers: the float log2 rounds down just above
+    large powers of two."""
+    return n * (n - 1).bit_length() if n > 1 else 0
 
 
 def solve_sort(
     system: SetSystem, keys: KeySpace, ledger: ComparisonLedger | None = None
 ) -> MaximaResult:
-    """Sort all of X by merge sort, then answer every set for free.
+    """Sort all of X with one audited :meth:`KeySpace.merge_sort`, then
+    answer every set for free.
 
     After sorting, each element's rank is known, so per-set maxima are
     membership lookups with zero further comparisons.
@@ -85,7 +87,7 @@ def solve_sort(
     system.require_valid()
     ledger = ledger if ledger is not None else ComparisonLedger()
     start = ledger.count
-    order = _merge_sort(list(range(system.n)), keys, ledger)
+    order = keys.merge_sort(range(system.n), ledger)
     rank = [0] * system.n
     for r, e in enumerate(order):
         rank[e] = r
@@ -95,26 +97,6 @@ def solve_sort(
     if used > bound:
         raise AssertionError(f"merge sort used {used} > bound {bound}")
     return MaximaResult("sort", maxima, used, bound)
-
-
-def _merge_sort(items: list[int], keys: KeySpace, ledger: ComparisonLedger) -> list[int]:
-    if len(items) <= 1:
-        return items
-    mid = len(items) // 2
-    left = _merge_sort(items[:mid], keys, ledger)
-    right = _merge_sort(items[mid:], keys, ledger)
-    out = []
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if keys.compare(left[i], right[j], ledger) < 0:
-            out.append(left[i])
-            i += 1
-        else:
-            out.append(right[j])
-            j += 1
-    out.extend(left[i:])
-    out.extend(right[j:])
-    return out
 
 
 def bucket_comparison_bound(

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from setmaxima.order import ComparisonLedger, KeySpace
+from test_solvers import _merge_sort
 
 
 def test_compare_greater_and_ledger():
@@ -248,3 +249,39 @@ def test_propagate_free_moves():
     ks.propagate([(0, (1, 2)), (3, (1,))], champion, ledger)
     assert champion == [2, 2, 2, None]
     assert ledger.count == 0
+
+
+def test_merge_sort_transcript_equals_compare_calls():
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.randint(0, 60)
+        ks = KeySpace.random(n, seed)
+        # odd seeds sort a shuffled subset of the elements, not range(n)
+        items = list(range(n)) if seed % 2 == 0 else rng.sample(range(n), rng.randint(0, n))
+        ledger = ComparisonLedger(record_transcript=True)
+        reference = ComparisonLedger(record_transcript=True)
+        got = ks.merge_sort(items, ledger)
+        assert got == _merge_sort(list(items), ks, reference)
+        assert got == sorted(items, key=ks.oracle_keys().__getitem__)
+        assert ledger.transcript == reference.transcript
+        assert ledger.count == reference.count
+
+
+def test_merge_sort_errors_before_any_comparison():
+    ks = KeySpace([1, 2, 3])
+    # element 3 is beyond these keys, as when the keys are shorter than the system
+    for items, error in (
+        ([0, 3], IndexError),
+        ([-1, 0], IndexError),
+        ([0, 1, 2, 3], IndexError),
+        ([1, 2, 1], ValueError),
+    ):
+        with pytest.raises(error):
+            _merge_sort(items, ks, ComparisonLedger())
+        ledger = ComparisonLedger()
+        with pytest.raises(error):
+            ks.merge_sort(items, ledger)
+        assert ledger.count == 0
+    # unlike the per-pair path, a single out-of-range index is caught too
+    with pytest.raises(IndexError):
+        ks.merge_sort([3], ComparisonLedger())

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from setmaxima.generators import gen_convex_instance, gen_keys, gen_random_system
-from setmaxima.geomlattice import build_geometric_lattice, solve_lattice_geometric
+from setmaxima.geomlattice import build_geometric_lattice, induced_system, solve_lattice_geometric
 from setmaxima.lattice import build_lattice, compute_parents, good_covers, label_sort_key
 from setmaxima.order import ComparisonLedger, KeySpace
 from setmaxima.setsystem import system_from_lists
@@ -82,6 +82,8 @@ def test_sort_bound_formula():
     assert sort_comparison_bound(1) == 0
     assert sort_comparison_bound(4) == 8
     assert sort_comparison_bound(100) == 700
+    # just above a power of two that a float cannot tell from its neighbour
+    assert sort_comparison_bound(2**53 + 1) == (2**53 + 1) * 54
 
 
 def test_sort_within_bound_random():
@@ -170,31 +172,33 @@ def test_lattice_debug_check_loop_invariant():
 
 
 def test_lattice_obliviousness_under_order_preserving_remaps():
-    for seed in range(8):
-        rng = random.Random(seed)
-        n, m = _feasible(rng, 30, 8)
-        system = gen_random_system(n, m, 0.5, seed)
-        base_keys = list(gen_keys(n, seed + 9).oracle_keys())
+    # every audited solver's transcript depends only on the order of the keys
+    for solver in (solve_sort, solve_bucket, solve_lattice):
+        for seed in range(8):
+            rng = random.Random(seed)
+            n, m = _feasible(rng, 30, 8)
+            system = gen_random_system(n, m, 0.5, seed)
+            base_keys = list(gen_keys(n, seed + 9).oracle_keys())
 
-        def transcript_of(keys_list):
-            ledger = ComparisonLedger(record_transcript=True)
-            solve_lattice(system, KeySpace(keys_list), ledger=ledger)
-            return ledger.transcript
+            def transcript_of(keys_list):
+                ledger = ComparisonLedger(record_transcript=True)
+                solver(system, KeySpace(keys_list), ledger=ledger)
+                return ledger.transcript
 
-        base = transcript_of(base_keys)
-        order = sorted(range(n), key=base_keys.__getitem__)
-        for rep in range(10):
-            remap_rng = random.Random(1000 * seed + rep)
-            # strictly increasing fresh values assigned by rank
-            values = []
-            cur = remap_rng.randint(-(2**40), 2**40)
-            for _ in range(n):
-                cur += remap_rng.randint(1, 2**20)
-                values.append(cur)
-            remapped = [0] * n
-            for rank, e in enumerate(order):
-                remapped[e] = values[rank]
-            assert transcript_of(remapped) == base
+            base = transcript_of(base_keys)
+            order = sorted(range(n), key=base_keys.__getitem__)
+            for rep in range(10):
+                remap_rng = random.Random(1000 * seed + rep)
+                # strictly increasing fresh values assigned by rank
+                values = []
+                cur = remap_rng.randint(-(2**40), 2**40)
+                for _ in range(n):
+                    cur += remap_rng.randint(1, 2**20)
+                    values.append(cur)
+                remapped = [0] * n
+                for rank, e in enumerate(order):
+                    remapped[e] = values[rank]
+                assert transcript_of(remapped) == base
 
 
 def test_all_solvers_agree_and_respect_budgets():
@@ -247,10 +251,10 @@ def test_audited_solvers_never_touch_raw_keys(monkeypatch):
 
 # ------------------------------------------------- per-pair reference solvers
 #
-# Straightforward per-node lattice and quadratic bucket loops, in which every
-# comparison is a separate ``KeySpace.compare`` call.  The production solvers
-# (solve plan, batch comparisons, one bucket pass) must give the same maxima,
-# counts and transcripts.
+# Straightforward merge sort, per-node lattice and quadratic bucket loops, in
+# which every comparison is a separate ``KeySpace.compare`` call.  The
+# production solvers (one merge_sort batch, solve plan, batch comparisons, one
+# bucket pass) must give the same maxima, counts and transcripts.
 
 
 def _reference_max(keys, indices, ledger):
@@ -263,6 +267,37 @@ def _reference_max(keys, indices, ledger):
         if keys.compare(idx, best, ledger) > 0:
             best = idx
     return best
+
+
+def _merge_sort(items, keys, ledger):
+    if len(items) <= 1:
+        return items
+    mid = len(items) // 2
+    left = _merge_sort(items[:mid], keys, ledger)
+    right = _merge_sort(items[mid:], keys, ledger)
+    out = []
+    i = j = 0
+    while i < len(left) and j < len(right):
+        if keys.compare(left[i], right[j], ledger) < 0:
+            out.append(left[i])
+            i += 1
+        else:
+            out.append(right[j])
+            j += 1
+    out.extend(left[i:])
+    out.extend(right[j:])
+    return out
+
+
+def reference_solve_sort(system, keys, ledger=None):
+    """The recursive merge sort over all of X, then a rank lookup per set."""
+    system.require_valid()
+    ledger = ledger if ledger is not None else ComparisonLedger()
+    start = ledger.count
+    order = _merge_sort(list(range(system.n)), keys, ledger)
+    rank = {e: r for r, e in enumerate(order)}
+    maxima = tuple(max(s, key=rank.__getitem__) for s in system.sets)
+    return MaximaResult("sort", maxima, ledger.count - start, sort_comparison_bound(system.n))
 
 
 def reference_solve_lattice(system, keys, cover_mode="greedy", ledger=None, prebuilt=None,
@@ -345,6 +380,29 @@ def _seeded_systems(count, n_max=50, m_max=12, offset=0):
         rng = random.Random(seed)
         n, m = _feasible(rng, n_max, m_max)
         yield seed, gen_random_system(n, m, rng.uniform(0.15, 0.9), seed)
+
+
+def test_sort_matches_per_pair_reference():
+    for seed, system in _seeded_systems(60):
+        keys = gen_keys(system.n, seed + 11)
+        _assert_same_run(
+            _transcribed(solve_sort, system, keys),
+            _transcribed(reference_solve_sort, system, keys),
+        )
+    system = induced_system(gen_convex_instance(n=150, m=12, k=4, seed=4))
+    keys = gen_keys(system.n, 9)
+    _assert_same_run(
+        _transcribed(solve_sort, system, keys),
+        _transcribed(reference_solve_sort, system, keys),
+    )
+    # odd sizes, a power of two and one larger than it, and the benchmark's n
+    for n in (0, 1, 2, 3, 5, 8, 17, 513, 20000):
+        system = system_from_lists(n, [range(n)] if n else [])
+        keys = gen_keys(n, n)
+        _assert_same_run(
+            _transcribed(solve_sort, system, keys),
+            _transcribed(reference_solve_sort, system, keys),
+        )
 
 
 @pytest.mark.parametrize("cover_mode", ["greedy", "exact"])
@@ -435,17 +493,26 @@ def test_bucket_matches_quadratic_reference():
 
 
 def test_keys_shorter_than_system_raise_like_reference():
-    # the short key space lacks element 2, which is alone in class {1,2}
-    system = system_from_lists(3, [{0, 1, 2}, {2}])
-    keys = KeySpace([5, 7])
-    with pytest.raises(IndexError):
-        reference_solve_lattice(system, keys)
-    with pytest.raises(IndexError):
-        solve_lattice(system, keys)
-    with pytest.raises(IndexError):
-        reference_solve_bucket(system, keys)
-    with pytest.raises(IndexError):
-        solve_bucket(system, keys)
+    cases = [
+        # the short key space lacks element 2, which is alone in class {1,2}
+        (system_from_lists(3, [{0, 1, 2}, {2}]), KeySpace([5, 7])),
+        # it lacks element 3; the per-pair loops compare other elements
+        # before they reach it
+        (system_from_lists(4, [{0, 1, 2, 3}, {3}]), KeySpace([5, 7, 6])),
+    ]
+    for system, keys in cases:
+        for solver, reference in (
+            (solve_sort, reference_solve_sort),
+            (solve_lattice, reference_solve_lattice),
+            (solve_bucket, reference_solve_bucket),
+        ):
+            with pytest.raises(IndexError):
+                reference(system, keys)
+            # the batch path checks its indices before the first comparison
+            ledger = ComparisonLedger()
+            with pytest.raises(IndexError):
+                solver(system, keys, ledger=ledger)
+            assert ledger.count == 0
 
 
 def test_keys_shorter_than_system_raise_with_a_compiled_plan():
