@@ -7,7 +7,9 @@ Elements are 0-based indices into the key space; set labels are 1-based
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -55,16 +57,29 @@ class SetSystem:
     def require_valid(self) -> "SetSystem":
         """Raise ValueError unless the system is well formed.
 
-        A success is remembered on the instance (its fields are frozen), so
-        only the first call pays the O(p) scan.
+        A success is remembered (see :meth:`compiled`), so only the first
+        call pays the O(p) scan.
         """
-        if self.__dict__.get("_valid"):
-            return self
+        self.compiled(SetSystem._raise_if_invalid)
+        return self
+
+    def _raise_if_invalid(self) -> None:
         violations = self.validate()
         if violations:
             raise ValueError("invalid set system: " + "; ".join(violations))
-        object.__setattr__(self, "_valid", True)
-        return self
+
+    def compiled(self, compile: Callable[["SetSystem"], T]) -> T:
+        """``compile(self)``, run on the first call with that function and
+        then remembered on the instance.
+
+        The fields are frozen, so a result that depends only on them stays
+        valid for the life of the instance.  If ``compile`` raises, nothing
+        is remembered.
+        """
+        done = self.__dict__.setdefault("_compiled", {})
+        if compile not in done:
+            done[compile] = compile(self)
+        return done[compile]
 
     def signature(self, element: int) -> frozenset[int]:
         """The 1-based labels of all sets containing ``element``.

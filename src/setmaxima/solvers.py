@@ -15,6 +15,11 @@ The lattice and its covers depend only on the sets, never on the keys.
 class (checked once, when the plan is compiled, and range-checked once per
 solve), then one :meth:`~setmaxima.order.KeySpace.propagate` per layer,
 deepest first.
+
+Grouping elements by signature is key-independent too: ``solve_bucket``
+compiles the grouping into a :class:`BucketPlan` on its first solve over a
+:class:`~setmaxima.setsystem.SetSystem`, remembers it on that (frozen)
+system and reuses it, so every later solve is two ``reduce_classes`` calls.
 """
 
 from __future__ import annotations
@@ -99,63 +104,80 @@ def solve_sort(
     return MaximaResult("sort", maxima, used, bound)
 
 
-def bucket_comparison_bound(
-    system: SetSystem, signatures: list[frozenset[int]] | None = None
-) -> int:
-    """Closed form: sum(|bucket| - 1) + sum_i(b_i - 1) over signature buckets.
+@dataclass(frozen=True)
+class BucketPlan:
+    """Key-independent schedule of a bucket solve over one set system.
 
-    ``signatures`` may pass in ``system.signatures()`` already computed.
+    Slots number the buckets (the elements of one non-empty signature) in
+    ``label_sort_key`` order of their signatures.  ``buckets`` holds (slot,
+    ascending members) for every bucket, ``hits`` holds for each set the
+    slots of the buckets it meets, ascending, ``top`` is the largest bucket
+    member (-1 without buckets), and ``bound`` is the closed form
+    sum(|bucket| - 1) + sum_i(b_i - 1).  Members are ascending and the
+    champions of a solve are members, so ``top`` bounds every index either
+    reduction reads.
     """
-    if signatures is None:
-        signatures = system.signatures()
-    buckets: dict[frozenset[int], int] = {}
-    per_set: dict[int, int] = {i: 0 for i in range(1, system.m + 1)}
-    for sig in signatures:
-        if not sig:
-            continue
-        if sig not in buckets:
-            buckets[sig] = 0
-            for i in sig:
-                per_set[i] += 1
-        buckets[sig] += 1
-    total = sum(size - 1 for size in buckets.values())
-    total += sum(b - 1 for b in per_set.values() if b)
-    return total
+
+    buckets: tuple[tuple[int, tuple[int, ...]], ...]
+    hits: tuple[tuple[int, ...], ...]
+    top: int
+    bound: int
+
+
+def _compile_bucket_plan(system: SetSystem) -> BucketPlan:
+    groups: dict[frozenset[int], list[int]] = {}
+    for element, sig in enumerate(system.signatures()):
+        if sig:
+            groups.setdefault(sig, []).append(element)
+    if len(groups) > min(system.n, (1 << system.m) - 1):
+        raise AssertionError("more buckets than distinct signatures can exist")
+    order = sorted(groups, key=label_sort_key)
+    hits: list[list[int]] = [[] for _ in range(system.m)]
+    for slot, sig in enumerate(order):
+        for i in sig:
+            hits[i - 1].append(slot)
+    buckets = tuple((slot, tuple(groups[sig])) for slot, sig in enumerate(order))
+    top = max((members[-1] for _, members in buckets), default=-1)
+    bound = sum(len(members) - 1 for _, members in buckets)
+    bound += sum(len(slots) - 1 for slots in hits if slots)
+    return BucketPlan(buckets, tuple(map(tuple, hits)), top, bound)
+
+
+def bucket_plan(system: SetSystem) -> BucketPlan:
+    """The system's bucket plan, compiled on first use and remembered on
+    the system (see :meth:`SetSystem.compiled`)."""
+    return system.compiled(_compile_bucket_plan)
+
+
+def bucket_comparison_bound(system: SetSystem) -> int:
+    """Closed form: sum(|bucket| - 1) + sum_i(b_i - 1) over signature buckets."""
+    return bucket_plan(system).bound
 
 
 def solve_bucket(
     system: SetSystem, keys: KeySpace, ledger: ComparisonLedger | None = None
 ) -> MaximaResult:
-    """Group elements into signature buckets; answer each set from the
-    champions of the buckets it intersects."""
+    """Reduce each signature bucket to its champion, then each set to the
+    best champion of the buckets it meets.
+
+    The grouping is the system's :class:`BucketPlan`, compiled on the first
+    solve and reused by every later one, so a solve only compares: one
+    :meth:`~setmaxima.order.KeySpace.reduce_classes` over the buckets and
+    one over each set's champions.
+    """
     system.require_valid()
     ledger = ledger if ledger is not None else ComparisonLedger()
     start = ledger.count
-    signatures = system.signatures()
-    buckets: dict[frozenset[int], list[int]] = {}
-    for element, sig in enumerate(signatures):
-        if sig:
-            buckets.setdefault(sig, []).append(element)
-    if len(buckets) > min(system.n, (1 << system.m) - 1):
-        raise AssertionError("more buckets than distinct signatures can exist")
-    # buckets in label order; each set meets its bucket champions in that order.
-    # Members are ascending and champions are members, so the largest bucket
-    # member bounds every index either reduction reads.
-    order = sorted(buckets, key=label_sort_key)
-    top = max((members[-1] for members in buckets.values()), default=-1)
-    champion: list[int | None] = [None] * len(order)
-    keys.reduce_classes([(s, buckets[sig]) for s, sig in enumerate(order)], top, champion, ledger)
-    hits: list[list[int]] = [[] for _ in range(system.m)]
-    for slot, sig in enumerate(order):
-        for i in sig:
-            hits[i - 1].append(champion[slot])
+    plan = bucket_plan(system)
+    champion: list[int | None] = [None] * len(plan.buckets)
+    keys.reduce_classes(plan.buckets, plan.top, champion, ledger)
+    per_set = [(i, list(map(champion.__getitem__, slots))) for i, slots in enumerate(plan.hits)]
     maxima: list[int | None] = [None] * system.m
-    keys.reduce_classes(list(enumerate(hits)), top, maxima, ledger)
+    keys.reduce_classes(per_set, plan.top, maxima, ledger)
     used = ledger.count - start
-    bound = bucket_comparison_bound(system, signatures)
-    if used != bound:
-        raise AssertionError(f"bucket count {used} != closed form {bound}")
-    return MaximaResult("bucket", maxima=tuple(maxima), comparisons=used, bound=bound)
+    if used != plan.bound:
+        raise AssertionError(f"bucket count {used} != closed form {plan.bound}")
+    return MaximaResult("bucket", maxima=tuple(maxima), comparisons=used, bound=plan.bound)
 
 
 def solve_lattice(

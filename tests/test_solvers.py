@@ -8,11 +8,12 @@ from setmaxima.generators import gen_convex_instance, gen_keys, gen_random_syste
 from setmaxima.geomlattice import build_geometric_lattice, induced_system, solve_lattice_geometric
 from setmaxima.lattice import build_lattice, compute_parents, good_covers, label_sort_key
 from setmaxima.order import ComparisonLedger, KeySpace
-from setmaxima.setsystem import system_from_lists
+from setmaxima.setsystem import SetSystem, system_from_lists
 from setmaxima.solvers import (
     MaximaResult,
     _check_loop_invariant,
     bucket_comparison_bound,
+    bucket_plan,
     solve_bruteforce,
     solve_bucket,
     solve_lattice,
@@ -172,12 +173,18 @@ def test_lattice_debug_check_loop_invariant():
 
 
 def test_lattice_obliviousness_under_order_preserving_remaps():
-    # every audited solver's transcript depends only on the order of the keys
+    # every audited solver's transcript depends only on the order of the keys;
+    # each system is one object, so the first solve compiles the solver's plan
+    # and the remapped ones reuse it
+    systems = []
+    for seed in range(8):
+        rng = random.Random(seed)
+        n, m = _feasible(rng, 30, 8)
+        systems.append((seed, gen_random_system(n, m, 0.5, seed)))
+    systems.append((8, induced_system(gen_convex_instance(n=150, m=12, k=4, seed=6))))
     for solver in (solve_sort, solve_bucket, solve_lattice):
-        for seed in range(8):
-            rng = random.Random(seed)
-            n, m = _feasible(rng, 30, 8)
-            system = gen_random_system(n, m, 0.5, seed)
+        for seed, system in systems:
+            n = system.n
             base_keys = list(gen_keys(n, seed + 9).oracle_keys())
 
             def transcript_of(keys_list):
@@ -349,6 +356,7 @@ def reference_solve_bucket(system, keys, ledger=None):
     for sig in sorted(buckets, key=label_sort_key):
         champion[sig] = _reference_max(keys, sorted(buckets[sig]), ledger)
     maxima = []
+    bound = sum(len(members) - 1 for members in buckets.values())
     for i in range(1, system.m + 1):
         hits = [champion[sig] for sig in sorted(buckets, key=label_sort_key) if i in sig]
         best = hits[0]
@@ -356,8 +364,9 @@ def reference_solve_bucket(system, keys, ledger=None):
             if keys.compare(cand, best, ledger) > 0:
                 best = cand
         maxima.append(best)
+        bound += len(hits) - 1
     used = ledger.count - start
-    return MaximaResult("bucket", tuple(maxima), used, bucket_comparison_bound(system))
+    return MaximaResult("bucket", tuple(maxima), used, bound)
 
 
 def _transcribed(solver, *args, **kwargs):
@@ -492,6 +501,29 @@ def test_bucket_matches_quadratic_reference():
     )
 
 
+def test_bucket_plan_is_compiled_once_and_reused(monkeypatch):
+    systems = [system for _, system in _seeded_systems(12, n_max=60, offset=300)]
+    systems.append(build_geometric_lattice(gen_convex_instance(n=150, m=12, k=4, seed=5)).system)
+    signatures = SetSystem.signatures
+    for index, system in enumerate(systems):
+        runs = []
+        for rep in range(20):
+            keys = gen_keys(system.n, 100 * index + rep)
+            runs.append((keys, _transcribed(reference_solve_bucket, system, keys)))
+        compiled_for = []
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                SetSystem, "signatures",
+                lambda self: compiled_for.append(self) or signatures(self),
+            )
+            for keys, want in runs:
+                _assert_same_run(_transcribed(solve_bucket, system, keys), want)
+            plan = bucket_plan(system)
+            assert bucket_comparison_bound(system) == plan.bound == want[0].bound
+        assert compiled_for == [system]
+        assert bucket_plan(system) is plan
+
+
 def test_keys_shorter_than_system_raise_like_reference():
     cases = [
         # the short key space lacks element 2, which is alone in class {1,2}
@@ -529,6 +561,20 @@ def test_keys_shorter_than_system_raise_with_a_compiled_plan():
     assert ledger.count == 0
     assert lat.solve_plan(covers) is plan
     assert solve_lattice(system, KeySpace([1, 2, 3, 4]), prebuilt=(lat, covers)).maxima == (3, 3)
+
+
+def test_keys_shorter_than_system_raise_with_a_compiled_bucket_plan():
+    # the bucket plan, too, range-checks only its largest member per solve
+    system = system_from_lists(4, [{0, 1, 3}, {1, 2, 3}])
+    solve_bucket(system, KeySpace.random(4, 1))
+    plan = bucket_plan(system)
+    assert plan.top == 3
+    ledger = ComparisonLedger(record_transcript=True)
+    with pytest.raises(IndexError):
+        solve_bucket(system, KeySpace([4, 2, 3]), ledger=ledger)
+    assert ledger.count == 0 and ledger.transcript == ()
+    assert bucket_plan(system) is plan
+    assert solve_bucket(system, KeySpace([1, 2, 3, 4])).maxima == (3, 3)
 
 
 def test_prebuilt_lattice_of_another_system_is_rejected():
