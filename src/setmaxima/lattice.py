@@ -71,17 +71,21 @@ class SolvePlan:
     """Key-independent schedule of one lattice solve over fixed covers.
 
     Slots number the lattice labels in ``labels_by_layer()`` order.
-    ``classes`` holds (slot, sorted members) for every non-empty class.
+    ``seed`` holds, for each slot, the member of a one-member class (None
+    for any other slot): its champion needs no comparison.  ``classes``
+    holds (slot, sorted members) for every class of two or more members.
     ``layers`` holds (layer, steps) for layers >= 2, deepest first; each
     step is (child slot, cover member slots), children in slot order.
     ``outputs`` is the slot of the singleton {i} for i = 1..m, and
     ``budget`` is n + sum(|cover|).  Class members come from frozensets, so
     they are duplicate-free; compiling checks they are non-negative, and
-    ``top`` is the largest of them (-1 without classes), so a solve
-    range-checks every class against its keys at once.
+    ``top`` is the largest member of every class, one-member classes
+    included (-1 without classes), so a solve range-checks every index it
+    can return at once.
     """
 
     labels: tuple[Label, ...]
+    seed: tuple[int | None, ...]
     classes: tuple[tuple[int, tuple[int, ...]], ...]
     layers: tuple[tuple[int, tuple[tuple[int, tuple[int, ...]], ...]], ...]
     outputs: tuple[int, ...]
@@ -120,14 +124,12 @@ class Lattice:
     def _compile_plan(self, covers: dict[Label, tuple[Label, ...]]) -> SolvePlan:
         labels = self.labels_by_layer()
         slot = {label: i for i, label in enumerate(labels)}
-        classes = tuple(
-            (i, tuple(sorted(self.nodes[label].phi)))
-            for i, label in enumerate(labels)
-            if self.nodes[label].phi
-        )
-        if any(members[0] < 0 for _, members in classes):
+        members = [tuple(sorted(self.nodes[label].phi)) for label in labels]
+        if any(phi and phi[0] < 0 for phi in members):
             raise LatticeError("a class holds a negative element index")
-        top = max((members[-1] for _, members in classes), default=-1)
+        top = max((phi[-1] for phi in members if phi), default=-1)
+        seed = tuple(phi[0] if len(phi) == 1 else None for phi in members)
+        classes = tuple((i, phi) for i, phi in enumerate(members) if len(phi) > 1)
         layers = []
         for layer, group in groupby(labels, key=len):
             if layer < 2:
@@ -148,7 +150,7 @@ class Lattice:
         layers.reverse()
         outputs = tuple(slot[frozenset((i,))] for i in range(1, self.m + 1))
         budget = self.n + sum(len(c) for c in covers.values())
-        return SolvePlan(tuple(labels), classes, tuple(layers), outputs, budget, top)
+        return SolvePlan(tuple(labels), seed, classes, tuple(layers), outputs, budget, top)
 
     def add_virtual(self, label: Label) -> LatticeNode:
         return self.add_node(label, frozenset(), virtual=True)

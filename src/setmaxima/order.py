@@ -5,15 +5,16 @@ that records it in a :class:`ComparisonLedger`.  :meth:`KeySpace.compare`
 makes one comparison.  The audited batch operations make many in one call:
 :meth:`KeySpace.max_of_class` reduces a class to its largest element,
 :meth:`KeySpace.reduce_classes` reduces every class of a compiled solve
-plan, :meth:`KeySpace.propagate` pushes one lattice layer's champions
-into their cover members, and :meth:`KeySpace.merge_sort` sorts a list of
-elements.  A batch validates its indices once (for ``reduce_classes``, the
-plan's largest index; the plan checked the rest when it was compiled),
-then compares inline, and records each comparison as the same (i, j) pair,
-in the same order, as the equivalent sequence of :meth:`KeySpace.compare`
-calls would.  Raw key values are private; the single unaudited escape hatch
-is :meth:`KeySpace.oracle_keys`, which exists only for brute-force oracles
-and tests.
+plan, :meth:`KeySpace.propagate` pushes champions into their cover members,
+one or several lattice layers per call, and :meth:`KeySpace.merge_sort`
+sorts a list of elements.  A batch validates its indices once, before its
+first comparison (for ``reduce_classes``, the plan's largest index, as the
+plan checked the rest when it was compiled; for ``propagate``, the whole
+champion list it starts from), then compares inline, and records each
+comparison as the same (i, j) pair, in the same order, as the equivalent
+sequence of :meth:`KeySpace.compare` calls would.  Raw key values are
+private; the single unaudited escape hatch is :meth:`KeySpace.oracle_keys`,
+which exists only for brute-force oracles and tests.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ class KeySpace:
 
     def propagate(
         self,
-        steps: Sequence[tuple[int, Sequence[int]]],
+        steps: Iterable[tuple[int, Sequence[int]]],
         champion: list[int | None],
         ledger: ComparisonLedger,
     ) -> None:
@@ -151,14 +152,13 @@ class KeySpace:
         ``champion`` maps slots to element indices (None for an empty slot)
         and is updated in place.  A champion that meets another costs one
         comparison, recorded as ``compare(child champion, parent champion)``
-        would.  Children must not be parents within one call (one lattice
-        layer at a time), so every key read is of an index range-checked
-        before the first comparison.
+        would.  Every index in ``champion`` is range-checked once, before the
+        first comparison.  Pushes only move those indices between slots, so
+        every key read is of a checked index, even when a slot that received
+        pushes later pushes as a child: several lattice layers, deepest
+        first, may share one call.
         """
-        read = {champion[child] for child, _ in steps}
-        read.update(champion[p] for _, parents in steps for p in parents)
-        read.discard(None)
-        self._require_in_range(read, "propagate")
+        self._require_in_range([v for v in champion if v is not None], "propagate")
         keys = self._keys
         transcript = ledger._transcript
         count = 0

@@ -10,21 +10,25 @@ Each solve owns one ledger; audited solvers never read raw keys.
 The lattice and its covers depend only on the sets, never on the keys.
 ``solve_lattice`` therefore answers a key assignment from the lattice's
 :class:`~setmaxima.lattice.SolvePlan`, compiled on the first solve over a
-(lattice, covers) pair and reused by every later one: one
-:meth:`~setmaxima.order.KeySpace.reduce_classes` over every non-empty
-class (checked once, when the plan is compiled, and range-checked once per
-solve), then one :meth:`~setmaxima.order.KeySpace.propagate` per layer,
-deepest first.
+(lattice, covers) pair and reused by every later one.  A solve starts from
+the plan's seed, the champions of the one-member classes, which cost no
+comparison; then one :meth:`~setmaxima.order.KeySpace.reduce_classes`
+reduces every larger class (checked once, when the plan is compiled, and
+range-checked once per solve against the largest member of any class), and
+one :meth:`~setmaxima.order.KeySpace.propagate` pushes every layer, deepest
+first.
 
 Grouping elements by signature is key-independent too: ``solve_bucket``
 compiles the grouping into a :class:`BucketPlan` on its first solve over a
 :class:`~setmaxima.setsystem.SetSystem`, remembers it on that (frozen)
-system and reuses it, so every later solve is two ``reduce_classes`` calls.
+system and reuses it, so every later solve starts from the seeded
+one-member buckets and is two ``reduce_classes`` calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .lattice import (
     Label,
@@ -109,15 +113,18 @@ class BucketPlan:
     """Key-independent schedule of a bucket solve over one set system.
 
     Slots number the buckets (the elements of one non-empty signature) in
-    ``label_sort_key`` order of their signatures.  ``buckets`` holds (slot,
-    ascending members) for every bucket, ``hits`` holds for each set the
-    slots of the buckets it meets, ascending, ``top`` is the largest bucket
-    member (-1 without buckets), and ``bound`` is the closed form
-    sum(|bucket| - 1) + sum_i(b_i - 1).  Members are ascending and the
-    champions of a solve are members, so ``top`` bounds every index either
-    reduction reads.
+    ``label_sort_key`` order of their signatures.  ``seed`` holds, for each
+    slot, the member of a one-member bucket (None for any other slot), and
+    ``buckets`` holds (slot, ascending members) for every bucket of two or
+    more members.  ``hits`` holds for each set the slots of the buckets it
+    meets, ascending, ``top`` is the largest member of any bucket,
+    one-member buckets included (-1 without buckets), and ``bound`` is the
+    closed form sum(|bucket| - 1) + sum_i(b_i - 1).  Members are ascending
+    and the champions of a solve are members, so ``top`` bounds every index
+    either reduction reads.
     """
 
+    seed: tuple[int | None, ...]
     buckets: tuple[tuple[int, tuple[int, ...]], ...]
     hits: tuple[tuple[int, ...], ...]
     top: int
@@ -136,11 +143,13 @@ def _compile_bucket_plan(system: SetSystem) -> BucketPlan:
     for slot, sig in enumerate(order):
         for i in sig:
             hits[i - 1].append(slot)
-    buckets = tuple((slot, tuple(groups[sig])) for slot, sig in enumerate(order))
-    top = max((members[-1] for _, members in buckets), default=-1)
-    bound = sum(len(members) - 1 for _, members in buckets)
+    members = [tuple(groups[sig]) for sig in order]
+    top = max((bucket[-1] for bucket in members), default=-1)
+    seed = tuple(bucket[0] if len(bucket) == 1 else None for bucket in members)
+    buckets = tuple((slot, bucket) for slot, bucket in enumerate(members) if len(bucket) > 1)
+    bound = sum(len(bucket) - 1 for _, bucket in buckets)
     bound += sum(len(slots) - 1 for slots in hits if slots)
-    return BucketPlan(buckets, tuple(map(tuple, hits)), top, bound)
+    return BucketPlan(seed, buckets, tuple(map(tuple, hits)), top, bound)
 
 
 def bucket_plan(system: SetSystem) -> BucketPlan:
@@ -161,15 +170,16 @@ def solve_bucket(
     best champion of the buckets it meets.
 
     The grouping is the system's :class:`BucketPlan`, compiled on the first
-    solve and reused by every later one, so a solve only compares: one
-    :meth:`~setmaxima.order.KeySpace.reduce_classes` over the buckets and
-    one over each set's champions.
+    solve and reused by every later one, so a solve only compares: it
+    starts from the seeded one-member buckets, then makes one
+    :meth:`~setmaxima.order.KeySpace.reduce_classes` over the larger
+    buckets and one over each set's champions.
     """
     system.require_valid()
     ledger = ledger if ledger is not None else ComparisonLedger()
     start = ledger.count
     plan = bucket_plan(system)
-    champion: list[int | None] = [None] * len(plan.buckets)
+    champion = list(plan.seed)
     keys.reduce_classes(plan.buckets, plan.top, champion, ledger)
     per_set = [(i, list(map(champion.__getitem__, slots))) for i, slots in enumerate(plan.hits)]
     maxima: list[int | None] = [None] * system.m
@@ -197,7 +207,8 @@ def solve_lattice(
     :class:`SolvePlan` for those covers, so a prebuilt structure pays for
     the plan once and every later key assignment only compares.  The
     comparison count is asserted against the budget n + sum(|cover|) on
-    every run.
+    every run.  With ``debug_check`` each layer is pushed by its own
+    ``propagate`` call, after the loop invariant is checked for it.
     """
     system.require_valid()
     ledger = ledger if ledger is not None else ComparisonLedger()
@@ -214,12 +225,14 @@ def solve_lattice(
         )
     plan = lattice.solve_plan(covers)
 
-    champion: list[int | None] = [None] * len(plan.labels)
+    champion = list(plan.seed)
     keys.reduce_classes(plan.classes, plan.top, champion, ledger)
-    for layer, steps in plan.layers:
-        if debug_check:
+    if debug_check:
+        for layer, steps in plan.layers:
             _check_loop_invariant(lattice, covers, dict(zip(plan.labels, champion)), keys, layer)
-        keys.propagate(steps, champion, ledger)
+            keys.propagate(steps, champion, ledger)
+    else:
+        keys.propagate(chain.from_iterable(steps for _, steps in plan.layers), champion, ledger)
 
     maxima = tuple(champion[slot] for slot in plan.outputs)
     if None in maxima:

@@ -275,25 +275,40 @@ def _covered(system, mode="greedy"):
 
 
 def test_solve_plan_layout():
-    system = system_from_lists(6, [{0, 1, 2, 3}, {1, 2, 4}, {2, 3, 5}])
-    lat, covers = _covered(system)
-    plan = lat.solve_plan(covers)
-    assert list(plan.labels) == lat.labels_by_layer()
-    slot = {label: i for i, label in enumerate(plan.labels)}
-    assert plan.classes == tuple(
-        (slot[label], tuple(sorted(lat.nodes[label].phi)))
-        for label in plan.labels
-        if lat.nodes[label].phi
-    )
-    assert [layer for layer, _ in plan.layers] == [3, 2]
-    for layer, steps in plan.layers:
-        assert [plan.labels[child] for child, _ in steps] == [
-            lb for lb in plan.labels if len(lb) == layer
-        ]
-        for child, parents in steps:
-            assert tuple(plan.labels[p] for p in parents) == covers[plan.labels[child]]
-    assert [plan.labels[s] for s in plan.outputs] == [fs(1), fs(2), fs(3)]
-    assert plan.budget == system.n + sum(len(c) for c in covers.values())
+    # the same lattice twice: every class has one member, then classes
+    # {1} and {1,2,3} gain a second member
+    for system in (
+        system_from_lists(6, [{0, 1, 2, 3}, {1, 2, 4}, {2, 3, 5}]),
+        system_from_lists(8, [{0, 1, 2, 3, 6, 7}, {1, 2, 4, 7}, {2, 3, 5, 7}]),
+    ):
+        lat, covers = _covered(system)
+        plan = lat.solve_plan(covers)
+        assert list(plan.labels) == lat.labels_by_layer()
+        slot = {label: i for i, label in enumerate(plan.labels)}
+        assert len(plan.seed) == len(plan.labels)
+        assert plan.classes == tuple(
+            (slot[label], tuple(sorted(lat.nodes[label].phi)))
+            for label in plan.labels
+            if len(lat.nodes[label].phi) > 1
+        )
+        # seed and classes together hold every non-empty class exactly once
+        held = {s: (member,) for s, member in enumerate(plan.seed) if member is not None}
+        for s, members in plan.classes:
+            assert len(members) > 1 and s not in held
+            held[s] = members
+        assert held == {
+            slot[label]: tuple(sorted(node.phi)) for label, node in lat.nodes.items() if node.phi
+        }
+        assert plan.top == max(e for node in lat.nodes.values() for e in node.phi)
+        assert [layer for layer, _ in plan.layers] == [3, 2]
+        for layer, steps in plan.layers:
+            assert [plan.labels[child] for child, _ in steps] == [
+                lb for lb in plan.labels if len(lb) == layer
+            ]
+            for child, parents in steps:
+                assert tuple(plan.labels[p] for p in parents) == covers[plan.labels[child]]
+        assert [plan.labels[s] for s in plan.outputs] == [fs(1), fs(2), fs(3)]
+        assert plan.budget == system.n + sum(len(c) for c in covers.values())
 
 
 def test_solve_plan_cached_per_covers_dict():

@@ -242,6 +242,49 @@ def test_propagate_range_errors():
         ks.propagate([(0, (2,))], [0, 1], ComparisonLedger())
 
 
+def test_propagate_one_call_over_many_layers_equals_a_call_per_layer():
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.randint(2, 30)
+        ks = KeySpace.random(n, seed)
+        # slots form groups, deepest first; each child pushes into later
+        # groups, so the parents of one layer are the children of the next
+        bounds = [0]
+        for _ in range(rng.randint(2, 5)):
+            bounds.append(bounds[-1] + rng.randint(1, 5))
+        start = [rng.choice([None] + list(range(n))) for _ in range(bounds[-1])]
+        layers = [
+            [
+                (child, tuple(rng.sample(range(hi, bounds[-1]),
+                                         rng.randint(1, min(3, bounds[-1] - hi)))))
+                for child in range(lo, hi)
+            ]
+            for lo, hi in zip(bounds, bounds[1:-1])
+        ]
+        per_layer, one_call, expected = list(start), list(start), list(start)
+        per_layer_ledger = ComparisonLedger(record_transcript=True)
+        for steps in layers:
+            ks.propagate(steps, per_layer, per_layer_ledger)
+        ledger = ComparisonLedger(record_transcript=True)
+        ks.propagate((step for steps in layers for step in steps), one_call, ledger)
+        reference = ComparisonLedger(record_transcript=True)
+        _compare_propagate(ks, [step for steps in layers for step in steps], expected, reference)
+        assert one_call == per_layer == expected
+        assert ledger.transcript == per_layer_ledger.transcript == reference.transcript
+        assert ledger.count == per_layer_ledger.count == reference.count
+
+
+def test_propagate_range_checks_every_champion_before_comparing():
+    # slot 2 holds element 3, beyond these keys; no step reads it
+    ks = KeySpace([1, 2, 3])
+    champion = [0, 1, 3]
+    ledger = ComparisonLedger(record_transcript=True)
+    with pytest.raises(IndexError):
+        ks.propagate([(0, (1,))], champion, ledger)
+    assert ledger.count == 0 and ledger.transcript == ()
+    assert champion == [0, 1, 3]
+
+
 def test_propagate_free_moves():
     ks = KeySpace([1, 2, 3])
     champion = [2, None, 2, None]

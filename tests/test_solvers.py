@@ -577,6 +577,30 @@ def test_keys_shorter_than_system_raise_with_a_compiled_bucket_plan():
     assert solve_bucket(system, KeySpace([1, 2, 3, 4])).maxima == (3, 3)
 
 
+def test_plans_of_one_member_classes_range_check_every_member():
+    # every class and every bucket has one member, so both plans seed them
+    # all and reduce nothing; ``top`` must still cover the seeded members
+    system = system_from_lists(3, [{0}, {1}, {2}])
+    lat = compute_parents(build_lattice(system))
+    covers = good_covers(lat)
+    keys = KeySpace([3, 1, 2])
+    assert solve_lattice(system, keys, prebuilt=(lat, covers)).maxima == (0, 1, 2)
+    assert solve_bucket(system, keys).maxima == (0, 1, 2)
+    plan, buckets = lat.solve_plan(covers), bucket_plan(system)
+    assert plan.classes == buckets.buckets == ()
+    assert plan.seed == buckets.seed == (0, 1, 2)
+    assert plan.top == buckets.top == 2
+    short = KeySpace([1, 2])
+    for solve in (
+        lambda ledger: solve_lattice(system, short, ledger=ledger, prebuilt=(lat, covers)),
+        lambda ledger: solve_bucket(system, short, ledger=ledger),
+    ):
+        ledger = ComparisonLedger(record_transcript=True)
+        with pytest.raises(IndexError, match="out of range in reduce_classes"):
+            solve(ledger)
+        assert ledger.count == 0 and ledger.transcript == ()
+
+
 def test_prebuilt_lattice_of_another_system_is_rejected():
     lat = compute_parents(build_lattice(system_from_lists(3, [{0, 1}, {1, 2}])))
     covers = good_covers(lat)
