@@ -15,9 +15,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, groupby
+from itertools import groupby
 from typing import Iterable
 
+import numpy as np
+
+from .order import ClassBatch, Scan, compile_classes, compile_layer
 from .setsystem import SetSystem
 
 
@@ -66,31 +69,29 @@ class LatticeNode:
         return len(self.label)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolvePlan:
     """Key-independent schedule of one lattice solve over fixed covers.
 
     Slots number the lattice labels in ``labels_by_layer()`` order.
-    ``seed`` holds, for each slot, the member of a one-member class (None
-    for any other slot): its champion needs no comparison.  ``classes``
-    holds (slot, sorted members) for every class of two or more members.
-    ``layers`` holds (layer, steps) for layers >= 2, deepest first; each
-    step is (child slot, cover member slots), children in slot order.
+    ``classes`` holds every non-empty class, by slot: the one-member ones
+    as its seed, which needs no comparison, the larger ones sorted (see
+    :class:`~setmaxima.order.ClassBatch`).  ``layers`` holds (layer, push
+    layer) for layers >= 2, deepest first; a layer pushes each node's slot
+    into the slots of its cover members, nodes in slot order and members
+    in cover order (see :func:`~setmaxima.order.compile_layer`).
     ``outputs`` is the slot of the singleton {i} for i = 1..m, and
     ``budget`` is n + sum(|cover|).  Class members come from frozensets, so
     they are duplicate-free; compiling checks they are non-negative, and
-    ``top`` is the largest member of every class, one-member classes
-    included (-1 without classes), so a solve range-checks every index it
-    can return at once.
+    ``classes.top`` is the largest member of every class, so a solve
+    range-checks every index it can return at once.
     """
 
     labels: tuple[Label, ...]
-    seed: tuple[int | None, ...]
-    classes: tuple[tuple[int, tuple[int, ...]], ...]
-    layers: tuple[tuple[int, tuple[tuple[int, tuple[int, ...]], ...]], ...]
-    outputs: tuple[int, ...]
+    classes: ClassBatch
+    layers: tuple[tuple[int, Scan], ...]
+    outputs: np.ndarray
     budget: int
-    top: int
 
 
 class Lattice:
@@ -124,17 +125,16 @@ class Lattice:
     def _compile_plan(self, covers: dict[Label, tuple[Label, ...]]) -> SolvePlan:
         labels = self.labels_by_layer()
         slot = {label: i for i, label in enumerate(labels)}
-        members = [tuple(sorted(self.nodes[label].phi)) for label in labels]
+        members = [sorted(self.nodes[label].phi) for label in labels]
         if any(phi and phi[0] < 0 for phi in members):
             raise LatticeError("a class holds a negative element index")
-        top = max((phi[-1] for phi in members if phi), default=-1)
-        seed = tuple(phi[0] if len(phi) == 1 else None for phi in members)
-        classes = tuple((i, phi) for i, phi in enumerate(members) if len(phi) > 1)
+        classes = compile_classes((i, phi) for i, phi in enumerate(members) if phi)
         layers = []
         for layer, group in groupby(labels, key=len):
             if layer < 2:
                 continue
-            steps = []
+            children: list[int] = []
+            parents: list[int] = []
             for label in group:
                 cover = covers.get(label)
                 if cover is None:
@@ -145,12 +145,13 @@ class Lattice:
                         f"cover member {format_label(missing[0])} of "
                         f"{format_label(label)} is not a lattice node"
                     )
-                steps.append((slot[label], tuple(slot[c] for c in cover)))
-            layers.append((layer, tuple(steps)))
+                children += [slot[label]] * len(cover)
+                parents += [slot[c] for c in cover]
+            layers.append((layer, compile_layer(children, parents)))
         layers.reverse()
-        outputs = tuple(slot[frozenset((i,))] for i in range(1, self.m + 1))
+        outputs = np.array([slot[frozenset((i,))] for i in range(1, self.m + 1)], dtype=np.int64)
         budget = self.n + sum(len(c) for c in covers.values())
-        return SolvePlan(tuple(labels), seed, classes, tuple(layers), outputs, budget, top)
+        return SolvePlan(tuple(labels), classes, tuple(layers), outputs, budget)
 
     def add_virtual(self, label: Label) -> LatticeNode:
         return self.add_node(label, frozenset(), virtual=True)
@@ -193,15 +194,13 @@ def build_lattice(system: SetSystem) -> Lattice:
     """
     system.require_valid()
     lat = Lattice(m=system.m, n=system.n)
-    classes: dict[Label, set[int]] = {}
-    for element, sig in enumerate(system.signatures()):
-        if sig:
-            classes.setdefault(sig, set()).add(element)
+    classes = system.signature_classes()
     for i in range(1, system.m + 1):
         label = frozenset((i,))
-        lat.add_node(label, frozenset(classes.pop(label, ())))
+        lat.add_node(label, frozenset(classes.get(label, ())))
     for label, elems in classes.items():
-        lat.add_node(label, frozenset(elems))
+        if len(label) > 1:
+            lat.add_node(label, frozenset(elems))
     return lat
 
 
@@ -281,8 +280,15 @@ def good_cover_greedy(node: LatticeNode, lattice: Lattice) -> tuple[Label, ...]:
 def good_cover_exact(
     node: LatticeNode, lattice: Lattice, budget: int = 20
 ) -> tuple[Label, ...]:
-    """Minimum-cardinality good-cover by exhaustive search over parent subsets.
+    """Minimum-cardinality good-cover: the first parent subset, smallest
+    size first and in lexicographic order of parent positions, that covers
+    the node.
 
+    A depth-first search picks parents in that order and abandons a branch
+    once the parents left cannot cover what is still missing: when their
+    union misses an index, or when even the widest of them, times the picks
+    left, is too few indices.  Both cuts only drop branches that hold no
+    cover, so the search returns the subset a plain enumeration would.
     Raises CoverBudgetExceeded when the node has more than ``budget``
     parents (the caller falls back to the greedy cover).
     """
@@ -292,14 +298,28 @@ def good_cover_exact(
             f"{len(parents)} parents > budget {budget} for {format_label(node.label)}"
         )
     masks = [label_to_mask(p) for p in parents]
-    target = node.mask
+    # union and widest parent of each suffix masks[i:]
+    union, widest = [0] * (len(masks) + 1), [0] * (len(masks) + 1)
+    for i in range(len(masks) - 1, -1, -1):
+        union[i] = union[i + 1] | masks[i]
+        widest[i] = max(widest[i + 1], masks[i].bit_count())
+
+    def search(start: int, picks: int, missing: int) -> list[int] | None:
+        if picks == 0:
+            return [] if missing == 0 else None
+        for i in range(start, len(masks) - picks + 1):
+            # both bounds only shrink as i grows, so no later i can succeed
+            if union[i] & missing != missing or widest[i] * picks < missing.bit_count():
+                return None
+            rest = search(i + 1, picks - 1, missing & ~masks[i])
+            if rest is not None:
+                return [i, *rest]
+        return None
+
     for size in range(1, len(parents) + 1):
-        for combo in combinations(range(len(parents)), size):
-            u = 0
-            for idx in combo:
-                u |= masks[idx]
-            if u & target == target:
-                return tuple(parents[idx] for idx in combo)
+        found = search(0, size, node.mask)
+        if found is not None:
+            return tuple(parents[i] for i in found)
     raise LatticeError(f"node {format_label(node.label)} has no good-cover")
 
 

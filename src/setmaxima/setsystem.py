@@ -99,6 +99,22 @@ class SetSystem:
                 members[e].append(i)
         return [frozenset(ms) for ms in members]
 
+    def signature_classes(self) -> dict[frozenset[int], tuple[int, ...]]:
+        """Each non-empty signature's elements, ascending, in order of each
+        signature's first element.
+
+        Grouped once per system (see :meth:`compiled`); the lattice's
+        classes and the bucket plan's buckets both come from it.
+        """
+        return self.compiled(SetSystem._group_by_signature)
+
+    def _group_by_signature(self) -> dict[frozenset[int], tuple[int, ...]]:
+        groups: dict[frozenset[int], list[int]] = {}
+        for element, sig in enumerate(self.signatures()):
+            if sig:
+                groups.setdefault(sig, []).append(element)
+        return {sig: tuple(members) for sig, members in groups.items()}
+
 
 def system_from_lists(n: int, sets: Iterable[Iterable[int]]) -> SetSystem:
     return SetSystem(n=n, sets=tuple(frozenset(s) for s in sets))

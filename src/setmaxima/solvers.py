@@ -9,26 +9,30 @@ Each solve owns one ledger; audited solvers never read raw keys.
 
 The lattice and its covers depend only on the sets, never on the keys.
 ``solve_lattice`` therefore answers a key assignment from the lattice's
-:class:`~setmaxima.lattice.SolvePlan`, compiled on the first solve over a
-(lattice, covers) pair and reused by every later one.  A solve starts from
-the plan's seed, the champions of the one-member classes, which cost no
-comparison; then one :meth:`~setmaxima.order.KeySpace.reduce_classes`
-reduces every larger class (checked once, when the plan is compiled, and
-range-checked once per solve against the largest member of any class), and
-one :meth:`~setmaxima.order.KeySpace.propagate` pushes every layer, deepest
-first.
+:class:`~setmaxima.lattice.SolvePlan`, compiled into numpy arrays on the
+first solve over a (lattice, covers) pair and reused by every later one.
+A solve holds its champions in one int64 array, a slot per lattice node.
+One :meth:`~setmaxima.order.KeySpace.reduce_classes` seeds the one-member
+classes, which cost no comparison, and reduces every larger class; it
+range-checks the plan's largest member against the keys once, before the
+first comparison.  One :meth:`~setmaxima.order.KeySpace.propagate` then
+pushes every layer, deepest first.  Both run as array kernels over the
+key space's ranks, so a solve makes no Python call per comparison.
 
 Grouping elements by signature is key-independent too: ``solve_bucket``
 compiles the grouping into a :class:`BucketPlan` on its first solve over a
 :class:`~setmaxima.setsystem.SetSystem`, remembers it on that (frozen)
-system and reuses it, so every later solve starts from the seeded
-one-member buckets and is two ``reduce_classes`` calls.
+system and reuses it.  Every later solve is one ``reduce_classes`` over the
+buckets and one ``propagate`` of a single layer, which pushes each bucket's
+champion into the slot of every set it meets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+
+import numpy as np
 
 from .lattice import (
     Label,
@@ -38,7 +42,7 @@ from .lattice import (
     good_covers,
     label_sort_key,
 )
-from .order import ComparisonLedger, KeySpace
+from .order import ClassBatch, ComparisonLedger, KeySpace, Scan, compile_classes, compile_layer
 from .setsystem import SetSystem
 
 
@@ -108,34 +112,30 @@ def solve_sort(
     return MaximaResult("sort", maxima, used, bound)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BucketPlan:
     """Key-independent schedule of a bucket solve over one set system.
 
-    Slots number the buckets (the elements of one non-empty signature) in
-    ``label_sort_key`` order of their signatures.  ``seed`` holds, for each
-    slot, the member of a one-member bucket (None for any other slot), and
-    ``buckets`` holds (slot, ascending members) for every bucket of two or
-    more members.  ``hits`` holds for each set the slots of the buckets it
-    meets, ascending, ``top`` is the largest member of any bucket,
-    one-member buckets included (-1 without buckets), and ``bound`` is the
-    closed form sum(|bucket| - 1) + sum_i(b_i - 1).  Members are ascending
-    and the champions of a solve are members, so ``top`` bounds every index
-    either reduction reads.
+    Slots 0..b-1 number the buckets (the elements of one non-empty
+    signature) in ``label_sort_key`` order of their signatures, and slot
+    b + i - 1 holds set i.  ``buckets`` holds every bucket's ascending
+    members (see :class:`~setmaxima.order.ClassBatch`; ``buckets.top`` is
+    the largest member of any bucket).  ``per_set`` is one push layer from
+    bucket slots into set slots, set by set, each set's buckets in slot
+    order: the first push into an empty set slot is free and every later
+    one compares, so its pairs are those of a reduction of each set's
+    bucket champions.  Every set meets a bucket, so ``per_set.targets`` are
+    the set slots in order and ``per_set.span`` is b + m.  ``bound`` is the
+    closed form sum(|bucket| - 1) + sum_i(b_i - 1).
     """
 
-    seed: tuple[int | None, ...]
-    buckets: tuple[tuple[int, tuple[int, ...]], ...]
-    hits: tuple[tuple[int, ...], ...]
-    top: int
+    buckets: ClassBatch
+    per_set: Scan
     bound: int
 
 
 def _compile_bucket_plan(system: SetSystem) -> BucketPlan:
-    groups: dict[frozenset[int], list[int]] = {}
-    for element, sig in enumerate(system.signatures()):
-        if sig:
-            groups.setdefault(sig, []).append(element)
+    groups = system.signature_classes()
     if len(groups) > min(system.n, (1 << system.m) - 1):
         raise AssertionError("more buckets than distinct signatures can exist")
     order = sorted(groups, key=label_sort_key)
@@ -143,13 +143,13 @@ def _compile_bucket_plan(system: SetSystem) -> BucketPlan:
     for slot, sig in enumerate(order):
         for i in sig:
             hits[i - 1].append(slot)
-    members = [tuple(groups[sig]) for sig in order]
-    top = max((bucket[-1] for bucket in members), default=-1)
-    seed = tuple(bucket[0] if len(bucket) == 1 else None for bucket in members)
-    buckets = tuple((slot, bucket) for slot, bucket in enumerate(members) if len(bucket) > 1)
-    bound = sum(len(bucket) - 1 for _, bucket in buckets)
-    bound += sum(len(slots) - 1 for slots in hits if slots)
-    return BucketPlan(seed, buckets, tuple(map(tuple, hits)), top, bound)
+    buckets = compile_classes(enumerate(map(groups.__getitem__, order)))
+    per_set = compile_layer(
+        np.fromiter(chain.from_iterable(hits), np.int64),
+        np.repeat(np.arange(len(order), len(order) + system.m), list(map(len, hits))),
+    )
+    bound = buckets.count + sum(len(slots) - 1 for slots in hits if slots)
+    return BucketPlan(buckets, per_set, bound)
 
 
 def bucket_plan(system: SetSystem) -> BucketPlan:
@@ -170,24 +170,23 @@ def solve_bucket(
     best champion of the buckets it meets.
 
     The grouping is the system's :class:`BucketPlan`, compiled on the first
-    solve and reused by every later one, so a solve only compares: it
-    starts from the seeded one-member buckets, then makes one
-    :meth:`~setmaxima.order.KeySpace.reduce_classes` over the larger
-    buckets and one over each set's champions.
+    solve and reused by every later one, so a solve only compares: one
+    :meth:`~setmaxima.order.KeySpace.reduce_classes` over the buckets, then
+    one :meth:`~setmaxima.order.KeySpace.propagate` of the plan's per-set
+    layer.
     """
     system.require_valid()
     ledger = ledger if ledger is not None else ComparisonLedger()
     start = ledger.count
     plan = bucket_plan(system)
-    champion = list(plan.seed)
-    keys.reduce_classes(plan.buckets, plan.top, champion, ledger)
-    per_set = [(i, list(map(champion.__getitem__, slots))) for i, slots in enumerate(plan.hits)]
-    maxima: list[int | None] = [None] * system.m
-    keys.reduce_classes(per_set, plan.top, maxima, ledger)
+    champion = np.full(plan.per_set.span, -1, dtype=np.int64)
+    keys.reduce_classes(plan.buckets, champion, ledger)
+    keys.propagate((plan.per_set,), champion, ledger)
     used = ledger.count - start
     if used != plan.bound:
         raise AssertionError(f"bucket count {used} != closed form {plan.bound}")
-    return MaximaResult("bucket", maxima=tuple(maxima), comparisons=used, bound=plan.bound)
+    maxima = tuple(champion[plan.per_set.targets].tolist())
+    return MaximaResult("bucket", maxima=maxima, comparisons=used, bound=plan.bound)
 
 
 def solve_lattice(
@@ -225,18 +224,19 @@ def solve_lattice(
         )
     plan = lattice.solve_plan(covers)
 
-    champion = list(plan.seed)
-    keys.reduce_classes(plan.classes, plan.top, champion, ledger)
+    champion = np.full(len(plan.labels), -1, dtype=np.int64)
+    keys.reduce_classes(plan.classes, champion, ledger)
     if debug_check:
-        for layer, steps in plan.layers:
-            _check_loop_invariant(lattice, covers, dict(zip(plan.labels, champion)), keys, layer)
-            keys.propagate(steps, champion, ledger)
+        for layer, push in plan.layers:
+            held = dict(zip(plan.labels, (None if c < 0 else c for c in champion.tolist())))
+            _check_loop_invariant(lattice, covers, held, keys, layer)
+            keys.propagate((push,), champion, ledger)
     else:
-        keys.propagate(chain.from_iterable(steps for _, steps in plan.layers), champion, ledger)
+        keys.propagate([push for _, push in plan.layers], champion, ledger)
 
-    maxima = tuple(champion[slot] for slot in plan.outputs)
-    if None in maxima:
-        raise AssertionError(f"no champion reached set {maxima.index(None) + 1}")
+    maxima = tuple(champion[plan.outputs].tolist())
+    if -1 in maxima:
+        raise AssertionError(f"no champion reached set {maxima.index(-1) + 1}")
     used = ledger.count - start
     if used > plan.budget:
         raise AssertionError(f"lattice count {used} > budget {plan.budget}")

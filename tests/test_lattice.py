@@ -3,6 +3,7 @@ import random
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from setmaxima.generators import gen_random_system
@@ -15,10 +16,13 @@ from setmaxima.lattice import (
     good_cover_exact,
     good_cover_greedy,
     good_covers,
+    label_sort_key,
+    label_to_mask,
 )
 from setmaxima.order import ComparisonLedger, KeySpace
 from setmaxima.setsystem import system_from_lists
 from setmaxima.solvers import solve_lattice
+from test_solvers import _seeded_systems
 
 DATA = Path(__file__).parent / "data"
 
@@ -197,6 +201,66 @@ def test_uncoverable_node_is_structural_error():
         good_cover_exact(node, lat)
 
 
+def _exact_by_enumeration(node, lat, budget=20):
+    """The reference search: every parent subset, in ``combinations`` order."""
+    parents = sorted(node.parents, key=label_sort_key)
+    if len(parents) > budget:
+        raise CoverBudgetExceeded(f"{len(parents)} parents > budget {budget}")
+    masks = [label_to_mask(p) for p in parents]
+    target = node.mask
+    for size in range(1, len(parents) + 1):
+        for combo in combinations(range(len(parents)), size):
+            u = 0
+            for idx in combo:
+                u |= masks[idx]
+            if u & target == target:
+                return tuple(parents[idx] for idx in combo)
+    raise LatticeError("no good-cover")
+
+
+def _exact_mode_systems():
+    """The systems the exact-mode tests build covers for (here, in
+    test_solvers.py and criterion 8), and a spread of larger random ones."""
+    yield gen_random_system(n=40, m=8, density=0.5, seed=11)
+    for seed in range(30):
+        rng = random.Random(seed + 100)
+        n = rng.randint(2, 30)
+        m = min(rng.randint(2, 9), 2**n - 1)
+        yield gen_random_system(n=n, m=m, density=rng.uniform(0.3, 0.8), seed=seed)
+    for seed in range(20):
+        rng = random.Random(seed + 7)
+        yield gen_random_system(n=rng.randint(2, 40), m=rng.randint(2, 10), density=0.4, seed=seed)
+    for seed in range(5):
+        yield gen_random_system(60, 10, 0.4, seed=seed)
+    yield from (system for _, system in _seeded_systems(60))
+    yield from (system for _, system in _seeded_systems(12, n_max=80, offset=500))
+    for seed in range(30):
+        rng = random.Random(seed + 4000)
+        yield gen_random_system(
+            n=rng.randint(5, 200), m=rng.randint(2, 14),
+            density=rng.choice((0.2, 0.5, 0.8)), seed=seed,
+        )
+
+
+def test_exact_cover_search_equals_enumeration():
+    nodes = 0
+    for system in _exact_mode_systems():
+        lat = compute_parents(build_lattice(system))
+        for node in lat.nodes.values():
+            if node.layer < 2:
+                continue
+            for budget in (20, 3):
+                try:
+                    want = _exact_by_enumeration(node, lat, budget)
+                except CoverBudgetExceeded:
+                    with pytest.raises(CoverBudgetExceeded):
+                        good_cover_exact(node, lat, budget)
+                    continue
+                assert good_cover_exact(node, lat, budget) == want
+                nodes += 1
+    assert nodes > 500
+
+
 def test_exact_never_larger_than_greedy_and_harmonic_bound():
     for seed in range(30):
         rng = random.Random(seed + 100)
@@ -274,6 +338,32 @@ def _covered(system, mode="greedy"):
     return lat, good_covers(lat, mode=mode)
 
 
+def _segments(scan):
+    """A compiled scan's segments: (target slot, the indices it reads)."""
+    starts = [0] + (scan.ends[:-1] + 1).tolist()
+    return [
+        (target, tuple(scan.source[start:end + 1].tolist()))
+        for target, start, end in zip(scan.targets.tolist(), starts, scan.ends.tolist())
+    ]
+
+
+def _pushes(layer):
+    """A compiled push layer's (child slot, parent slot) pairs, in push order."""
+    segment = np.searchsorted(layer.ends, layer.pushes)
+    return list(zip(layer.source[layer.pushes].tolist(), layer.targets[segment].tolist()))
+
+
+def _check_scan(scan):
+    # segment s adds s << 32 to each of its positions, and every position
+    # but a segment's first is pushed exactly once
+    segments = _segments(scan)
+    lengths = [len(read) for _, read in segments]
+    assert scan.offset.tolist() == [s << 32 for s, size in enumerate(lengths) for _ in range(size)]
+    heads = {end - size + 1 for end, size in zip(scan.ends.tolist(), lengths)}
+    assert sorted(scan.pushes.tolist()) == [p for p in range(len(scan.source)) if p not in heads]
+    assert scan.span == (max(scan.source.tolist()) + 1 if len(scan.source) else 0)
+
+
 def test_solve_plan_layout():
     # the same lattice twice: every class has one member, then classes
     # {1} and {1,2,3} gain a second member
@@ -285,28 +375,31 @@ def test_solve_plan_layout():
         plan = lat.solve_plan(covers)
         assert list(plan.labels) == lat.labels_by_layer()
         slot = {label: i for i, label in enumerate(plan.labels)}
-        assert len(plan.seed) == len(plan.labels)
-        assert plan.classes == tuple(
-            (slot[label], tuple(sorted(lat.nodes[label].phi)))
-            for label in plan.labels
-            if len(lat.nodes[label].phi) > 1
-        )
-        # seed and classes together hold every non-empty class exactly once
-        held = {s: (member,) for s, member in enumerate(plan.seed) if member is not None}
-        for s, members in plan.classes:
-            assert len(members) > 1 and s not in held
-            held[s] = members
-        assert held == {
-            slot[label]: tuple(sorted(node.phi)) for label, node in lat.nodes.items() if node.phi
-        }
-        assert plan.top == max(e for node in lat.nodes.values() for e in node.phi)
+        phi = {slot[label]: tuple(sorted(node.phi)) for label, node in lat.nodes.items()}
+        classes = plan.classes
+        # one-member classes are seeded; larger ones are segments of their
+        # sorted members, in slot order; each holds its class exactly once
+        seeded = list(zip(classes.seed_slots.tolist(), classes.seed_members.tolist()))
+        assert seeded == [(s, members[0]) for s, members in sorted(phi.items()) if len(members) == 1]
+        assert _segments(classes.scan) == [
+            (s, members) for s, members in sorted(phi.items()) if len(members) > 1
+        ]
+        _check_scan(classes.scan)
+        assert classes.scan.pushes.tolist() == sorted(classes.scan.pushes.tolist())
+        assert classes.count == sum(len(members) - 1 for members in phi.values() if members)
+        assert classes.top == max(e for node in lat.nodes.values() for e in node.phi)
         assert [layer for layer, _ in plan.layers] == [3, 2]
-        for layer, steps in plan.layers:
-            assert [plan.labels[child] for child, _ in steps] == [
-                lb for lb in plan.labels if len(lb) == layer
+        for layer, push in plan.layers:
+            children = [lb for lb in plan.labels if len(lb) == layer]
+            assert _pushes(push) == [
+                (slot[child], slot[member]) for child in children for member in covers[child]
             ]
-            for child, parents in steps:
-                assert tuple(plan.labels[p] for p in parents) == covers[plan.labels[child]]
+            # one segment per parent slot, ascending, headed by that slot
+            assert push.targets.tolist() == sorted(
+                {slot[member] for child in children for member in covers[child]}
+            )
+            assert all(read[0] == target for target, read in _segments(push))
+            _check_scan(push)
         assert [plan.labels[s] for s in plan.outputs] == [fs(1), fs(2), fs(3)]
         assert plan.budget == system.n + sum(len(c) for c in covers.values())
 
@@ -325,8 +418,8 @@ def test_solve_plan_cached_per_covers_dict():
     other[label] = tuple(fs(i) for i in sorted(label))
     other_plan = lat.solve_plan(other)
     slot = {lb: i for i, lb in enumerate(other_plan.labels)}
-    steps = dict(step for _, layer_steps in other_plan.layers for step in layer_steps)
-    assert steps[slot[label]] == tuple(slot[fs(i)] for i in sorted(label))
+    pushed = [pair for _, layer in other_plan.layers for pair in _pushes(layer)]
+    assert [p for c, p in pushed if c == slot[label]] == [slot[fs(i)] for i in sorted(label)]
     assert other_plan.budget == plan.budget - len(greedy[label]) + len(label)
     assert lat.solve_plan(greedy) is not other_plan
 
@@ -356,14 +449,14 @@ def test_solve_plan_rejects_bad_covers():
 
 def test_solve_plan_checks_classes_once():
     lat, covers = _covered(system_from_lists(5, [{0, 1, 4}, {1, 2}]))
-    assert lat.solve_plan(covers).top == 4
+    assert lat.solve_plan(covers).classes.top == 4
     bad = Lattice(m=1, n=2)
     bad.add_node(fs(1), frozenset({-1, 0}))
     with pytest.raises(LatticeError, match="negative"):
         bad.solve_plan({})
     empty = Lattice(m=1, n=0)
     empty.add_node(fs(1), frozenset())
-    assert empty.solve_plan({}).top == -1
+    assert empty.solve_plan({}).classes.top == -1
 
 
 def test_solve_plan_never_reads_keys(monkeypatch):

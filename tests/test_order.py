@@ -1,10 +1,11 @@
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setmaxima.order import ComparisonLedger, KeySpace
+from setmaxima.order import ComparisonLedger, KeySpace, compile_classes, compile_layer
 from test_solvers import _merge_sort
 
 
@@ -167,6 +168,20 @@ def test_max_of_class_transcript_equals_compare_calls():
         assert ledger.count == reference.count == len(indices) - 1
 
 
+def _layer(steps):
+    """Compile (child slot, parent slots) steps, one push per parent."""
+    return compile_layer([c for c, into in steps for _ in into], [p for _, into in steps for p in into])
+
+
+def _slots(champion):
+    """A champion list (None for an empty slot) as the kernels hold it."""
+    return np.array([-1 if v is None else v for v in champion], dtype=np.int64)
+
+
+def _listed(champion):
+    return [None if v == -1 else v for v in champion.tolist()]
+
+
 def test_reduce_classes_equals_max_of_class_calls():
     for seed in range(20):
         rng = random.Random(seed)
@@ -179,10 +194,11 @@ def test_reduce_classes_equals_max_of_class_calls():
             size = rng.randint(1, len(elements))
             classes.append((slot, tuple(sorted(elements[:size]))))
             elements, slot = elements[size:], slot + rng.randint(1, 3)
-        top = max(members[-1] for _, members in classes)
-        champion = [None] * (slot + 1)
+        batch = compile_classes(classes)
+        assert batch.top == max(members[-1] for _, members in classes)
+        champion = _slots([None] * (slot + 1))
         ledger = ComparisonLedger(record_transcript=True)
-        ks.reduce_classes(classes, top, champion, ledger)
+        ks.reduce_classes(batch, champion, ledger)
         reference = ComparisonLedger(record_transcript=True)
         for s, members in classes:
             assert champion[s] == ks.max_of_class(members, reference)
@@ -192,14 +208,14 @@ def test_reduce_classes_equals_max_of_class_calls():
 
 def test_reduce_classes_range_checks_top_once():
     ks = KeySpace([1, 2, 3])
-    champion = [None, None]
+    champion = _slots([None, None])
     ledger = ComparisonLedger()
     with pytest.raises(IndexError):
-        ks.reduce_classes([(0, (0, 1)), (1, (2, 3))], 3, champion, ledger)
-    assert ledger.count == 0 and champion == [None, None]
-    ks.reduce_classes([(0, (0, 1)), (1, (2,))], 2, champion, ledger)
-    assert champion == [1, 2] and ledger.count == 1
-    ks.reduce_classes([], -1, champion, ledger)
+        ks.reduce_classes(compile_classes([(0, (0, 1)), (1, (2, 3))]), champion, ledger)
+    assert ledger.count == 0 and _listed(champion) == [None, None]
+    ks.reduce_classes(compile_classes([(0, (0, 1)), (1, (2,))]), champion, ledger)
+    assert _listed(champion) == [1, 2] and ledger.count == 1
+    ks.reduce_classes(compile_classes([]), champion, ledger)
     assert ledger.count == 1
 
 
@@ -221,25 +237,35 @@ def test_propagate_transcript_equals_compare_calls():
         reference = ComparisonLedger(record_transcript=True)
         _compare_propagate(ks, steps, expected, reference)
         ledger = ComparisonLedger(record_transcript=True)
-        ks.propagate(steps, champion, ledger)
-        assert champion == expected
+        held = _slots(champion)
+        ks.propagate([_layer(steps)], held, ledger)
+        assert _listed(held) == expected
         assert ledger.transcript == reference.transcript
         assert ledger.count == reference.count
 
 
 def test_propagate_range_errors():
-    # element 3 is beyond these keys, as when the keys are shorter than the system
+    # element 3 is beyond these keys, as when the keys are shorter than the
+    # system; -1 marks an empty slot, so -2 is the negative index here
     ks = KeySpace([1, 2, 3])
-    for champion in ([3, 0], [0, 3], [-1, 0]):
+    layer = _layer([(0, (1,))])
+    for champion in ([3, 0], [0, 3], [-2, 0]):
         with pytest.raises(IndexError):
             _compare_propagate(ks, [(0, (1,))], list(champion), ComparisonLedger())
         ledger = ComparisonLedger()
         with pytest.raises(IndexError):
-            ks.propagate([(0, (1,))], list(champion), ledger)
+            ks.propagate([layer], _slots(champion), ledger)
         assert ledger.count == 0
     # a slot beyond the champion list
     with pytest.raises(IndexError):
-        ks.propagate([(0, (2,))], [0, 1], ComparisonLedger())
+        ks.propagate([_layer([(0, (2,))])], _slots([0, 1]), ComparisonLedger())
+    # a negative slot, or a slot that pushes and receives in one layer
+    with pytest.raises(IndexError):
+        _layer([(0, (-1,))])
+    with pytest.raises(ValueError):
+        _layer([(0, (1,)), (1, (2,))])
+    with pytest.raises(ValueError):
+        compile_layer([0, 1], [2])
 
 
 def test_propagate_one_call_over_many_layers_equals_a_call_per_layer():
@@ -261,15 +287,16 @@ def test_propagate_one_call_over_many_layers_equals_a_call_per_layer():
             ]
             for lo, hi in zip(bounds, bounds[1:-1])
         ]
-        per_layer, one_call, expected = list(start), list(start), list(start)
+        compiled = [_layer(steps) for steps in layers]
+        per_layer, one_call, expected = _slots(start), _slots(start), list(start)
         per_layer_ledger = ComparisonLedger(record_transcript=True)
-        for steps in layers:
-            ks.propagate(steps, per_layer, per_layer_ledger)
+        for layer in compiled:
+            ks.propagate([layer], per_layer, per_layer_ledger)
         ledger = ComparisonLedger(record_transcript=True)
-        ks.propagate((step for steps in layers for step in steps), one_call, ledger)
+        ks.propagate(compiled, one_call, ledger)
         reference = ComparisonLedger(record_transcript=True)
         _compare_propagate(ks, [step for steps in layers for step in steps], expected, reference)
-        assert one_call == per_layer == expected
+        assert _listed(one_call) == _listed(per_layer) == expected
         assert ledger.transcript == per_layer_ledger.transcript == reference.transcript
         assert ledger.count == per_layer_ledger.count == reference.count
 
@@ -277,21 +304,105 @@ def test_propagate_one_call_over_many_layers_equals_a_call_per_layer():
 def test_propagate_range_checks_every_champion_before_comparing():
     # slot 2 holds element 3, beyond these keys; no step reads it
     ks = KeySpace([1, 2, 3])
-    champion = [0, 1, 3]
+    champion = _slots([0, 1, 3])
     ledger = ComparisonLedger(record_transcript=True)
     with pytest.raises(IndexError):
-        ks.propagate([(0, (1,))], champion, ledger)
+        ks.propagate([_layer([(0, (1,))])], champion, ledger)
     assert ledger.count == 0 and ledger.transcript == ()
-    assert champion == [0, 1, 3]
+    assert _listed(champion) == [0, 1, 3]
 
 
 def test_propagate_free_moves():
     ks = KeySpace([1, 2, 3])
-    champion = [2, None, 2, None]
+    champion = _slots([2, None, 2, None])
     ledger = ComparisonLedger()
-    ks.propagate([(0, (1, 2)), (3, (1,))], champion, ledger)
-    assert champion == [2, 2, 2, None]
+    ks.propagate([_layer([(0, (1, 2)), (3, (1,))])], champion, ledger)
+    assert _listed(champion) == [2, 2, 2, None]
     assert ledger.count == 0
+
+
+# keys of any size and sign: beyond int64 the key space ranks them by a
+# Python sort instead of ``np.argsort``
+_KEYS = st.one_of(
+    st.lists(st.integers(-(2**62), 2**62), min_size=1, max_size=12, unique=True),
+    st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=12, unique=True),
+    st.lists(st.integers(2**63, 2**64 + 5), min_size=1, max_size=12, unique=True),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_KEYS, st.data())
+def test_reduce_classes_kernel_equals_per_pair_reference(keys, data):
+    ks = KeySpace(keys)
+    n = len(keys)
+    classes = data.draw(st.lists(
+        st.tuples(st.integers(0, 9), st.lists(st.integers(0, n - 1), min_size=1, unique=True)),
+        max_size=6, unique_by=lambda c: c[0],
+    ))
+    ledger = ComparisonLedger(record_transcript=True)
+    champion = _slots([None] * 10)
+    ks.reduce_classes(compile_classes(classes), champion, ledger)
+    reference = ComparisonLedger(record_transcript=True)
+    expected = [None] * 10
+    for slot, members in classes:
+        expected[slot] = _compare_max(ks, members, reference)
+        assert expected[slot] == max(members, key=keys.__getitem__)
+    assert _listed(champion) == expected
+    assert ledger.transcript == reference.transcript
+    assert ledger.count == reference.count == sum(len(m) - 1 for _, m in classes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_KEYS, st.data())
+def test_propagate_kernel_equals_per_pair_reference(keys, data):
+    # slots split into groups, deepest first; each layer pushes one group
+    # into later ones.  Few elements and empty slots make a parent that
+    # already holds the pushed element, or the same element arriving on
+    # two paths, common.
+    ks = KeySpace(keys)
+    n = len(keys)
+    sizes = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=5))
+    bounds = [0]
+    for size in sizes:
+        bounds.append(bounds[-1] + size)
+    slots = bounds[-1]
+    start = data.draw(st.lists(st.one_of(st.none(), st.integers(0, n - 1)),
+                               min_size=slots, max_size=slots))
+    layers = []
+    for lo, hi in zip(bounds, bounds[1:-1]):
+        layers.append([
+            (child, tuple(data.draw(st.lists(st.integers(hi, slots - 1), max_size=3, unique=True))))
+            for child in data.draw(st.permutations(range(lo, hi)))
+        ])
+    champion = _slots(start)
+    ledger = ComparisonLedger(record_transcript=True)
+    ks.propagate([_layer(steps) for steps in layers], champion, ledger)
+    expected = list(start)
+    reference = ComparisonLedger(record_transcript=True)
+    _compare_propagate(ks, [step for steps in layers for step in steps], expected, reference)
+    assert _listed(champion) == expected
+    assert ledger.transcript == reference.transcript
+    assert ledger.count == reference.count
+
+
+@pytest.mark.parametrize("keys", [
+    [1, 2, 1],
+    [-5, 3, -5],
+    [2**64, 7, 2**64],
+    [-(2**70), 2**70, -(2**70)],
+])
+def test_duplicate_keys_rejected_on_both_ranking_paths(keys):
+    with pytest.raises(ValueError, match="keys must be pairwise distinct"):
+        KeySpace(keys)
+
+
+def test_keys_beyond_int64_rank_by_value():
+    keys = [2**64 + 3, -(2**65), 2**63, 5, -1]
+    ks = KeySpace(keys)
+    ledger = ComparisonLedger(record_transcript=True)
+    assert ks.max_of_class(range(5), ledger) == 0
+    assert ks.merge_sort(range(5), ComparisonLedger()) == [1, 4, 3, 2, 0]
+    assert ledger.transcript == ((1, 0), (2, 0), (3, 0), (4, 0))
 
 
 def test_merge_sort_transcript_equals_compare_calls():

@@ -502,25 +502,33 @@ def test_bucket_matches_quadratic_reference():
 
 
 def test_bucket_plan_is_compiled_once_and_reused(monkeypatch):
-    systems = [system for _, system in _seeded_systems(12, n_max=60, offset=300)]
-    systems.append(build_geometric_lattice(gen_convex_instance(n=150, m=12, k=4, seed=5)).system)
+    # each system is made with ``signatures`` counted: the geometric build
+    # groups its system's signatures for the lattice, and the bucket plan
+    # must reuse that grouping instead of making its own
+    makers = [lambda system=system: system
+              for _, system in _seeded_systems(12, n_max=60, offset=300)]
+    makers.append(
+        lambda: build_geometric_lattice(gen_convex_instance(n=150, m=12, k=4, seed=5)).system
+    )
     signatures = SetSystem.signatures
-    for index, system in enumerate(systems):
-        runs = []
-        for rep in range(20):
-            keys = gen_keys(system.n, 100 * index + rep)
-            runs.append((keys, _transcribed(reference_solve_bucket, system, keys)))
+    for index, make in enumerate(makers):
         compiled_for = []
         with monkeypatch.context() as patch:
             patch.setattr(
                 SetSystem, "signatures",
                 lambda self: compiled_for.append(self) or signatures(self),
             )
-            for keys, want in runs:
-                _assert_same_run(_transcribed(solve_bucket, system, keys), want)
+            system = make()
+            runs = []
+            for rep in range(20):
+                keys = gen_keys(system.n, 100 * index + rep)
+                runs.append((keys, _transcribed(solve_bucket, system, keys)))
             plan = bucket_plan(system)
-            assert bucket_comparison_bound(system) == plan.bound == want[0].bound
         assert compiled_for == [system]
+        for keys, got in runs:
+            want = _transcribed(reference_solve_bucket, system, keys)
+            _assert_same_run(got, want)
+        assert bucket_comparison_bound(system) == plan.bound == want[0].bound
         assert bucket_plan(system) is plan
 
 
@@ -554,7 +562,7 @@ def test_keys_shorter_than_system_raise_with_a_compiled_plan():
     covers = good_covers(lat)
     solve_lattice(system, KeySpace.random(4, 1), prebuilt=(lat, covers))
     plan = lat.solve_plan(covers)
-    assert plan.top == 3
+    assert plan.classes.top == 3
     ledger = ComparisonLedger()
     with pytest.raises(IndexError):
         solve_lattice(system, KeySpace([4, 2, 3]), ledger=ledger, prebuilt=(lat, covers))
@@ -568,7 +576,7 @@ def test_keys_shorter_than_system_raise_with_a_compiled_bucket_plan():
     system = system_from_lists(4, [{0, 1, 3}, {1, 2, 3}])
     solve_bucket(system, KeySpace.random(4, 1))
     plan = bucket_plan(system)
-    assert plan.top == 3
+    assert plan.buckets.top == 3
     ledger = ComparisonLedger(record_transcript=True)
     with pytest.raises(IndexError):
         solve_bucket(system, KeySpace([4, 2, 3]), ledger=ledger)
@@ -587,9 +595,10 @@ def test_plans_of_one_member_classes_range_check_every_member():
     assert solve_lattice(system, keys, prebuilt=(lat, covers)).maxima == (0, 1, 2)
     assert solve_bucket(system, keys).maxima == (0, 1, 2)
     plan, buckets = lat.solve_plan(covers), bucket_plan(system)
-    assert plan.classes == buckets.buckets == ()
-    assert plan.seed == buckets.seed == (0, 1, 2)
-    assert plan.top == buckets.top == 2
+    for batch in (plan.classes, buckets.buckets):
+        assert batch.scan.targets.size == batch.scan.source.size == batch.count == 0
+        assert batch.seed_slots.tolist() == batch.seed_members.tolist() == [0, 1, 2]
+        assert batch.top == 2
     short = KeySpace([1, 2])
     for solve in (
         lambda ledger: solve_lattice(system, short, ledger=ledger, prebuilt=(lat, covers)),
