@@ -15,7 +15,6 @@ from .geometry import (
     GeometryError,
     Point2,
     chains,
-    convex_intersection,
     orientation,
     point_in_convex,
 )

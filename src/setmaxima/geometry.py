@@ -476,74 +476,16 @@ def meet_degenerate(first: Region, second: Region) -> Region:
     return canonical(Region(kept, [line] * len(kept), [frozenset()] * len(kept)))
 
 
-# ------------------------------------------------------- Point2 entry points
-
-
-def line_intersection(a: Point2, b: Point2, c: Point2, d: Point2) -> Point2:
-    """Intersection point of the (non-parallel) lines ab and cd, exact."""
-    h = [homogeneous(p) for p in (a, b, c, d)]
-    v = meet(join(h[0], h[1]), join(h[2], h[3]))
-    if v is None:
-        raise GeometryError("line_intersection on parallel lines")
-    return to_point(v)
-
-
-def clip_with_owners(
-    subject: Sequence[Point2],
-    owners: Sequence[Owners],
-    clip: ConvexPolygon,
-    clip_owner: Owners,
-) -> tuple[list[Point2], list[Owners]]:
-    """Sutherland-Hodgman clip of a convex CCW subject by a convex clip
-    polygon, exact, carrying edge ownership along (``clip_region`` on
-    ``Point2`` vertices).
-
-    ``owners[i]`` labels the subject edge from vertex i to vertex i + 1;
-    ``clip_owner`` labels every clip edge.  Returns the (possibly
-    degenerate) CCW vertex list, a full one rotated as ``ConvexPolygon``
-    stores it and a segment from its least to its greatest point, and
-    aligned with it the owners of each output edge.
-    """
+def clip_convex(subject: Sequence[Point2], clip: ConvexPolygon) -> list[Point2]:
+    """``clip_region`` on ``Point2`` vertices: a convex CCW subject clipped
+    by a full convex polygon, exact; a segment runs from its least point."""
     if clip.is_degenerate:
         raise GeometryError("cannot clip by a degenerate polygon")
-    clip_lines = region_of(clip.vertices, ()).lines
-    region = canonical(clip_region(region_of(subject, owners), clip_lines, clip_owner))
-    points = [to_point(v) for v in region.vertices]
-    return (sorted(points) if len(points) == 2 else points), list(region.owners)
-
-
-def clip_convex(subject: Sequence[Point2], clip: ConvexPolygon) -> list[Point2]:
-    """Sutherland-Hodgman clip of a convex CCW subject by a convex clip
-    polygon, exact; returns the (possibly degenerate) CCW vertex list."""
     none = frozenset()
-    return clip_with_owners(subject, [none] * len(subject), clip, none)[0]
-
-
-def convex_intersection(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon | None:
-    """Exact intersection of two convex polygons.
-
-    Returns None when the interiors share nothing at all; a degenerate
-    (point/segment) ConvexPolygon when the intersection has empty interior
-    but is non-empty; otherwise the full intersection polygon.
-    """
-    if p.is_degenerate or q.is_degenerate:
-        raise GeometryError("convex_intersection requires full polygons")
-    verts = clip_convex(p.vertices, q)
-    if not verts:
-        return None
-    return ConvexPolygon(tuple(verts))
-
-
-def polygon_area2(poly: ConvexPolygon):
-    """Twice the signed area (exact); degenerate polygons have zero."""
-    if poly.is_degenerate:
-        return 0
-    total = 0
-    verts = poly.vertices
-    for i in range(len(verts)):
-        a, b = verts[i], verts[(i + 1) % len(verts)]
-        total += a[0] * b[1] - a[1] * b[0]
-    return _as_exact(total)
+    region = region_of(subject, [none] * len(subject))
+    region = canonical(clip_region(region, region_of(clip.vertices, ()).lines, none))
+    points = [to_point(v) for v in region.vertices]
+    return sorted(points) if len(points) == 2 else points
 
 
 @dataclass(frozen=True)

@@ -159,15 +159,8 @@ class Lattice:
     def node(self, label: Iterable[int]) -> LatticeNode:
         return self.nodes[frozenset(label)]
 
-    @property
-    def first_layer(self) -> list[LatticeNode]:
-        return [self.nodes[frozenset((i,))] for i in range(1, self.m + 1)]
-
-    def labels_by_layer(self, descending: bool = False) -> list[Label]:
-        return sorted(
-            self.nodes,
-            key=lambda lb: ((-len(lb) if descending else len(lb)), label_sort_key(lb)),
-        )
+    def labels_by_layer(self) -> list[Label]:
+        return sorted(self.nodes, key=lambda lb: (len(lb), label_sort_key(lb)))
 
     def dump(self, covers: dict[Label, tuple[Label, ...]]) -> str:
         """One node per line: 'label | phi | parents | cover', layers ascending."""

@@ -4,13 +4,12 @@ Every key comparison in the library is made by a :class:`KeySpace` method
 that records it in a :class:`ComparisonLedger`.  :meth:`KeySpace.compare`
 makes one comparison.  The audited batch operations make many in one call:
 :meth:`KeySpace.reduce_classes` reduces classes of elements to their
-largest members (:meth:`KeySpace.max_of_class` reduces one class),
-:meth:`KeySpace.propagate` pushes champions from slot to slot, one or
-several layers per call, and :meth:`KeySpace.merge_sort` sorts a list of
-elements.  A batch validates its indices once, before its first
-comparison, then records each comparison as the same (i, j) pair, in the
-same order, as the equivalent sequence of :meth:`KeySpace.compare` calls
-would.
+largest members, :meth:`KeySpace.propagate` pushes champions from slot to
+slot, one or several layers per call, and :meth:`KeySpace.merge_sort`
+sorts a list of elements.  A batch validates its indices once, before its
+first comparison, then records each comparison as the same (i, j) pair,
+in the same order, as the equivalent sequence of :meth:`KeySpace.compare`
+calls would.
 
 A key space ranks its keys once, when it is built, into an int32 array.
 The two slot batches are numpy kernels over that array, run on inputs
@@ -31,6 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import chain, pairwise
+from numbers import Integral
 from typing import Collection, Iterable, Sequence
 
 import numpy as np
@@ -206,7 +206,8 @@ def compile_layer(children: Sequence[int], parents: Sequence[int]) -> Scan:
 
 
 class KeySpace:
-    """Immutable store of n pairwise-distinct integer keys.
+    """Immutable store of n pairwise-distinct integer keys (Python or
+    numpy integers; anything else is a TypeError).
 
     Indexing is stable for the lifetime of the object; ordering information
     leaks only through the audited methods and :meth:`oracle_keys`
@@ -222,6 +223,10 @@ class KeySpace:
 
     def __init__(self, keys: Iterable[int]):
         ks = tuple(keys)
+        # a float would truncate into the int dtypes below
+        if not all(issubclass(kind, Integral) for kind in set(map(type, ks))):
+            i, key = next((i, k) for i, k in enumerate(ks) if not isinstance(k, Integral))
+            raise TypeError(f"key {i} is not an integer: {key!r}")
         for dtype in (np.int32, np.int64):
             try:
                 raw = np.array(ks, dtype=dtype)
@@ -229,6 +234,7 @@ class KeySpace:
             except OverflowError:  # a key beyond this dtype
                 pass
         else:
+            ks = tuple(map(int, ks))  # numpy scalars too, so oracle keys stay ints
             raw = np.array(ks, dtype=object)
         if raw.dtype == object:
             order = sorted(range(len(ks)), key=ks.__getitem__)
@@ -272,27 +278,17 @@ class KeySpace:
         if lo < 0 or hi >= self.n:
             raise IndexError(f"element index out of range in {where}: {lo if lo < 0 else hi}")
 
-    def max_of_class(self, indices: Sequence[int], ledger: ComparisonLedger) -> int:
-        """Index of the largest key among ``indices``; exactly len-1 comparisons.
-
-        Records the pairs ``compare(idx, best)`` would, for each later index
-        against the running best.
-        """
-        if len(indices) == 0:
-            raise ValueError("max_of_class of an empty class")
-        champion = np.full(1, -1, dtype=np.int64)
-        self.reduce_classes(compile_classes(((0, indices),)), champion, ledger)
-        return int(champion[0])
-
     def reduce_classes(
         self, batch: ClassBatch, champion: np.ndarray, ledger: ComparisonLedger
     ) -> None:
-        """``champion[slot] = max_of_class(members)`` for each class of ``batch``.
+        """``champion[slot]`` = the member of largest key, for each class of
+        ``batch``.
 
         ``champion`` is an int64 array of element indices.  The batch was
         checked when it was compiled, so only ``batch.top`` is range-checked
-        here, once per call, before the first comparison; comparisons and
-        transcript equal the :meth:`max_of_class` calls', class by class.
+        here, once per call, before the first comparison.  A class costs
+        |class| - 1 comparisons, recorded class by class as ``compare(member,
+        best)`` would, for each later member against the running best.
         """
         if batch.top >= self.n:
             raise IndexError(f"element index out of range in reduce_classes: {batch.top}")

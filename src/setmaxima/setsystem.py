@@ -6,7 +6,7 @@ Elements are 0-based indices into the key space; set labels are 1-based
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
@@ -14,24 +14,22 @@ T = TypeVar("T")
 
 @dataclass(frozen=True)
 class SetSystem:
-    """A collection of distinct non-empty index sets S_1..S_m over [0..n).
-
-    ``p`` is the cached total size sum(|S_i|); it is computed on
-    construction unless explicitly supplied (validate() recomputes it).
-    """
+    """A collection of distinct non-empty index sets S_1..S_m over [0..n)."""
 
     n: int
     sets: tuple[frozenset[int], ...]
-    p: int = field(default=-1)
 
     def __post_init__(self):
         object.__setattr__(self, "sets", tuple(frozenset(s) for s in self.sets))
-        if self.p < 0:
-            object.__setattr__(self, "p", sum(len(s) for s in self.sets))
 
     @property
     def m(self) -> int:
         return len(self.sets)
+
+    @property
+    def p(self) -> int:
+        """The total size sum(|S_i|)."""
+        return sum(map(len, self.sets))
 
     def validate(self) -> list[str]:
         """Return a list of violations; empty means the system is well formed."""
@@ -49,9 +47,6 @@ class SetSystem:
                 violations.append(
                     f"set {label} has out-of-range elements: {sorted(bad)}"
                 )
-        actual_p = sum(len(s) for s in self.sets)
-        if self.p != actual_p:
-            violations.append(f"cached p={self.p} but sum of sizes is {actual_p}")
         return violations
 
     def require_valid(self) -> "SetSystem":

@@ -1,6 +1,12 @@
+import csv
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from setmaxima.bench import (
+    CSV_COLUMNS,
     BenchConfig,
     BenchRecord,
     read_csv,
@@ -105,3 +111,19 @@ def test_verify_requires_keys():
     pinst = ProblemInstance(system=system_from_lists(3, [{0, 1, 2}]))
     with pytest.raises(ValueError):
         verify_instance(pinst)
+
+
+def test_sweep_ratio_script_runs(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "sweep_ratio.py"
+    out = tmp_path / "sweep.csv"
+    done = subprocess.run(
+        [sys.executable, str(script), "--sizes", "100,300", "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()]
+    assert [(row[0], row[-1]) for row in rows if row and row[0].isdigit()] == [
+        ("100", "yes"), ("300", "yes")
+    ]
+    with out.open(newline="") as fh:
+        assert tuple(next(csv.reader(fh))) == CSV_COLUMNS

@@ -4,8 +4,8 @@
 vertices, each new vertex a ``Fraction`` line intersection, with repeats,
 straight angles and the rotation settled by exact ``orientation``.
 ``ReferenceRegions`` memoizes it along label prefixes as ``RegionCache``
-did.  Both stay here as the oracle of ``RegionCache`` and of the public
-clip functions.
+did.  Both stay here as the oracle of ``RegionCache`` and of the clip
+kernel on subjects the build never makes.
 """
 
 import random
@@ -25,10 +25,15 @@ from setmaxima.geometry import (
     ConvexPolygon,
     GeometryError,
     Point2,
-    clip_with_owners,
-    line_intersection,
+    canonical,
+    clip_convex,
+    clip_region,
+    homogeneous,
+    join,
+    meet,
     orientation,
     point_in_convex,
+    region_of,
     strict_hull,
     to_point,
 )
@@ -74,7 +79,10 @@ def _drop_collinear(verts, owners):
 
 
 def reference_clip(subject, owners, clip, clip_owner):
-    """``clip_with_owners`` as it was, on ``Fraction`` vertices."""
+    """The clip of a ``Point2`` subject by ``clip`` as it was, on
+    ``Fraction`` vertices: the points and the owners of each edge, a full
+    region rotated as ``ConvexPolygon`` stores it and a segment from its
+    least to its greatest point."""
     verts = list(subject)
     owns = list(owners)
     for a, b in clip.edges():
@@ -255,7 +263,7 @@ def test_regions_match_reference_at_the_coordinate_bound():
     assert 1 << 40 < largest[1] <= 1 << 43
 
 
-# ------------------------------------------------------------ Point2 adapters
+# ------------------------------------------------- Point2 subjects and lines
 
 
 def _random_hull(rng, span):
@@ -280,8 +288,11 @@ def test_clip_with_owners_matches_reference_on_grid_and_rational_subjects():
             subject.insert(3, mid)
         clip = ConvexPolygon(tuple(_random_hull(rng, 4)))
         owners = [frozenset({i}) for i in range(len(subject))]
-        got = clip_with_owners(subject, owners, clip, frozenset({99}))
-        assert got == reference_clip(subject, owners, clip, frozenset({99}))
+        clip_lines = region_of(clip.vertices, ()).lines
+        region = canonical(clip_region(region_of(subject, owners), clip_lines, frozenset({99})))
+        want_points, want_owners = reference_clip(subject, owners, clip, frozenset({99}))
+        assert clip_convex(subject, clip) == want_points
+        assert list(region.owners) == want_owners
 
 
 def test_line_intersection_matches_reference():
@@ -291,21 +302,22 @@ def test_line_intersection_matches_reference():
             Point2(Fraction(rng.randint(-50, 50), rng.randint(1, 4)), rng.randint(-50, 50))
             for _ in range(4)
         ]
+        a, b, c, d = map(homogeneous, pts)
+        got = meet(join(a, b), join(c, d))
         try:
             want = reference_line_intersection(*pts)
         except GeometryError:
-            with pytest.raises(GeometryError):
-                line_intersection(*pts)
+            assert got is None
             continue
-        assert line_intersection(*pts) == want
+        assert to_point(got) == want
 
 
 # ----------------------------------------------------------------- the guard
 
 
 def test_general_position_build_makes_no_fraction_vertex(monkeypatch):
-    # loading checks each input polygon once; the build checks none, turns
-    # no region into Point2 form and intersects no lines in Point2 form
+    # loading checks each input polygon once; the build checks none and
+    # turns no region into Point2 form
     inst = gen_convex_instance(n=600, m=60, k=4, seed=17)
     doc = instance_to_dict(ProblemInstance(system=geomlattice.induced_system(inst), geometry=inst))
     counts = Counter()
@@ -323,7 +335,7 @@ def test_general_position_build_makes_no_fraction_vertex(monkeypatch):
     monkeypatch.setattr(ConvexPolygon, "trusted", classmethod(trusted))
     # every binding of the Point2 conversions, wherever a module imported them
     for module in [m for name, m in sys.modules.items() if name.startswith("setmaxima")]:
-        for name in ("line_intersection", "to_point", "_ratio"):
+        for name in ("to_point", "_ratio"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     glat = build_geometric_lattice(instance_from_dict(doc).geometry)

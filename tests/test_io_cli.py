@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from setmaxima.cli import main
 from setmaxima.generators import gen_convex_instance, gen_keys
-from setmaxima.geomlattice import induced_system
+from setmaxima.geomlattice import circle_embedding, induced_system
 from setmaxima.instance_io import (
     InputError,
     ProblemInstance,
@@ -118,6 +118,20 @@ def test_cli_two_squares_verify(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "cover sizes: max=2 (k=4)" in out
     assert "fallbacks=0" in out
+
+
+def test_cli_verify_degenerate_circle_embedding(tmp_path, capsys):
+    # one- and two-member sets are point and segment polygons, and the sets nest
+    sets = [{0}, {0, 1}, {0, 1, 2, 3}, {2, 3, 4}, {5, 6, 7}, set(range(1, 8)), {7}]
+    system = system_from_lists(8, sets)
+    inst = circle_embedding(system)
+    assert sum(poly.is_degenerate for poly in inst.polygons) == 3
+    path = tmp_path / "circle.json"
+    save_instance(path, ProblemInstance(system=system, keys=gen_keys(8, 5), geometry=inst))
+    assert main(["verify", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "VERIFY PASS" in out
+    assert "fallbacks=5" in out
 
 
 def test_cli_bench_exit_1_on_bad_record(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,6 @@
 import random
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +9,13 @@ from hypothesis import strategies as st
 
 from setmaxima.order import ComparisonLedger, KeySpace, compile_classes, compile_layer
 from test_solvers import _merge_sort
+
+
+def _max_of_class(ks, members, ledger):
+    """The member of largest key, as one class of a ``reduce_classes`` batch."""
+    champion = np.full(1, -1, dtype=np.int64)
+    ks.reduce_classes(compile_classes([(0, members)]), champion, ledger)
+    return int(champion[0])
 
 
 def test_compare_greater_and_ledger():
@@ -60,14 +69,14 @@ def test_argmax_reconstruction_matches_position_of_n():
 def test_max_of_class_singleton():
     ks = KeySpace(list(range(1, 9)))
     ledger = ComparisonLedger()
-    assert ks.max_of_class([7], ledger) == 7
+    assert _max_of_class(ks, [7], ledger) == 7
     assert ledger.count == 0
 
 
 def test_max_of_class_tournament():
     ks = KeySpace([3, 1, 2])
     ledger = ComparisonLedger()
-    assert ks.max_of_class([0, 1, 2], ledger) == 0
+    assert _max_of_class(ks, [0, 1, 2], ledger) == 0
     assert ledger.count == 2
 
 
@@ -76,17 +85,19 @@ def test_max_of_class_against_raw_scan():
     keys = rng.sample(range(1, 1000), 10)
     ks = KeySpace(keys)
     ledger = ComparisonLedger()
-    got = ks.max_of_class(list(range(10)), ledger)
+    got = _max_of_class(ks, list(range(10)), ledger)
     assert got == max(range(10), key=keys.__getitem__)
     assert ledger.count == 9
 
 
 def test_max_of_class_errors():
     ks = KeySpace([1, 2])
+    ledger = ComparisonLedger()
     with pytest.raises(ValueError):
-        ks.max_of_class([], ComparisonLedger())
+        _max_of_class(ks, [], ledger)
     with pytest.raises(ValueError):
-        ks.max_of_class([0, 0], ComparisonLedger())
+        _max_of_class(ks, [0, 1, 0], ledger)
+    assert ledger.count == 0
 
 
 @given(st.permutations(list(range(1, 8))), st.data())
@@ -105,7 +116,7 @@ def test_strict_total_order_on_triples(perm, data):
 def test_transcript_records_pairs():
     ks = KeySpace([4, 1, 3, 2])
     ledger = ComparisonLedger(record_transcript=True)
-    ks.max_of_class([0, 1, 2, 3], ledger)
+    _max_of_class(ks, [0, 1, 2, 3], ledger)
     assert ledger.transcript == ((1, 0), (2, 0), (3, 0))
     assert ComparisonLedger().transcript is None
 
@@ -148,11 +159,11 @@ def test_max_of_class_range_errors():
             _compare_max(ks, indices, ComparisonLedger())
         ledger = ComparisonLedger()
         with pytest.raises(IndexError):
-            ks.max_of_class(indices, ledger)
+            _max_of_class(ks, indices, ledger)
         assert ledger.count == 0
     # unlike the per-pair path, a single out-of-range index is caught too
     with pytest.raises(IndexError):
-        ks.max_of_class([3], ComparisonLedger())
+        _max_of_class(ks, [3], ComparisonLedger())
 
 
 def test_max_of_class_transcript_equals_compare_calls():
@@ -163,7 +174,7 @@ def test_max_of_class_transcript_equals_compare_calls():
         indices = rng.sample(range(n), rng.randint(1, n))
         ledger = ComparisonLedger(record_transcript=True)
         reference = ComparisonLedger(record_transcript=True)
-        assert ks.max_of_class(indices, ledger) == _compare_max(ks, indices, reference)
+        assert _max_of_class(ks, indices, ledger) == _compare_max(ks, indices, reference)
         assert ledger.transcript == reference.transcript
         assert ledger.count == reference.count == len(indices) - 1
 
@@ -201,7 +212,7 @@ def test_reduce_classes_equals_max_of_class_calls():
         ks.reduce_classes(batch, champion, ledger)
         reference = ComparisonLedger(record_transcript=True)
         for s, members in classes:
-            assert champion[s] == ks.max_of_class(members, reference)
+            assert champion[s] == _compare_max(ks, members, reference)
         assert ledger.transcript == reference.transcript
         assert ledger.count == reference.count
 
@@ -396,11 +407,36 @@ def test_duplicate_keys_rejected_on_both_ranking_paths(keys):
         KeySpace(keys)
 
 
+@pytest.mark.parametrize("keys, bad", [
+    ([0.5, -0.5], "key 0 is not an integer: 0.5"),
+    ([1.9, 3.2], "key 0 is not an integer: 1.9"),
+    ([4, 2.0, 7], "key 1 is not an integer: 2.0"),
+    ([3, 1, np.float64(2.5)], "key 2 is not an integer"),
+    ([2**70, Fraction(1, 3)], "key 1 is not an integer"),
+], ids=["halves", "truncated", "integral-float", "numpy-float", "fraction"])
+def test_non_integer_keys_rejected_before_ranking(keys, bad):
+    # a float would truncate: [0.5, -0.5] to two equal keys, [1.9, 3.2] to (1, 3)
+    with pytest.raises(TypeError, match=re.escape(bad)):
+        KeySpace(keys)
+
+
+def test_integer_keys_of_every_kind_accepted():
+    keys = [np.int64(-7), 2**64, -(2**70), np.int32(3), 0, np.uint8(200)]
+    ks = KeySpace(keys)
+    assert ks.oracle_keys() == tuple(keys)
+    # as Python ints, which the JSON instance format can write
+    assert {type(k) for k in ks.oracle_keys()} == {int}
+    assert ks.merge_sort(range(6), ComparisonLedger()) == [2, 0, 4, 3, 5, 1]
+    small = KeySpace(iter([np.int64(5), -2, np.int16(9)]))
+    assert small.oracle_keys() == (5, -2, 9)
+    assert small.merge_sort(range(3), ComparisonLedger()) == [1, 0, 2]
+
+
 def test_keys_beyond_int64_rank_by_value():
     keys = [2**64 + 3, -(2**65), 2**63, 5, -1]
     ks = KeySpace(keys)
     ledger = ComparisonLedger(record_transcript=True)
-    assert ks.max_of_class(range(5), ledger) == 0
+    assert _max_of_class(ks, range(5), ledger) == 0
     assert ks.merge_sort(range(5), ComparisonLedger()) == [1, 4, 3, 2, 0]
     assert ledger.transcript == ((1, 0), (2, 0), (3, 0), (4, 0))
 

@@ -27,12 +27,7 @@ def test_validate_empty_set():
     assert any("empty" in v for v in violations)
 
 
-def test_validate_stale_p():
-    system = system_from_lists(3, [{0, 1}])
-    assert replace(system, p=99).validate() == ["cached p=99 but sum of sizes is 2"]
-
-
-def test_p_is_cached_sum():
+def test_p_is_the_sum_of_set_sizes():
     system = system_from_lists(4, [{0, 1}, {1, 2, 3}])
     assert system.p == 5
     assert system.m == 2
@@ -113,8 +108,9 @@ def test_require_valid_scans_once_per_valid_instance(monkeypatch):
     assert len(calls) == 1
     # the remembered success is no field: equality and copies are unchanged
     assert system == system_from_lists(3, [{0, 1}, {1, 2}])
-    with pytest.raises(ValueError):
-        replace(system, p=99).require_valid()
+    # a copy with an element out of range does not inherit the success
+    with pytest.raises(ValueError, match="out-of-range"):
+        replace(system, n=2).require_valid()
 
 
 def test_require_valid_raises_on_every_call():

@@ -324,7 +324,7 @@ def reference_solve_lattice(system, keys, cover_mode="greedy", ledger=None, preb
         phi = lattice.nodes[label].phi
         champion[label] = _reference_max(keys, sorted(phi), ledger) if phi else None
     prev_layer = None
-    for label in lattice.labels_by_layer(descending=True):
+    for label in sorted(lattice.nodes, key=lambda lb: (-len(lb), label_sort_key(lb))):
         if len(label) < 2:
             continue
         if debug_check and len(label) != prev_layer:
