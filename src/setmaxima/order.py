@@ -12,17 +12,20 @@ in the same order, as the equivalent sequence of :meth:`KeySpace.compare`
 calls would.
 
 A key space ranks its keys once, when it is built, into an int32 array.
-The two slot batches are numpy kernels over that array, run on inputs
-compiled once and without keys (:func:`compile_classes`,
-:func:`compile_layer`) into a :class:`Scan`: one run of buffer positions
-per segment, laid out so that a single ``np.maximum.accumulate`` gives the
-running maximum of every segment at once (a segmented scan; Blelloch,
-"Prefix sums and their applications", CMU-CS-90-190, 1990).  The running
-maximum just before a push is the champion the push meets, so the counts
-and the transcript come from the same arrays as the champions.  Raw key
-values are private; the single unaudited escape hatch is
-:meth:`KeySpace.oracle_keys`, which exists only for brute-force oracles
-and tests.
+Every batch is a numpy kernel over that array, run on inputs compiled once
+and without keys (:func:`compile_classes`, :func:`compile_layer`,
+:func:`compile_sort`).  The two slot batches run on a :class:`Scan`: one
+run of buffer positions per segment, laid out so that a single
+``np.maximum.accumulate`` gives the running maximum of every segment at
+once (a segmented scan; Blelloch, "Prefix sums and their applications",
+CMU-CS-90-190, 1990).  The running maximum just before a push is the
+champion the push meets, so the counts and the transcript come from the
+same arrays as the champions.  A merge sort runs on a :class:`SortBatch`,
+its split tree one depth at a time: a merge compares until the half with
+the smaller maximum runs out, so one ``np.maximum.reduceat`` per depth
+counts every merge of that depth.  Raw key values are private; the single
+unaudited escape hatch is :meth:`KeySpace.oracle_keys`, which exists only
+for brute-force oracles and tests.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import random
 from dataclasses import dataclass
 from itertools import chain, pairwise
 from numbers import Integral
-from typing import Collection, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -205,6 +208,100 @@ def compile_layer(children: Sequence[int], parents: Sequence[int]) -> Scan:
     return _scan(source, counts + 1, targets, pushes)
 
 
+@dataclass(frozen=True, eq=False)
+class SortBatch:
+    """Items compiled for :meth:`KeySpace.merge_sort`.
+
+    Merge sort splits a run at ``len // 2``, so which positions of ``items``
+    each merge meets depends only on their number.  ``levels`` holds the
+    split tree one depth at a time, root first, as (``bounds``,
+    ``partner``, ``lengths``): the positions are cut into consecutive
+    segments that start at ``bounds`` and have ``lengths``.  A segment is
+    one half of a run that merges at that depth, and ``partner[s]`` is the
+    other half, or a run of one, which does not merge and is its own
+    partner.  ``size`` is the summed length of every run that merges;
+    ``top`` is the largest item (-1 without items).
+    """
+
+    items: np.ndarray
+    levels: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    size: int
+    top: int
+
+
+def compile_sort(items: Iterable[int]) -> SortBatch:
+    """Compile the items of one merge sort into a :class:`SortBatch`.
+
+    The items must be distinct (else ValueError) and non-negative (else
+    IndexError), so a sort only range-checks ``top`` against its keys.
+    """
+    items = np.fromiter(items, np.int64)
+    if items.size and items.min() < 0:
+        raise IndexError(f"negative index in a sort batch: {items.min()}")
+    if np.unique(items).size != items.size:
+        raise ValueError("merge_sort items contain duplicates")
+    levels = []
+    size = 0
+    starts = np.zeros(1, dtype=np.int64)
+    lengths = np.array([items.size], dtype=np.int64)
+    while lengths.max() > 1:
+        # the runs of this depth, each cut into its two halves if it merges
+        merges = lengths > 1
+        cuts = 1 + merges
+        first = np.cumsum(cuts) - cuts
+        left = first[merges]
+        bounds = np.empty(int(cuts.sum()), dtype=np.int64)
+        bounds[first] = starts
+        bounds[left + 1] = starts[merges] + lengths[merges] // 2
+        partner = np.arange(bounds.size)
+        partner[left], partner[left + 1] = left + 1, left
+        size += int(lengths[merges].sum())
+        starts, lengths = bounds, np.diff(bounds, append=items.size)
+        levels.append((bounds, partner, lengths))
+    top = int(items.max()) if items.size else -1
+    return SortBatch(items, tuple(levels), size, top)
+
+
+def _merge_pairs(rank: np.ndarray, batch: SortBatch) -> Iterable[tuple[int, int]]:
+    """The (left head, right head) pair of every comparison of a merge sort
+    of ``batch`` over ``rank``, the ranks of its items, in recursion order.
+
+    At each depth, one sort by (run, rank) merges every run at once.  Step t
+    of a run compares while both halves still have an element at merged
+    position t or later; its heads are the first such element of each half,
+    which a reverse running minimum finds.  The recursion finishes a run
+    after every run that ends before it and every deeper run that ends with
+    it, so the pairs go out by (run end, depth from the bottom).
+    """
+    positions = np.arange(rank.size)
+    depths = len(batch.levels)
+    keys, lefts, rights = [], [], []
+    for depth, (bounds, partner, lengths) in enumerate(batch.levels):
+        segment = np.repeat(np.arange(bounds.size), lengths)
+        mate = partner[segment]
+        merged = np.lexsort((rank, np.minimum(segment, mate)))
+        # > 0 in a left half, < 0 in a right half, 0 in a run of one
+        side = (mate - segment)[merged]
+        # runs fill the same positions before and after the merge
+        end = (bounds + lengths)[np.maximum(segment, mate)]
+        head = []
+        for half in (side > 0, side < 0):
+            ahead = np.where(half, positions, rank.size)[::-1]
+            head.append(np.minimum.accumulate(ahead)[::-1])
+        step = np.flatnonzero((head[0] < end) & (head[1] < end))
+        keys.append(end[step] * (depths + 1) + (depths - depth))
+        lefts.append(merged[head[0][step]])
+        rights.append(merged[head[1][step]])
+    if not keys:
+        return ()
+    order = np.argsort(np.concatenate(keys), kind="stable")
+    items = batch.items
+    return zip(
+        items[np.concatenate(lefts)[order]].tolist(),
+        items[np.concatenate(rights)[order]].tolist(),
+    )
+
+
 class KeySpace:
     """Immutable store of n pairwise-distinct integer keys (Python or
     numpy integers; anything else is a TypeError).
@@ -270,13 +367,6 @@ class KeySpace:
             raise IndexError(f"element index out of range: compare({i}, {j})")
         ledger.note(i, j)
         return -1 if self._rank[i] < self._rank[j] else 1
-
-    def _require_in_range(self, indices: Collection[int], where: str) -> None:
-        if not indices:
-            return
-        lo, hi = min(indices), max(indices)
-        if lo < 0 or hi >= self.n:
-            raise IndexError(f"element index out of range in {where}: {lo if lo < 0 else hi}")
 
     def reduce_classes(
         self, batch: ClassBatch, champion: np.ndarray, ledger: ComparisonLedger
@@ -355,60 +445,37 @@ class KeySpace:
     ) -> None:
         ledger._transcript.extend(zip(element[pushed].tolist(), element[met].tolist()))
 
-    def merge_sort(self, items: Iterable[int], ledger: ComparisonLedger) -> list[int]:
-        """``items`` in ascending key order, by top-down merge sort.
+    def merge_sort(
+        self, items: SortBatch | Iterable[int], ledger: ComparisonLedger
+    ) -> list[int]:
+        """The items of a :class:`SortBatch` (or of an iterable, compiled by
+        :func:`compile_sort`) in ascending key order, by top-down merge sort.
 
         A run splits at ``len // 2`` and sorts its left half first; each merge
-        compares the heads of its two halves, recorded as
-        ``compare(left head, right head)`` would.  The items must be distinct
-        and in range, which is checked before the first comparison.
+        compares the heads of its two halves, recorded as ``compare(left head,
+        right head)`` would.  The batch was checked when it was compiled, so
+        only ``batch.top`` is range-checked here, before the first comparison.
+
+        A merge compares until one half runs out, which happens at the smaller
+        of the two half maxima, so it costs |run| less the elements of the run
+        above that maximum.  Each level of the split tree is one
+        ``np.maximum.reduceat`` over the item ranks and one count of the
+        elements above their run's threshold; the sorted order itself is an
+        argsort of the ranks.
         """
-        items = list(items)
-        if len(set(items)) != len(items):
-            raise ValueError("merge_sort items contain duplicates")
-        self._require_in_range(items, "merge_sort")
-        keys = self._rank.tolist()
-        transcript = ledger._transcript
-        count = 0
-
-        def sort(run: list[int]) -> list[int]:
-            nonlocal count
-            size = len(run)
-            if size <= 1:
-                return run
-            mid = size // 2
-            left, right = sort(run[:mid]), sort(run[mid:])
-            out: list[int] = []
-            take = out.append
-            i = j = 0
-            a, b = left[0], right[0]
-            a_key, b_key = keys[a], keys[b]
-            while True:
-                if transcript is not None:
-                    transcript.append((a, b))
-                if a_key < b_key:
-                    take(a)
-                    i += 1
-                    if i == mid:
-                        break
-                    a = left[i]
-                    a_key = keys[a]
-                else:
-                    take(b)
-                    j += 1
-                    if j == size - mid:
-                        break
-                    b = right[j]
-                    b_key = keys[b]
-            # every comparison moved one head to the output
-            count += i + j
-            out += left[i:]
-            out += right[j:]
-            return out
-
-        result = sort(items)
-        ledger.count += count
-        return result
+        batch = items if isinstance(items, SortBatch) else compile_sort(items)
+        if batch.top >= self.n:
+            raise IndexError(f"element index out of range in merge_sort: {batch.top}")
+        rank = self._rank[batch.items]
+        tails = 0
+        for bounds, partner, lengths in batch.levels:
+            halves = np.maximum.reduceat(rank, bounds)
+            ends = np.minimum(halves, halves[partner])
+            tails += int(np.count_nonzero(rank > np.repeat(ends, lengths)))
+        ledger.count += batch.size - tails
+        if ledger._transcript is not None:
+            ledger._transcript.extend(_merge_pairs(rank, batch))
+        return batch.items[rank.argsort()].tolist()
 
     def oracle_keys(self) -> tuple[int, ...]:
         """Unaudited raw key access. Oracle and test use only: production

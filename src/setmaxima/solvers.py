@@ -19,6 +19,15 @@ first comparison.  One :meth:`~setmaxima.order.KeySpace.propagate` then
 pushes every layer, deepest first.  Both run as array kernels over the
 key space's ranks, so a solve makes no Python call per comparison.
 
+The sort baseline's split tree depends only on n: ``solve_sort`` compiles
+a :class:`SortPlan` (the sort batch of all n elements and the sets'
+members end to end) on its first solve over a
+:class:`~setmaxima.setsystem.SetSystem` and remembers it on that system.
+Each solve is one :meth:`~setmaxima.order.KeySpace.merge_sort` of the
+plan's batch, a numpy kernel over the ranks with no Python call per
+comparison, and one ``np.maximum.reduceat`` over the members for the
+maxima.
+
 Grouping elements by signature is key-independent too: ``solve_bucket``
 compiles the grouping into a :class:`BucketPlan` on its first solve over a
 :class:`~setmaxima.setsystem.SetSystem`, remembers it on that (frozen)
@@ -42,7 +51,16 @@ from .lattice import (
     good_covers,
     label_sort_key,
 )
-from .order import ClassBatch, ComparisonLedger, KeySpace, Scan, compile_classes, compile_layer
+from .order import (
+    ClassBatch,
+    ComparisonLedger,
+    KeySpace,
+    Scan,
+    SortBatch,
+    compile_classes,
+    compile_layer,
+    compile_sort,
+)
 from .setsystem import SetSystem
 
 
@@ -88,28 +106,53 @@ def sort_comparison_bound(n: int) -> int:
     return n * (n - 1).bit_length() if n > 1 else 0
 
 
+@dataclass(frozen=True, eq=False)
+class SortPlan:
+    """Key-independent schedule of a sort solve over one set system: the
+    sort batch of all n elements (see :class:`~setmaxima.order.SortBatch`),
+    and every set's members end to end in ``members``, set i from
+    ``starts[i - 1]`` on."""
+
+    batch: SortBatch
+    members: np.ndarray
+    starts: np.ndarray
+
+
+def _compile_sort_plan(system: SetSystem) -> SortPlan:
+    lengths = np.fromiter(map(len, system.sets), np.int64, system.m)
+    members = np.fromiter(chain.from_iterable(system.sets), np.int64, system.p)
+    return SortPlan(compile_sort(range(system.n)), members, np.cumsum(lengths) - lengths)
+
+
+def sort_plan(system: SetSystem) -> SortPlan:
+    """The system's sort plan, compiled on first use and remembered on the
+    system (see :meth:`SetSystem.compiled`)."""
+    return system.compiled(_compile_sort_plan)
+
+
 def solve_sort(
     system: SetSystem, keys: KeySpace, ledger: ComparisonLedger | None = None
 ) -> MaximaResult:
-    """Sort all of X with one audited :meth:`KeySpace.merge_sort`, then
-    answer every set for free.
+    """Sort all of X with one audited :meth:`KeySpace.merge_sort` of the
+    system's :class:`SortPlan` batch, then answer every set for free.
 
-    After sorting, each element's rank is known, so per-set maxima are
-    membership lookups with zero further comparisons.
+    After sorting, each element's place in the order is known, so a set's
+    maximum is its member of the latest place: one ``np.maximum.reduceat``
+    over the plan's members answers every set, with no further comparison.
     """
     system.require_valid()
     ledger = ledger if ledger is not None else ComparisonLedger()
     start = ledger.count
-    order = keys.merge_sort(range(system.n), ledger)
-    rank = [0] * system.n
-    for r, e in enumerate(order):
-        rank[e] = r
-    maxima = tuple(max(s, key=rank.__getitem__) for s in system.sets)
+    plan = sort_plan(system)
+    order = np.fromiter(keys.merge_sort(plan.batch, ledger), np.int64, system.n)
     used = ledger.count - start
     bound = sort_comparison_bound(system.n)
     if used > bound:
         raise AssertionError(f"merge sort used {used} > bound {bound}")
-    return MaximaResult("sort", maxima, used, bound)
+    place = np.empty(system.n, dtype=np.int64)
+    place[order] = np.arange(system.n)
+    maxima = order[np.maximum.reduceat(place[plan.members], plan.starts)]
+    return MaximaResult("sort", tuple(maxima.tolist()), used, bound)
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,7 +8,6 @@ import pytest
 from setmaxima.bench import (
     CSV_COLUMNS,
     BenchConfig,
-    BenchRecord,
     read_csv,
     run_bench,
     verify_instance,

@@ -9,7 +9,6 @@ from setmaxima.geometry import (
     BOUNDARY,
     INSIDE,
     OUTSIDE,
-    Chain,
     ConvexPolygon,
     GeometryError,
     Point2,

@@ -28,7 +28,6 @@ from setmaxima.geomlattice import (
     check_cover_chains,
     check_owner_chains,
     circle_embedding,
-    geometric_cover,
     induced_membership,
     induced_system,
     owner_chains,

@@ -17,7 +17,7 @@ from itertools import combinations
 import pytest
 from corpora import mixed_circle_embeddings, tangency_heavy_instances
 
-from setmaxima import geometry, geomlattice
+from setmaxima import geomlattice
 from setmaxima.generators import gen_convex_instance
 from setmaxima.geometry import (
     COORD_BOUND,

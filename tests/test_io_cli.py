@@ -14,7 +14,6 @@ from setmaxima.instance_io import (
     InputError,
     ProblemInstance,
     instance_from_dict,
-    instance_to_dict,
     load_instance,
     save_instance,
 )

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setmaxima.order import ComparisonLedger, KeySpace, compile_classes, compile_layer
+from setmaxima.order import (
+    ComparisonLedger,
+    KeySpace,
+    compile_classes,
+    compile_layer,
+    compile_sort,
+)
 from test_solvers import _merge_sort
 
 
@@ -426,10 +432,10 @@ def test_integer_keys_of_every_kind_accepted():
     assert ks.oracle_keys() == tuple(keys)
     # as Python ints, which the JSON instance format can write
     assert {type(k) for k in ks.oracle_keys()} == {int}
-    assert ks.merge_sort(range(6), ComparisonLedger()) == [2, 0, 4, 3, 5, 1]
+    assert ks.merge_sort(compile_sort(range(6)), ComparisonLedger()) == [2, 0, 4, 3, 5, 1]
     small = KeySpace(iter([np.int64(5), -2, np.int16(9)]))
     assert small.oracle_keys() == (5, -2, 9)
-    assert small.merge_sort(range(3), ComparisonLedger()) == [1, 0, 2]
+    assert small.merge_sort(compile_sort(range(3)), ComparisonLedger()) == [1, 0, 2]
 
 
 def test_keys_beyond_int64_rank_by_value():
@@ -437,7 +443,7 @@ def test_keys_beyond_int64_rank_by_value():
     ks = KeySpace(keys)
     ledger = ComparisonLedger(record_transcript=True)
     assert _max_of_class(ks, range(5), ledger) == 0
-    assert ks.merge_sort(range(5), ComparisonLedger()) == [1, 4, 3, 2, 0]
+    assert ks.merge_sort(compile_sort(range(5)), ComparisonLedger()) == [1, 4, 3, 2, 0]
     assert ledger.transcript == ((1, 0), (2, 0), (3, 0), (4, 0))
 
 
@@ -475,3 +481,50 @@ def test_merge_sort_errors_before_any_comparison():
     # unlike the per-pair path, a single out-of-range index is caught too
     with pytest.raises(IndexError):
         ks.merge_sort([3], ComparisonLedger())
+
+
+# sizes around powers of two, where the split tree gains a level
+_SORT_SIZES = st.one_of(
+    st.integers(0, 300),
+    st.sampled_from([2**j + d for j in range(1, 11) for d in (-1, 0, 1)]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SORT_SIZES, st.integers(0, 40), st.randoms(use_true_random=False))
+def test_merge_sort_kernel_equals_per_pair_reference(size, spare, rng):
+    # a shuffled subset of a larger key space: neither contiguous nor in order
+    ks = KeySpace.random(size + spare, rng.randrange(2**32))
+    items = rng.sample(range(size + spare), size)
+    ledger = ComparisonLedger(record_transcript=True)
+    reference = ComparisonLedger(record_transcript=True)
+    assert ks.merge_sort(compile_sort(items), ledger) == _merge_sort(items, ks, reference)
+    assert ledger.count == reference.count
+    assert ledger.transcript == reference.transcript
+
+
+def test_compiled_sort_batch_errors_before_any_comparison():
+    ks = KeySpace.random(6, 1)
+    for items, error in (
+        ([2, 5, 2], ValueError),
+        ([0, 0], ValueError),
+        ([-1, 3], IndexError),
+        ([4, -7, 1], IndexError),
+        ([6], IndexError),
+        ([0, 1, 2, 3, 4, 5, 6], IndexError),
+        ([9, 0], IndexError),
+    ):
+        ledger = ComparisonLedger(record_transcript=True)
+        with pytest.raises(error):
+            ks.merge_sort(compile_sort(items), ledger)
+        with pytest.raises(error):
+            ks.merge_sort(items, ledger)
+        assert ledger.count == 0 and ledger.transcript == ()
+    # a batch compiled for a larger key space is refused by a smaller one
+    batch = compile_sort(range(7))
+    ledger = ComparisonLedger(record_transcript=True)
+    with pytest.raises(IndexError):
+        ks.merge_sort(batch, ledger)
+    assert ledger.count == 0 and ledger.transcript == ()
+    larger = KeySpace.random(7, 1)
+    assert larger.merge_sort(batch, ledger) == sorted(range(7), key=larger.oracle_keys().__getitem__)

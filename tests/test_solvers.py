@@ -1,9 +1,9 @@
-import math
 import random
 from dataclasses import replace
 
 import pytest
 
+from setmaxima import solvers
 from setmaxima.generators import gen_convex_instance, gen_keys, gen_random_system
 from setmaxima.geomlattice import build_geometric_lattice, induced_system, solve_lattice_geometric
 from setmaxima.lattice import build_lattice, compute_parents, good_covers, label_sort_key
@@ -19,6 +19,7 @@ from setmaxima.solvers import (
     solve_lattice,
     solve_sort,
     sort_comparison_bound,
+    sort_plan,
 )
 
 
@@ -530,6 +531,48 @@ def test_bucket_plan_is_compiled_once_and_reused(monkeypatch):
             _assert_same_run(got, want)
         assert bucket_comparison_bound(system) == plan.bound == want[0].bound
         assert bucket_plan(system) is plan
+
+
+def test_sort_plan_is_compiled_once_and_reused(monkeypatch):
+    makers = [lambda system=system: system
+              for _, system in _seeded_systems(12, n_max=60, offset=400)]
+    makers.append(
+        lambda: build_geometric_lattice(gen_convex_instance(n=150, m=12, k=4, seed=7)).system
+    )
+    compile_sort = solvers.compile_sort
+    for index, make in enumerate(makers):
+        compiled_for = []
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                solvers, "compile_sort",
+                lambda items: compiled_for.append(items) or compile_sort(items),
+            )
+            system = make()
+            runs = []
+            for rep in range(20):
+                keys = gen_keys(system.n, 100 * index + rep)
+                runs.append((keys, _transcribed(solve_sort, system, keys)))
+            plan = sort_plan(system)
+        assert compiled_for == [range(system.n)]
+        for keys, got in runs:
+            _assert_same_run(got, _transcribed(reference_solve_sort, system, keys))
+        assert sort_plan(system) is plan
+
+
+def test_sort_without_sets_and_with_elements_in_no_set():
+    for system in (
+        system_from_lists(0, []),
+        system_from_lists(5, []),
+        # elements 0, 2, 3, 5 and 7 lie in no set
+        system_from_lists(8, [{1, 4}, {4, 6}, {6}]),
+        system_from_lists(9, [{8}]),
+    ):
+        for seed in range(6):
+            keys = gen_keys(system.n, seed)
+            got = _transcribed(solve_sort, system, keys)
+            _assert_same_run(got, _transcribed(reference_solve_sort, system, keys))
+            assert got[0].maxima == solve_bruteforce(system, keys).maxima
+            assert len(got[0].maxima) == system.m
 
 
 def test_keys_shorter_than_system_raise_like_reference():
