@@ -24,7 +24,11 @@ class GenerationError(Exception):
 
 
 def gen_keys(n: int, seed: int) -> KeySpace:
-    return KeySpace.random(n, seed)
+    """A seeded random permutation of 1..n as keys."""
+    rng = random.Random(seed)
+    keys = list(range(1, n + 1))
+    rng.shuffle(keys)
+    return KeySpace(keys)
 
 
 def gen_random_system(n: int, m: int, density: float, seed: int) -> SetSystem:

@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .order import ClassBatch, Scan, compile_classes, compile_layer
+from .order import Scan, compile_classes, compile_layer
 from .setsystem import SetSystem
 
 
@@ -74,21 +74,20 @@ class SolvePlan:
     """Key-independent schedule of one lattice solve over fixed covers.
 
     Slots number the lattice labels in ``labels_by_layer()`` order.
-    ``classes`` holds every non-empty class, by slot: the one-member ones
-    as its seed, which needs no comparison, the larger ones sorted (see
-    :class:`~setmaxima.order.ClassBatch`).  ``layers`` holds (layer, push
-    layer) for layers >= 2, deepest first; a layer pushes each node's slot
-    into the slots of its cover members, nodes in slot order and members
-    in cover order (see :func:`~setmaxima.order.compile_layer`).
+    ``classes`` holds every non-empty class, by slot, members sorted (see
+    :func:`~setmaxima.order.compile_classes`).  ``layers`` holds (layer,
+    push layer) for layers >= 2, deepest first; a layer pushes each node's
+    slot into the slots of its cover members, nodes in slot order and
+    members in cover order (see :func:`~setmaxima.order.compile_layer`).
     ``outputs`` is the slot of the singleton {i} for i = 1..m, and
     ``budget`` is n + sum(|cover|).  Class members come from frozensets, so
     they are duplicate-free; compiling checks they are non-negative, and
-    ``classes.top`` is the largest member of every class, so a solve
-    range-checks every index it can return at once.
+    ``classes.span`` is one more than the largest member of every class, so
+    a solve range-checks every index it can return at once.
     """
 
     labels: tuple[Label, ...]
-    classes: ClassBatch
+    classes: Scan
     layers: tuple[tuple[int, Scan], ...]
     outputs: np.ndarray
     budget: int

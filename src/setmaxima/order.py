@@ -3,34 +3,34 @@
 Every key comparison in the library is made by a :class:`KeySpace` method
 that records it in a :class:`ComparisonLedger`.  :meth:`KeySpace.compare`
 makes one comparison.  The audited batch operations make many in one call:
-:meth:`KeySpace.reduce_classes` reduces classes of elements to their
-largest members, :meth:`KeySpace.propagate` pushes champions from slot to
-slot, one or several layers per call, and :meth:`KeySpace.merge_sort`
-sorts a list of elements.  A batch validates its indices once, before its
-first comparison, then records each comparison as the same (i, j) pair,
-in the same order, as the equivalent sequence of :meth:`KeySpace.compare`
-calls would.
+:meth:`KeySpace.propagate` reduces classes of elements to their largest
+members, one per slot, then pushes those champions from slot to slot, any
+number of layers in order, and returns every slot's champion;
+:meth:`KeySpace.merge_sort` sorts a list of elements.  A batch validates
+its indices once, before its first comparison, then records each
+comparison as the same (i, j) pair, in the same order, as the equivalent
+sequence of :meth:`KeySpace.compare` calls would.
 
 A key space ranks its keys once, when it is built, into an int32 array.
 Every batch is a numpy kernel over that array, run on inputs compiled once
 and without keys (:func:`compile_classes`, :func:`compile_layer`,
-:func:`compile_sort`).  The two slot batches run on a :class:`Scan`: one
-run of buffer positions per segment, laid out so that a single
-``np.maximum.accumulate`` gives the running maximum of every segment at
-once (a segmented scan; Blelloch, "Prefix sums and their applications",
-CMU-CS-90-190, 1990).  The running maximum just before a push is the
-champion the push meets, so the counts and the transcript come from the
-same arrays as the champions.  A merge sort runs on a :class:`SortBatch`,
-its split tree one depth at a time: a merge compares until the half with
-the smaller maximum runs out, so one ``np.maximum.reduceat`` per depth
-counts every merge of that depth.  Raw key values are private; the single
-unaudited escape hatch is :meth:`KeySpace.oracle_keys`, which exists only
-for brute-force oracles and tests.
+:func:`compile_sort`).  The classes and each push layer are a
+:class:`Scan`: one run of buffer positions per segment, laid out so that a
+single ``np.maximum.accumulate`` gives the running maximum of every
+segment at once (a segmented scan; Blelloch, "Prefix sums and their
+applications", CMU-CS-90-190, 1990).  The running maximum just before a
+push is the champion the push meets, so the counts and the transcript come
+from the same arrays as the champions.  A merge sort runs on a
+:class:`SortBatch`, its split tree one depth at a time: a merge compares
+until the half with the smaller maximum runs out, so one
+``np.maximum.reduceat`` per depth counts every merge of that depth.  Raw
+key values are private; the single unaudited escape hatch is
+:meth:`KeySpace.oracle_keys`, which exists only for brute-force oracles
+and tests.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import chain, pairwise
 from numbers import Integral
@@ -114,63 +114,35 @@ def _meet(rank: np.ndarray, scan: Scan) -> tuple[np.ndarray, np.ndarray, np.ndar
     return run, rank[scan.pushes], run[scan.pushes - 1] & _RANK
 
 
-@dataclass(frozen=True, eq=False)
-class ClassBatch:
-    """Classes compiled for :meth:`KeySpace.reduce_classes`.
+def compile_classes(classes: Iterable[tuple[int, Sequence[int]]]) -> Scan:
+    """Compile (slot, members) pairs into the class :class:`Scan` of
+    :meth:`KeySpace.propagate`.
 
-    A one-member class needs no comparison: its member is written to its
-    slot (``seed_slots`` receive ``seed_members``).  Each larger class is
-    one segment of ``scan``, members in the given order, starting at
-    ``starts``: the first member heads it and every later one costs one
-    comparison.  ``top`` is the largest member of any class, one-member
-    classes included (-1 without classes).
+    Each class is one segment, its members in the given order: the first
+    heads it and every later one costs one comparison, so a one-member
+    class is a segment without a push.  Its final maximum goes to the
+    class's slot.  Every class must be non-empty (else ValueError) and
+    duplicate-free (else ValueError), and slots and members must be
+    non-negative (else IndexError), so a call only range-checks ``span``,
+    one more than the largest member, against its keys.
     """
-
-    seed_slots: np.ndarray
-    seed_members: np.ndarray
-    scan: Scan
-    starts: np.ndarray
-    top: int
-
-    @property
-    def count(self) -> int:
-        """The comparisons of one reduction: sum(|class| - 1)."""
-        return int(self.scan.pushes.size)
-
-
-def compile_classes(classes: Iterable[tuple[int, Sequence[int]]]) -> ClassBatch:
-    """Compile (slot, members) pairs into a :class:`ClassBatch`.
-
-    Every class must be non-empty (else ValueError) and duplicate-free
-    (else ValueError), and slots and members must be non-negative (else
-    IndexError), so a reduction only range-checks ``top`` against its keys.
-    """
-    seeds: list[tuple[int, int]] = []
     slots: list[int] = []
     runs: list[Sequence[int]] = []
     for slot, members in classes:
         if len(members) == 0:
             raise ValueError(f"the class of slot {slot} is empty")
-        if len(members) == 1:
-            seeds.append((slot, members[0]))
-        else:
-            slots.append(slot)
-            runs.append(members)
+        slots.append(slot)
+        runs.append(members)
     lengths = np.fromiter(map(len, runs), np.int64, len(runs))
     source = np.fromiter(chain.from_iterable(runs), np.int64, int(lengths.sum()))
     scan = _scan(source, lengths, np.array(slots, dtype=np.int64))
-    starts = np.cumsum(lengths) - lengths
     order = np.lexsort((source, scan.offset))
     if np.any((np.diff(scan.offset[order]) == 0) & (np.diff(source[order]) == 0)):
         raise ValueError("a class holds an element twice")
-    seed_slots = np.array([slot for slot, _ in seeds], dtype=np.int64)
-    seed_members = np.array([member for _, member in seeds], dtype=np.int64)
-    indices = np.concatenate((seed_slots, seed_members, scan.targets, source))
+    indices = np.concatenate((scan.targets, source))
     if indices.size and indices.min() < 0:
         raise IndexError(f"negative index in a class batch: {indices.min()}")
-    members = np.concatenate((seed_members, source))
-    top = int(members.max()) if members.size else -1
-    return ClassBatch(seed_slots, seed_members, scan, starts, top)
+    return scan
 
 
 def compile_layer(children: Sequence[int], parents: Sequence[int]) -> Scan:
@@ -351,14 +323,6 @@ class KeySpace:
     def n(self) -> int:
         return len(self._raw)
 
-    @classmethod
-    def random(cls, n: int, seed: int) -> "KeySpace":
-        """A random permutation of 1..n."""
-        rng = random.Random(seed)
-        keys = list(range(1, n + 1))
-        rng.shuffle(keys)
-        return cls(keys)
-
     def compare(self, i: int, j: int, ledger: ComparisonLedger) -> int:
         """Return -1 if key i < key j, +1 if key i > key j; costs one comparison."""
         if i == j:
@@ -368,58 +332,45 @@ class KeySpace:
         ledger.note(i, j)
         return -1 if self._rank[i] < self._rank[j] else 1
 
-    def reduce_classes(
-        self, batch: ClassBatch, champion: np.ndarray, ledger: ComparisonLedger
-    ) -> None:
-        """``champion[slot]`` = the member of largest key, for each class of
-        ``batch``.
-
-        ``champion`` is an int64 array of element indices.  The batch was
-        checked when it was compiled, so only ``batch.top`` is range-checked
-        here, once per call, before the first comparison.  A class costs
-        |class| - 1 comparisons, recorded class by class as ``compare(member,
-        best)`` would, for each later member against the running best.
-        """
-        if batch.top >= self.n:
-            raise IndexError(f"element index out of range in reduce_classes: {batch.top}")
-        champion[batch.seed_slots] = batch.seed_members
-        scan = batch.scan
-        rank = self._rank[scan.source]
-        # a class's largest (rank, member) pair names its champion
-        key = rank.astype(np.int64) << 32
-        key |= scan.source
-        champion[scan.targets] = np.maximum.reduceat(key, batch.starts) & _RANK
-        ledger.count += batch.count
-        if ledger._transcript is not None:
-            _, pushed, met = _meet(rank, scan)
-            self._record(ledger, self._elements(rank, scan.source), pushed, met)
-
     def propagate(
-        self, layers: Iterable[Scan], champion: np.ndarray, ledger: ComparisonLedger
-    ) -> None:
-        """Run compiled push layers (see :func:`compile_layer`) in order.
+        self, classes: Scan, layers: Iterable[Scan], ledger: ComparisonLedger
+    ) -> np.ndarray:
+        """Reduce ``classes`` (see :func:`compile_classes`) into their slots,
+        then run compiled push layers (see :func:`compile_layer`) in order.
 
-        ``champion`` is an int64 array mapping slots to element indices, -1
-        for an empty slot, and is updated in place.  A push that meets a
-        champion costs one comparison, recorded as ``compare(pushed,
-        champion)`` would; absorbing into an empty slot is free, and so is
-        meeting the same element again after it arrived on another path.
-        Every index in ``champion`` is range-checked once, before the first
-        comparison.  Pushes only move those indices between slots, so
-        several layers, deepest first, may share one call.
+        Returns the champion of every slot, up to the largest slot that a
+        class or a layer names, as an int64 array of element indices with -1
+        for an empty slot.  A class costs |class| - 1 comparisons, recorded
+        class by class as ``compare(member, best)`` would, for each later
+        member against the running best.  A push that meets a champion costs
+        one comparison, recorded as ``compare(pushed, champion)`` would;
+        absorbing into an empty slot is free, and so is meeting the same
+        element again after it arrived on another path.  Pushes only move
+        class champions between slots, and the classes were checked when they
+        were compiled, so only ``classes.span`` is range-checked, once, before
+        the first comparison.
         """
+        if classes.span > self.n:
+            raise IndexError(f"element index out of range in propagate: {classes.span - 1}")
         layers = tuple(layers)
-        if champion.size:
-            lo, hi = int(champion.min()), int(champion.max())
-            if lo < -1 or hi >= self.n:
-                raise IndexError(
-                    f"element index out of range in propagate: {lo if lo < -1 else hi}"
-                )
-        span = max((layer.span for layer in layers), default=0)
-        if span > champion.size:
-            raise IndexError(f"slot out of range in propagate: {span - 1}")
-        rank = self._rank[champion]
-        element = self._elements(rank, champion)
+        slots = max([int(classes.targets.max(initial=-1)) + 1, *(layer.span for layer in layers)])
+        # rank r (1-based, as ``_rank`` holds them) is held by element[r];
+        # rank 0, the empty slot, by -1
+        rank = np.zeros(slots, dtype=np.int32)
+        element = np.empty(self.n + 1, dtype=np.int64)
+        element[0] = -1
+        members = self._rank[classes.source]
+        # a class's largest (rank, member) pair names its champion
+        key = members.astype(np.int64) << 32
+        key |= classes.source
+        best = np.maximum.reduceat(key, np.concatenate(([0], classes.ends + 1))[:-1])
+        rank[classes.targets] = best >> 32
+        element[best >> 32] = best & _RANK
+        ledger.count += int(classes.pushes.size)
+        if ledger._transcript is not None:
+            element[members] = classes.source
+            _, pushed, met = _meet(members, classes)
+            self._record(ledger, element, pushed, met)
         for layer in layers:
             run, pushed, met = _meet(rank[layer.source], layer)
             # a push compares unless it or the champion it meets is empty
@@ -429,15 +380,7 @@ class KeySpace:
             if ledger._transcript is not None:
                 self._record(ledger, element, pushed[compared], met[compared])
             rank[layer.targets] = run[layer.ends] & _RANK
-        champion[:] = element[rank]
-
-    def _elements(self, rank: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        """Maps each rank in ``rank`` (1-based, as ``_rank`` holds them) to
-        its element in ``indices``, and rank 0, the empty slot, to -1."""
-        element = np.empty(self.n + 1, dtype=np.int64)
-        element[rank] = indices
-        element[0] = -1
-        return element
+        return element[rank]
 
     @staticmethod
     def _record(
@@ -445,11 +388,9 @@ class KeySpace:
     ) -> None:
         ledger._transcript.extend(zip(element[pushed].tolist(), element[met].tolist()))
 
-    def merge_sort(
-        self, items: SortBatch | Iterable[int], ledger: ComparisonLedger
-    ) -> list[int]:
-        """The items of a :class:`SortBatch` (or of an iterable, compiled by
-        :func:`compile_sort`) in ascending key order, by top-down merge sort.
+    def merge_sort(self, batch: SortBatch, ledger: ComparisonLedger) -> np.ndarray:
+        """The items of ``batch`` (see :func:`compile_sort`) in ascending key
+        order, as an int64 array, by top-down merge sort.
 
         A run splits at ``len // 2`` and sorts its left half first; each merge
         compares the heads of its two halves, recorded as ``compare(left head,
@@ -463,7 +404,6 @@ class KeySpace:
         elements above their run's threshold; the sorted order itself is an
         argsort of the ranks.
         """
-        batch = items if isinstance(items, SortBatch) else compile_sort(items)
         if batch.top >= self.n:
             raise IndexError(f"element index out of range in merge_sort: {batch.top}")
         rank = self._rank[batch.items]
@@ -475,7 +415,7 @@ class KeySpace:
         ledger.count += batch.size - tails
         if ledger._transcript is not None:
             ledger._transcript.extend(_merge_pairs(rank, batch))
-        return batch.items[rank.argsort()].tolist()
+        return batch.items[rank.argsort()]
 
     def oracle_keys(self) -> tuple[int, ...]:
         """Unaudited raw key access. Oracle and test use only: production

@@ -11,13 +11,12 @@ The lattice and its covers depend only on the sets, never on the keys.
 ``solve_lattice`` therefore answers a key assignment from the lattice's
 :class:`~setmaxima.lattice.SolvePlan`, compiled into numpy arrays on the
 first solve over a (lattice, covers) pair and reused by every later one.
-A solve holds its champions in one int64 array, a slot per lattice node.
-One :meth:`~setmaxima.order.KeySpace.reduce_classes` seeds the one-member
-classes, which cost no comparison, and reduces every larger class; it
-range-checks the plan's largest member against the keys once, before the
-first comparison.  One :meth:`~setmaxima.order.KeySpace.propagate` then
-pushes every layer, deepest first.  Both run as array kernels over the
-key space's ranks, so a solve makes no Python call per comparison.
+A solve is one :meth:`~setmaxima.order.KeySpace.propagate` call: it
+reduces every class to its champion, a slot per lattice node, then pushes
+every layer, deepest first, and returns the champions.  It range-checks
+the plan's largest member against the keys once, before the first
+comparison, and runs as an array kernel over the key space's ranks, so a
+solve makes no Python call per comparison.
 
 The sort baseline's split tree depends only on n: ``solve_sort`` compiles
 a :class:`SortPlan` (the sort batch of all n elements and the sets'
@@ -31,9 +30,9 @@ maxima.
 Grouping elements by signature is key-independent too: ``solve_bucket``
 compiles the grouping into a :class:`BucketPlan` on its first solve over a
 :class:`~setmaxima.setsystem.SetSystem`, remembers it on that (frozen)
-system and reuses it.  Every later solve is one ``reduce_classes`` over the
-buckets and one ``propagate`` of a single layer, which pushes each bucket's
-champion into the slot of every set it meets.
+system and reuses it.  Every later solve is one ``propagate`` call that
+reduces the buckets and pushes each bucket's champion into the slot of
+every set it meets, a single layer.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ from .lattice import (
     label_sort_key,
 )
 from .order import (
-    ClassBatch,
     ComparisonLedger,
     KeySpace,
     Scan,
@@ -144,7 +142,7 @@ def solve_sort(
     ledger = ledger if ledger is not None else ComparisonLedger()
     start = ledger.count
     plan = sort_plan(system)
-    order = np.fromiter(keys.merge_sort(plan.batch, ledger), np.int64, system.n)
+    order = keys.merge_sort(plan.batch, ledger)
     used = ledger.count - start
     bound = sort_comparison_bound(system.n)
     if used > bound:
@@ -162,17 +160,16 @@ class BucketPlan:
     Slots 0..b-1 number the buckets (the elements of one non-empty
     signature) in ``label_sort_key`` order of their signatures, and slot
     b + i - 1 holds set i.  ``buckets`` holds every bucket's ascending
-    members (see :class:`~setmaxima.order.ClassBatch`; ``buckets.top`` is
-    the largest member of any bucket).  ``per_set`` is one push layer from
-    bucket slots into set slots, set by set, each set's buckets in slot
-    order: the first push into an empty set slot is free and every later
-    one compares, so its pairs are those of a reduction of each set's
-    bucket champions.  Every set meets a bucket, so ``per_set.targets`` are
-    the set slots in order and ``per_set.span`` is b + m.  ``bound`` is the
-    closed form sum(|bucket| - 1) + sum_i(b_i - 1).
+    members (see :func:`~setmaxima.order.compile_classes`).  ``per_set`` is
+    one push layer from bucket slots into set slots, set by set, each set's
+    buckets in slot order: the first push into an empty set slot is free and
+    every later one compares, so its pairs are those of a reduction of each
+    set's bucket champions.  Every set meets a bucket, so
+    ``per_set.targets`` are the set slots in order and ``per_set.span`` is
+    b + m.  ``bound`` is the closed form sum(|bucket| - 1) + sum_i(b_i - 1).
     """
 
-    buckets: ClassBatch
+    buckets: Scan
     per_set: Scan
     bound: int
 
@@ -191,7 +188,7 @@ def _compile_bucket_plan(system: SetSystem) -> BucketPlan:
         np.fromiter(chain.from_iterable(hits), np.int64),
         np.repeat(np.arange(len(order), len(order) + system.m), list(map(len, hits))),
     )
-    bound = buckets.count + sum(len(slots) - 1 for slots in hits if slots)
+    bound = buckets.pushes.size + sum(len(slots) - 1 for slots in hits if slots)
     return BucketPlan(buckets, per_set, bound)
 
 
@@ -213,18 +210,15 @@ def solve_bucket(
     best champion of the buckets it meets.
 
     The grouping is the system's :class:`BucketPlan`, compiled on the first
-    solve and reused by every later one, so a solve only compares: one
-    :meth:`~setmaxima.order.KeySpace.reduce_classes` over the buckets, then
-    one :meth:`~setmaxima.order.KeySpace.propagate` of the plan's per-set
-    layer.
+    solve and reused by every later one, so a solve only compares, in one
+    :meth:`~setmaxima.order.KeySpace.propagate` call over the buckets and
+    the plan's per-set layer.
     """
     system.require_valid()
     ledger = ledger if ledger is not None else ComparisonLedger()
     start = ledger.count
     plan = bucket_plan(system)
-    champion = np.full(plan.per_set.span, -1, dtype=np.int64)
-    keys.reduce_classes(plan.buckets, champion, ledger)
-    keys.propagate((plan.per_set,), champion, ledger)
+    champion = keys.propagate(plan.buckets, (plan.per_set,), ledger)
     used = ledger.count - start
     if used != plan.bound:
         raise AssertionError(f"bucket count {used} != closed form {plan.bound}")
@@ -249,8 +243,9 @@ def solve_lattice(
     :class:`SolvePlan` for those covers, so a prebuilt structure pays for
     the plan once and every later key assignment only compares.  The
     comparison count is asserted against the budget n + sum(|cover|) on
-    every run.  With ``debug_check`` each layer is pushed by its own
-    ``propagate`` call, after the loop invariant is checked for it.
+    every run.  With ``debug_check`` the loop invariant is checked before
+    each layer, on a ``propagate`` of the layers below it into a scratch
+    ledger, and then the solve makes its one call as usual.
     """
     system.require_valid()
     ledger = ledger if ledger is not None else ComparisonLedger()
@@ -266,17 +261,15 @@ def solve_lattice(
             f"the system of n={system.n}, m={system.m}"
         )
     plan = lattice.solve_plan(covers)
-
-    champion = np.full(len(plan.labels), -1, dtype=np.int64)
-    keys.reduce_classes(plan.classes, champion, ledger)
+    pushes = [push for _, push in plan.layers]
     if debug_check:
-        for layer, push in plan.layers:
-            held = dict(zip(plan.labels, (None if c < 0 else c for c in champion.tolist())))
+        for i, (layer, _) in enumerate(plan.layers):
+            scratch = keys.propagate(plan.classes, pushes[:i], ComparisonLedger()).tolist()
+            held = dict(zip(plan.labels, (None if c < 0 else c for c in scratch)))
             _check_loop_invariant(lattice, covers, held, keys, layer)
-            keys.propagate((push,), champion, ledger)
-    else:
-        keys.propagate([push for _, push in plan.layers], champion, ledger)
-
+    champion = keys.propagate(plan.classes, pushes, ledger)
+    if champion.size < len(plan.labels):  # the slots no class or push names are empty
+        champion = np.pad(champion, (0, len(plan.labels) - champion.size), constant_values=-1)
     maxima = tuple(champion[plan.outputs].tolist())
     if -1 in maxima:
         raise AssertionError(f"no champion reached set {maxima.index(-1) + 1}")
@@ -313,8 +306,9 @@ def _check_loop_invariant(lattice, covers, champion, keys, layer):
     for label, node in lattice.nodes.items():
         if node.layer >= layer:
             expected = best_of(label)
-            if champion[label] != expected:
+            # slots past the last one the call names are empty
+            if champion.get(label) != expected:
                 raise AssertionError(
                     f"loop invariant broken at layer {layer}: node holds "
-                    f"{champion[label]}, reachable max is {expected}"
+                    f"{champion.get(label)}, reachable max is {expected}"
                 )

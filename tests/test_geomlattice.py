@@ -427,7 +427,7 @@ def test_construction_never_reads_keys(monkeypatch):
 
     monkeypatch.setattr(KeySpace, "oracle_keys", forbidden)
     glat = build_geometric_lattice(inst)
-    keys = KeySpace.random(80, 1)
+    keys = gen_keys(80, 1)
     ledger = ComparisonLedger()
     solve_lattice_geometric(glat, keys, ledger=ledger)
     assert ledger.count <= sum(len(c) for c in glat.covers.values()) + 80

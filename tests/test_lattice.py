@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from setmaxima.generators import gen_random_system
+from setmaxima.generators import gen_keys, gen_random_system
 from setmaxima.lattice import (
     CoverBudgetExceeded,
     Lattice,
@@ -377,17 +377,14 @@ def test_solve_plan_layout():
         slot = {label: i for i, label in enumerate(plan.labels)}
         phi = {slot[label]: tuple(sorted(node.phi)) for label, node in lat.nodes.items()}
         classes = plan.classes
-        # one-member classes are seeded; larger ones are segments of their
-        # sorted members, in slot order; each holds its class exactly once
-        seeded = list(zip(classes.seed_slots.tolist(), classes.seed_members.tolist()))
-        assert seeded == [(s, members[0]) for s, members in sorted(phi.items()) if len(members) == 1]
-        assert _segments(classes.scan) == [
-            (s, members) for s, members in sorted(phi.items()) if len(members) > 1
-        ]
-        _check_scan(classes.scan)
-        assert classes.scan.pushes.tolist() == sorted(classes.scan.pushes.tolist())
-        assert classes.count == sum(len(members) - 1 for members in phi.values() if members)
-        assert classes.top == max(e for node in lat.nodes.values() for e in node.phi)
+        # every non-empty class is a segment of its sorted members, in slot
+        # order, a one-member class a segment without a push; each holds
+        # its class exactly once
+        assert _segments(classes) == [(s, members) for s, members in sorted(phi.items()) if members]
+        _check_scan(classes)
+        assert classes.pushes.tolist() == sorted(classes.pushes.tolist())
+        assert classes.pushes.size == sum(len(members) - 1 for members in phi.values() if members)
+        assert classes.span - 1 == max(e for node in lat.nodes.values() for e in node.phi)
         assert [layer for layer, _ in plan.layers] == [3, 2]
         for layer, push in plan.layers:
             children = [lb for lb in plan.labels if len(lb) == layer]
@@ -427,13 +424,13 @@ def test_solve_plan_cached_per_covers_dict():
 def test_add_virtual_after_solve_drops_plan():
     system = system_from_lists(4, [{0, 1}, {1, 2}, {2, 3}])
     lat, covers = _covered(system)
-    first = solve_lattice(system, KeySpace.random(4, 1), prebuilt=(lat, covers))
+    first = solve_lattice(system, gen_keys(4, 1), prebuilt=(lat, covers))
     plan = lat.solve_plan(covers)
     lat.add_virtual(fs(1, 3))
     covers[fs(1, 3)] = (fs(1), fs(3))
     replanned = lat.solve_plan(covers)
     assert replanned is not plan and fs(1, 3) in replanned.labels
-    again = solve_lattice(system, KeySpace.random(4, 1), prebuilt=(lat, covers))
+    again = solve_lattice(system, gen_keys(4, 1), prebuilt=(lat, covers))
     assert again.maxima == first.maxima
     assert again.bound == first.bound + 2
 
@@ -449,14 +446,14 @@ def test_solve_plan_rejects_bad_covers():
 
 def test_solve_plan_checks_classes_once():
     lat, covers = _covered(system_from_lists(5, [{0, 1, 4}, {1, 2}]))
-    assert lat.solve_plan(covers).classes.top == 4
+    assert lat.solve_plan(covers).classes.span == 5
     bad = Lattice(m=1, n=2)
     bad.add_node(fs(1), frozenset({-1, 0}))
     with pytest.raises(LatticeError, match="negative"):
         bad.solve_plan({})
     empty = Lattice(m=1, n=0)
     empty.add_node(fs(1), frozenset())
-    assert empty.solve_plan({}).classes.top == -1
+    assert empty.solve_plan({}).classes.span == 0
 
 
 def test_solve_plan_never_reads_keys(monkeypatch):
@@ -470,6 +467,6 @@ def test_solve_plan_never_reads_keys(monkeypatch):
             lat, covers = _covered(system, mode)
             lat.solve_plan(covers)
             ledger = ComparisonLedger()
-            result = solve_lattice(system, KeySpace.random(60, seed), ledger=ledger,
+            result = solve_lattice(system, gen_keys(60, seed), ledger=ledger,
                                    prebuilt=(lat, covers))
             assert ledger.count == result.comparisons <= result.bound

@@ -6,7 +6,13 @@ import pytest
 from setmaxima import solvers
 from setmaxima.generators import gen_convex_instance, gen_keys, gen_random_system
 from setmaxima.geomlattice import build_geometric_lattice, induced_system, solve_lattice_geometric
-from setmaxima.lattice import build_lattice, compute_parents, good_covers, label_sort_key
+from setmaxima.lattice import (
+    Lattice,
+    build_lattice,
+    compute_parents,
+    good_covers,
+    label_sort_key,
+)
 from setmaxima.order import ComparisonLedger, KeySpace
 from setmaxima.setsystem import SetSystem, system_from_lists
 from setmaxima.solvers import (
@@ -75,7 +81,7 @@ def test_sort_single_element():
 def test_sort_four_elements_worst_case():
     # merge sort on 4 elements needs at most 5 comparisons
     for seed in range(24):
-        keys = KeySpace.random(4, seed)
+        keys = gen_keys(4, seed)
         result = solve_sort(system_from_lists(4, [{0, 1, 2, 3}]), keys)
         assert result.comparisons <= 5
 
@@ -102,7 +108,7 @@ def test_sort_within_bound_random():
 
 def test_bucket_disjoint_sets_cost_p_minus_m():
     system = system_from_lists(6, [{0, 1}, {2, 3, 4}, {5}])
-    result = solve_bucket(system, KeySpace.random(6, 1))
+    result = solve_bucket(system, gen_keys(6, 1))
     assert result.comparisons == system.p - system.m
 
 
@@ -138,7 +144,7 @@ def test_bucket_matches_independent_recount():
 def test_lattice_single_set_costs_n_minus_1():
     n = 30
     system = system_from_lists(n, [set(range(n))])
-    keys = KeySpace.random(n, 5)
+    keys = gen_keys(n, 5)
     result = solve_lattice(system, keys)
     assert result.comparisons == n - 1
     assert result.maxima == solve_bruteforce(system, keys).maxima
@@ -243,7 +249,7 @@ def test_result_record_fields():
 
 def test_audited_solvers_never_touch_raw_keys(monkeypatch):
     system = system_from_lists(8, [{0, 1, 2}, {2, 3, 4}, {5, 6, 7}])
-    keys = KeySpace.random(8, 3)
+    keys = gen_keys(8, 3)
 
     def forbidden(self):
         raise AssertionError("audited path read raw keys")
@@ -603,9 +609,9 @@ def test_keys_shorter_than_system_raise_with_a_compiled_plan():
     system = system_from_lists(4, [{0, 1, 3}, {1, 2, 3}])
     lat = compute_parents(build_lattice(system))
     covers = good_covers(lat)
-    solve_lattice(system, KeySpace.random(4, 1), prebuilt=(lat, covers))
+    solve_lattice(system, gen_keys(4, 1), prebuilt=(lat, covers))
     plan = lat.solve_plan(covers)
-    assert plan.classes.top == 3
+    assert plan.classes.span == 4
     ledger = ComparisonLedger()
     with pytest.raises(IndexError):
         solve_lattice(system, KeySpace([4, 2, 3]), ledger=ledger, prebuilt=(lat, covers))
@@ -617,9 +623,9 @@ def test_keys_shorter_than_system_raise_with_a_compiled_plan():
 def test_keys_shorter_than_system_raise_with_a_compiled_bucket_plan():
     # the bucket plan, too, range-checks only its largest member per solve
     system = system_from_lists(4, [{0, 1, 3}, {1, 2, 3}])
-    solve_bucket(system, KeySpace.random(4, 1))
+    solve_bucket(system, gen_keys(4, 1))
     plan = bucket_plan(system)
-    assert plan.buckets.top == 3
+    assert plan.buckets.span == 4
     ledger = ComparisonLedger(record_transcript=True)
     with pytest.raises(IndexError):
         solve_bucket(system, KeySpace([4, 2, 3]), ledger=ledger)
@@ -629,8 +635,9 @@ def test_keys_shorter_than_system_raise_with_a_compiled_bucket_plan():
 
 
 def test_plans_of_one_member_classes_range_check_every_member():
-    # every class and every bucket has one member, so both plans seed them
-    # all and reduce nothing; ``top`` must still cover the seeded members
+    # every class and every bucket has one member, so both plans hold them
+    # as segments without a push and reduce nothing; ``span`` must still
+    # cover those members
     system = system_from_lists(3, [{0}, {1}, {2}])
     lat = compute_parents(build_lattice(system))
     covers = good_covers(lat)
@@ -639,18 +646,29 @@ def test_plans_of_one_member_classes_range_check_every_member():
     assert solve_bucket(system, keys).maxima == (0, 1, 2)
     plan, buckets = lat.solve_plan(covers), bucket_plan(system)
     for batch in (plan.classes, buckets.buckets):
-        assert batch.scan.targets.size == batch.scan.source.size == batch.count == 0
-        assert batch.seed_slots.tolist() == batch.seed_members.tolist() == [0, 1, 2]
-        assert batch.top == 2
+        assert batch.pushes.size == 0
+        assert batch.targets.tolist() == batch.source.tolist() == [0, 1, 2]
+        assert batch.span == 3
     short = KeySpace([1, 2])
     for solve in (
         lambda ledger: solve_lattice(system, short, ledger=ledger, prebuilt=(lat, covers)),
         lambda ledger: solve_bucket(system, short, ledger=ledger),
     ):
         ledger = ComparisonLedger(record_transcript=True)
-        with pytest.raises(IndexError, match="out of range in reduce_classes"):
+        with pytest.raises(IndexError, match="out of range in propagate"):
             solve(ledger)
         assert ledger.count == 0 and ledger.transcript == ()
+
+
+def test_prebuilt_lattice_that_never_reaches_a_set_fails_its_check():
+    # the lattice fits n and m but files both elements under {1}, so no
+    # class, cover or push names the slot of {2}, the last one
+    system = system_from_lists(2, [{0}, {1}])
+    lat = Lattice(m=2, n=2)
+    lat.add_node(frozenset({1}), frozenset({0, 1}))
+    lat.add_node(frozenset({2}), frozenset())
+    with pytest.raises(AssertionError, match="no champion reached set 2"):
+        solve_lattice(system, KeySpace([1, 2]), prebuilt=(lat, {}))
 
 
 def test_prebuilt_lattice_of_another_system_is_rejected():
@@ -658,4 +676,4 @@ def test_prebuilt_lattice_of_another_system_is_rejected():
     covers = good_covers(lat)
     other = system_from_lists(4, [{0, 1}, {1, 2}])
     with pytest.raises(ValueError):
-        solve_lattice(other, KeySpace.random(4, 1), prebuilt=(lat, covers))
+        solve_lattice(other, gen_keys(4, 1), prebuilt=(lat, covers))
