@@ -38,7 +38,6 @@ def main() -> int:
         k=args.k,
         seeds=tuple(range(1, args.seeds + 1)),
         algos=("lattice",),
-        cover="geometric",
         jobs=args.jobs,
     )
     start = time.time()

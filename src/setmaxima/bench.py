@@ -1,18 +1,20 @@
 """Benchmark runner and instance verifier.
 
-Every record cross-checks a solver against the brute-force oracle and its
-own comparison budget; a single bad record fails the whole run (CI-grade:
-the CLI exits non-zero).
+``cross_check`` is the one solve-and-check path: every record it returns
+checks a solver against the brute-force oracle and its own comparison
+budget.  ``solve``, ``verify`` and ``bench`` only format what it returns,
+and a single bad record fails the whole run (the CLI exits non-zero).
 """
 
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
-from .generators import gen_convex_instance, gen_keys, gen_random_system, gen_rect_instance
+from .generators import KINDS, gen_instance
 from .geomlattice import GeometricLattice, build_geometric_lattice, solve_lattice_geometric
 from .instance_io import ProblemInstance
 from .order import KeySpace
@@ -25,24 +27,16 @@ from .solvers import (
     solve_sort,
 )
 
-CSV_COLUMNS = (
-    "instance_id",
-    "n",
-    "m",
-    "p",
-    "k",
-    "algo",
-    "comparisons",
-    "bound",
-    "ratio",
-    "ok",
-)
+COVERS = ("greedy", "exact", "geometric")
+
+
+def default_cover(geometric: bool) -> str:
+    """Geometric covers when the instance has geometry, else greedy ones."""
+    return "geometric" if geometric else "greedy"
 
 
 def _solve_lattice(system, keys, cover, glat):
     if cover == "geometric":
-        if glat is None:
-            raise ValueError("geometric cover mode needs a geometric instance")
         return solve_lattice_geometric(glat, keys)
     return solve_lattice(system, keys, cover_mode=cover)
 
@@ -71,25 +65,32 @@ class BenchRecord:
     ok: bool
 
 
+CSV_COLUMNS = tuple(field.name for field in fields(BenchRecord))
+
+
 @dataclass(frozen=True)
 class BenchConfig:
-    kind: str = "abstract"  # abstract | convex | rect
+    kind: str = "abstract"  # one of KINDS
     ns: tuple[int, ...] = (100,)
     ms: tuple[int, ...] = (10,)
     k: int = 4
     density: float = 0.3
     seeds: tuple[int, ...] = (0,)
     algos: tuple[str, ...] = tuple(SOLVERS)
-    cover: str = "geometric"  # greedy | exact | geometric (geometric kinds only)
+    cover: str | None = None  # one of COVERS; None picks default_cover
     jobs: int = 1
 
     def __post_init__(self):
         if len(self.ns) != len(self.ms):
             raise ValueError("ns and ms must have equal length")
-        if self.kind not in ("abstract", "convex", "rect"):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown instance kind {self.kind!r}")
-        if self.cover not in ("greedy", "exact", "geometric"):
+        if self.cover is None:
+            object.__setattr__(self, "cover", default_cover(self.kind != "abstract"))
+        if self.cover not in COVERS:
             raise ValueError(f"unknown cover mode {self.cover!r}")
+        if self.cover == "geometric" and self.kind == "abstract":
+            raise ValueError("geometric cover mode needs a geometric instance kind")
         unknown = [a for a in self.algos if a not in SOLVERS]
         if unknown:
             raise ValueError(f"unknown algorithm {unknown[0]!r}")
@@ -108,45 +109,66 @@ def run_solver(
     return solve(system, keys, cover, glat)
 
 
+@dataclass(frozen=True)
+class Check:
+    """One solver run and its two checks against the oracle and the budget."""
+
+    algo: str
+    cover: str
+    result: MaximaResult
+    agree: bool  # maxima equal the brute-force oracle's
+    within: bool  # comparisons <= bound
+
+    @property
+    def ok(self) -> bool:
+        return self.agree and self.within
+
+
+def cross_check(
+    pinst: ProblemInstance, algos: tuple[str, ...], covers: tuple[str, ...]
+) -> tuple[GeometricLattice | None, list[Check]]:
+    """Run each algorithm on one keyed instance (the lattice solver once per
+    cover mode, the others with the first) against one oracle run.  The
+    geometric lattice is built only when a cover mode is geometric."""
+    if pinst.keys is None:
+        raise ValueError("instance carries no keys")
+    glat = None
+    if "geometric" in covers:
+        if pinst.geometry is None:
+            raise ValueError("geometric cover mode needs an instance with geometry")
+        glat = build_geometric_lattice(pinst.geometry)
+    system = glat.system if glat is not None else pinst.system
+    oracle = solve_bruteforce(system, pinst.keys)
+    checks = []
+    for algo in algos:
+        for cover in covers if algo == "lattice" else covers[:1]:
+            result = run_solver(algo, system, pinst.keys, cover=cover, glat=glat)
+            agree = result.maxima == oracle.maxima
+            checks.append(Check(algo, cover, result, agree, result.comparisons <= result.bound))
+    return glat, checks
+
+
 def _run_one(task: tuple) -> list[BenchRecord]:
     kind, n, m, k, density, seed, algos, cover = task
-    if kind == "abstract":
-        system = gen_random_system(n, m, density, seed)
-        glat = None
-        k_field = None
-        effective_cover = cover if cover != "geometric" else "greedy"
-    else:
-        if kind == "convex":
-            instance = gen_convex_instance(n, m, k, seed)
-        else:
-            instance = gen_rect_instance(n, m, seed)
-        glat = build_geometric_lattice(instance)
-        system = glat.system
-        k_field = instance.k
-        effective_cover = cover
-    keys = gen_keys(n, seed + 1)
-    oracle = solve_bruteforce(system, keys)
+    pinst = gen_instance(kind, n, m, k, density, seed)
+    system = pinst.system
+    k_field = pinst.geometry.k if pinst.geometry is not None else None
     instance_id = f"{kind}-n{n}-m{m}" + (f"-k{k_field}" if k_field else "") + f"-s{seed}"
-    records = []
-    for algo in algos:
-        result = run_solver(algo, system, keys, cover=effective_cover, glat=glat)
-        ok = result.maxima == oracle.maxima and result.comparisons <= result.bound
-        ratio = result.comparisons / result.bound if result.bound else 0.0
-        records.append(
-            BenchRecord(
-                instance_id=instance_id,
-                n=system.n,
-                m=system.m,
-                p=system.p,
-                k=k_field,
-                algo=algo,
-                comparisons=result.comparisons,
-                bound=result.bound,
-                ratio=ratio,
-                ok=ok,
-            )
+    return [
+        BenchRecord(
+            instance_id=instance_id,
+            n=system.n,
+            m=system.m,
+            p=system.p,
+            k=k_field,
+            algo=check.algo,
+            comparisons=check.result.comparisons,
+            bound=check.result.bound,
+            ratio=check.result.ratio,
+            ok=check.ok,
         )
-    return records
+        for check in cross_check(pinst, algos, (cover,))[1]
+    ]
 
 
 def run_bench(config: BenchConfig, out: str | Path | None = None) -> list[BenchRecord]:
@@ -173,44 +195,9 @@ def write_csv(records: list[BenchRecord], path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for rec in records:
-            writer.writerow(
-                [
-                    rec.instance_id,
-                    rec.n,
-                    rec.m,
-                    rec.p,
-                    "" if rec.k is None else rec.k,
-                    rec.algo,
-                    rec.comparisons,
-                    rec.bound,
-                    repr(rec.ratio),
-                    "true" if rec.ok else "false",
-                ]
-            )
-
-
-def read_csv(path: str | Path) -> list[BenchRecord]:
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
-            raise ValueError(f"unexpected CSV columns: {reader.fieldnames}")
-        for row in reader:
-            records.append(
-                BenchRecord(
-                    instance_id=row["instance_id"],
-                    n=int(row["n"]),
-                    m=int(row["m"]),
-                    p=int(row["p"]),
-                    k=int(row["k"]) if row["k"] else None,
-                    algo=row["algo"],
-                    comparisons=int(row["comparisons"]),
-                    bound=int(row["bound"]),
-                    ratio=float(row["ratio"]),
-                    ok=row["ok"] == "true",
-                )
-            )
-    return records
+            # csv writes None (the k of an abstract row) as "" and a float
+            # as its repr
+            writer.writerow([*astuple(rec)[:-1], "true" if rec.ok else "false"])
 
 
 @dataclass
@@ -222,51 +209,27 @@ class VerifyReport:
         return "\n".join(self.lines)
 
 
-def verify_instance(
-    pinst: ProblemInstance, keys: KeySpace | None = None
-) -> VerifyReport:
-    """Run every applicable solver on one instance and cross-check
-    maxima, budgets, cover sizes, and the zero-comparison construction."""
-    system = pinst.system
-    keys = keys if keys is not None else pinst.keys
-    if keys is None:
-        raise ValueError("instance carries no keys and none were supplied")
-    lines = []
-    ok = True
-
-    glat = None
-    if pinst.geometry is not None:
-        glat = build_geometric_lattice(pinst.geometry)
-        system = glat.system
+def verify_instance(pinst: ProblemInstance) -> VerifyReport:
+    """Run every solver, the lattice solver with every applicable cover mode,
+    on one keyed instance and cross-check maxima, budgets, cover sizes, and
+    the zero-comparison construction."""
+    covers = ("geometric",) if pinst.geometry is not None else ("greedy", "exact")
+    glat, checks = cross_check(pinst, tuple(SOLVERS), covers)
     # construction has no ledger channel at all; state it for the report
-    lines.append("construction comparisons: 0")
-
-    oracle = solve_bruteforce(system, keys)
-    covers = ["geometric"] if glat is not None else ["greedy", "exact"]
-    for algo in SOLVERS:
-        for cover in covers if algo == "lattice" else [covers[0]]:
-            result = run_solver(algo, system, keys, cover=cover, glat=glat)
-            agree = result.maxima == oracle.maxima
-            within = result.comparisons <= result.bound
-            ok = ok and agree and within
-            tag = f"{algo}" + (f"[{cover}]" if algo == "lattice" else "")
-            lines.append(
-                f"{'ok  ' if agree and within else 'FAIL'} {tag}: "
-                f"comparisons={result.comparisons} bound={result.bound} "
-                f"maxima {'agree' if agree else 'DISAGREE'}"
-            )
+    lines = ["construction comparisons: 0"]
+    for check in checks:
+        tag = check.algo + (f"[{check.cover}]" if check.algo == "lattice" else "")
+        lines.append(
+            f"{'ok  ' if check.ok else 'FAIL'} {tag}: "
+            f"comparisons={check.result.comparisons} bound={check.result.bound} "
+            f"maxima {'agree' if check.agree else 'DISAGREE'}"
+        )
+    ok = all(check.ok for check in checks)
     if glat is not None:
         fallback = set(glat.fallback_labels)
-        oversize = [
-            lb
-            for lb, c in glat.covers.items()
-            if len(c) > pinst.geometry.k and lb not in fallback
-        ]
-        k_ok = not oversize
+        k_ok = all(len(c) <= pinst.geometry.k or lb in fallback for lb, c in glat.covers.items())
         ok = ok and k_ok
-        sizes: dict[int, int] = {}
-        for c in glat.covers.values():
-            sizes[len(c)] = sizes.get(len(c), 0) + 1
+        sizes = Counter(len(c) for c in glat.covers.values())
         max_cover = max(sizes, default=0)
         hist = " ".join(f"{s}x{sizes[s]}" for s in sorted(sizes))
         lines.append(

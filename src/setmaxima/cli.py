@@ -14,16 +14,18 @@ import json
 import math
 import sys
 
-from .bench import SOLVERS, BenchConfig, run_bench, run_solver, verify_instance
-from .generators import (
-    GenerationError,
-    gen_convex_instance,
-    gen_keys,
-    gen_random_system,
-    gen_rect_instance,
+from .bench import (
+    COVERS,
+    SOLVERS,
+    BenchConfig,
+    cross_check,
+    default_cover,
+    run_bench,
+    verify_instance,
 )
+from .generators import KINDS, GenerationError, gen_instance, gen_keys
 from .geometry import GeometryError
-from .geomlattice import InternalInconsistencyError, build_geometric_lattice, induced_system
+from .geomlattice import InternalInconsistencyError
 from .instance_io import (
     InputError,
     ProblemInstance,
@@ -32,7 +34,6 @@ from .instance_io import (
     save_instance,
 )
 from .lattice import LatticeError
-from .solvers import solve_bruteforce
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -48,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a JSON instance")
-    gen.add_argument("--kind", choices=("abstract", "convex", "rect"), default="abstract")
+    gen.add_argument("--kind", choices=KINDS, default="abstract")
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--m", type=int, required=True)
     gen.add_argument("--k", type=int, default=4, help="max polygon sides (convex kind)")
@@ -61,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--algo", choices=tuple(SOLVERS), default="lattice")
     solve.add_argument(
         "--cover",
-        choices=("greedy", "exact", "geometric"),
+        choices=COVERS,
         default=None,
         help="lattice cover strategy (default: geometric when the instance "
         "has geometry, else greedy)",
@@ -73,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=None, help="keys fallback seed")
 
     bench = sub.add_parser("bench", help="run a seeded sweep and emit CSV")
-    bench.add_argument("--kind", choices=("abstract", "convex", "rect"), default="convex")
+    bench.add_argument("--kind", choices=KINDS, default="convex")
     bench.add_argument("--n", required=True, help="comma list of point counts")
     bench.add_argument(
         "--m", default=None, help="comma list of set counts (default: n/10 each)"
@@ -82,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--density", type=float, default=0.3)
     bench.add_argument("--seeds", type=int, default=1, help="seeds 0..S-1 per size")
     bench.add_argument("--algos", default=",".join(SOLVERS))
-    bench.add_argument("--cover", choices=("greedy", "exact", "geometric"), default=None)
+    bench.add_argument("--cover", choices=COVERS, default=None)
     bench.add_argument("--jobs", type=int, default=1)
     bench.add_argument("--out", required=True, help="CSV output path")
     return parser
@@ -98,17 +99,7 @@ def _load_with_keys(path: str, seed: int | None) -> ProblemInstance:
 
 
 def cmd_gen(args) -> int:
-    if args.kind == "abstract":
-        system = gen_random_system(args.n, args.m, args.density, args.seed)
-        geometry = None
-    else:
-        if args.kind == "convex":
-            geometry = gen_convex_instance(args.n, args.m, args.k, args.seed)
-        else:
-            geometry = gen_rect_instance(args.n, args.m, args.seed)
-        system = induced_system(geometry)
-    keys = gen_keys(args.n, args.seed + 1)
-    pinst = ProblemInstance(system=system, keys=keys, geometry=geometry)
+    pinst = gen_instance(args.kind, args.n, args.m, args.k, args.density, args.seed)
     if args.out == "-":
         print(json.dumps(instance_to_dict(pinst)))
     else:
@@ -118,8 +109,6 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     pinst = _load_with_keys(args.instance, args.seed)
-    cover = args.cover or ("geometric" if pinst.geometry is not None else "greedy")
-    glat = None
     system = pinst.system
     if args.algo == "bucket" and system.m > math.log2(max(2, system.n)):
         print(
@@ -127,17 +116,11 @@ def cmd_solve(args) -> int:
             f"log2(n); here m={system.m}, log2(n)={math.log2(max(2, system.n)):.1f}",
             file=sys.stderr,
         )
-    if cover == "geometric":
-        if pinst.geometry is None:
-            raise InputError("--cover geometric needs an instance with geometry")
-        glat = build_geometric_lattice(pinst.geometry)
-        system = glat.system
-    result = run_solver(args.algo, system, pinst.keys, cover=cover, glat=glat)
-    oracle = solve_bruteforce(system, pinst.keys)
-    ok = result.maxima == oracle.maxima and result.comparisons <= result.bound
+    cover = args.cover or default_cover(pinst.geometry is not None)
+    [check] = cross_check(pinst, (args.algo,), (cover,))[1]
     k = pinst.geometry.k if pinst.geometry is not None else None
-    print(json.dumps(result.to_record(system, k=k, ok=ok)))
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
+    print(json.dumps(check.result.to_record(system, k=k, ok=check.ok)))
+    return EXIT_OK if check.ok else EXIT_VERIFY_FAILED
 
 
 def cmd_verify(args) -> int:
@@ -153,7 +136,6 @@ def cmd_bench(args) -> int:
         ms = tuple(max(1, n // 10) for n in ns)
     else:
         ms = tuple(int(v) for v in args.m.split(","))
-    cover = args.cover or ("geometric" if args.kind in ("convex", "rect") else "greedy")
     config = BenchConfig(
         kind=args.kind,
         ns=ns,
@@ -162,7 +144,7 @@ def cmd_bench(args) -> int:
         density=args.density,
         seeds=tuple(range(args.seeds)),
         algos=tuple(args.algos.split(",")),
-        cover=cover,
+        cover=args.cover,
         jobs=args.jobs,
     )
     records = run_bench(config, out=args.out)

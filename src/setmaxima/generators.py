@@ -1,5 +1,6 @@
 """Seeded instance generators: abstract set systems, convex-polygon
-instances, axis-rectangle instances, and key permutations.
+instances, axis-rectangle instances, key permutations, and
+``gen_instance``, which makes one keyed instance of any kind from a seed.
 
 Every generator takes an explicit seed and is deterministic; there is no
 wall-clock entropy anywhere.  Geometric generators resample polygons that
@@ -14,9 +15,12 @@ import math
 import random
 
 from .geometry import COORD_BOUND, ConvexPolygon, Point2, contains_polygon, strict_hull
-from .geomlattice import GeometricInstance, _PointIndex
+from .geomlattice import GeometricInstance, _PointIndex, induced_system
+from .instance_io import ProblemInstance
 from .order import KeySpace
 from .setsystem import SetSystem
+
+KINDS = ("abstract", "convex", "rect")
 
 
 class GenerationError(Exception):
@@ -210,3 +214,20 @@ def gen_rect_instance(
         else:
             raise GenerationError(f"could not place rectangle {len(rects) + 1} of {m}")
     return GeometricInstance(points=points, polygons=tuple(rects), k=4)
+
+
+def gen_instance(kind: str, n: int, m: int, k: int, density: float, seed: int) -> ProblemInstance:
+    """One seeded instance of ``kind`` (see ``KINDS``), keyed by the
+    permutation of seed + 1.  ``density`` serves the abstract kind and
+    ``k`` the convex kind; rectangles always have k = 4."""
+    if kind == "abstract":
+        system, geometry = gen_random_system(n, m, density, seed), None
+    elif kind == "convex":
+        geometry = gen_convex_instance(n, m, k, seed)
+    elif kind == "rect":
+        geometry = gen_rect_instance(n, m, seed)
+    else:
+        raise ValueError(f"unknown instance kind {kind!r}")
+    if geometry is not None:
+        system = induced_system(geometry)
+    return ProblemInstance(system=system, keys=gen_keys(n, seed + 1), geometry=geometry)

@@ -69,9 +69,12 @@ class MaximaResult:
     comparisons: int
     bound: int
 
+    @property
+    def ratio(self) -> float:
+        return self.comparisons / self.bound if self.bound else 0.0
+
     def to_record(self, system: SetSystem, k: int | None = None, ok: bool | None = None) -> dict:
-        ratio = self.comparisons / self.bound if self.bound else 0.0
-        rec = {
+        return {
             "algorithm": self.algorithm,
             "n": system.n,
             "m": system.m,
@@ -80,9 +83,8 @@ class MaximaResult:
             "comparisons": self.comparisons,
             "bound": self.bound,
             "ok": ok,
+            "ratio": self.ratio,
         }
-        rec["ratio"] = ratio
-        return rec
 
 
 def solve_bruteforce(system: SetSystem, keys: KeySpace) -> MaximaResult:

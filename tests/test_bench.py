@@ -1,4 +1,5 @@
 import csv
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -7,12 +8,13 @@ import pytest
 
 from setmaxima.bench import (
     CSV_COLUMNS,
+    SOLVERS,
     BenchConfig,
-    read_csv,
     run_bench,
     verify_instance,
     write_csv,
 )
+from setmaxima.cli import main
 from setmaxima.generators import gen_convex_instance, gen_keys
 from setmaxima.geomlattice import induced_system
 from setmaxima.instance_io import ProblemInstance
@@ -47,12 +49,38 @@ def test_bench_bounds_respected():
             assert rec.k == 4
 
 
+def _assert_csv_holds(path, records):
+    """Every field of every row, read back with csv.reader, against the
+    records: the header, ints, an empty k for no geometry, the repr of the
+    ratio (which reads back as the same float) and true/false."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["instance_id", "n", "m", "p", "k", "algo",
+                       "comparisons", "bound", "ratio", "ok"]
+    assert len(rows) == len(records) + 1
+    for row, rec in zip(rows[1:], records):
+        assert row == [
+            rec.instance_id,
+            str(rec.n),
+            str(rec.m),
+            str(rec.p),
+            "" if rec.k is None else str(rec.k),
+            rec.algo,
+            str(rec.comparisons),
+            str(rec.bound),
+            repr(rec.ratio),
+            "true" if rec.ok else "false",
+        ]
+        assert float(row[8]) == rec.ratio
+
+
 def test_csv_round_trip(tmp_path):
     config = BenchConfig(kind="rect", ns=(60,), ms=(5,), seeds=(0, 1), cover="geometric")
     records = run_bench(config)
     path = tmp_path / "bench.csv"
     write_csv(records, path)
-    assert read_csv(path) == records
+    _assert_csv_holds(path, records)
+    assert all(rec.k == 4 for rec in records)
     header = path.read_text().splitlines()[0]
     assert header == "instance_id,n,m,p,k,algo,comparisons,bound,ratio,ok"
 
@@ -65,7 +93,7 @@ def test_csv_k_empty_for_abstract(tmp_path):
     write_csv(records, path)
     row = path.read_text().splitlines()[1].split(",")
     assert row[4] == ""
-    assert read_csv(path) == records
+    _assert_csv_holds(path, records)
 
 
 def test_parallel_jobs_match_sequential():
@@ -82,6 +110,50 @@ def test_config_validation():
         BenchConfig(kind="weird")
     with pytest.raises(ValueError):
         BenchConfig(cover="magic")
+    # abstract instances have no geometry to cover with
+    with pytest.raises(ValueError, match="geometric"):
+        BenchConfig(kind="abstract", cover="geometric")
+    assert BenchConfig(kind="abstract").cover == "greedy"
+    assert BenchConfig(kind="convex").cover == "geometric"
+    assert BenchConfig(kind="rect").cover == "geometric"
+
+
+@pytest.mark.parametrize("cover", ["greedy", "exact"])
+def test_non_geometric_cover_builds_no_geometric_lattice(monkeypatch, cover):
+    import setmaxima.bench as bench_mod
+
+    config = BenchConfig(kind="rect", ns=(60,), ms=(5,), cover=cover)
+    expected = run_bench(config)
+
+    def no_build(geometry):
+        raise AssertionError(f"{cover} covers need no geometric lattice")
+
+    monkeypatch.setattr(bench_mod, "build_geometric_lattice", no_build)
+    records = run_bench(config)
+    assert len(records) == len(SOLVERS) and all(r.ok for r in records)
+    assert records == expected
+
+
+@pytest.mark.parametrize(
+    "kind, n, m, seed", [("abstract", 40, 6, 3), ("convex", 120, 8, 2), ("rect", 80, 6, 1)]
+)
+def test_bench_row_reproduces_from_gen_and_solve(tmp_path, capsys, kind, n, m, seed):
+    # gen and bench make the same instance and keys, and solve's default
+    # cover is bench's, so each record is one solve of the written file
+    records = run_bench(BenchConfig(kind=kind, ns=(n,), ms=(m,), seeds=(seed,)))
+    assert [rec.algo for rec in records] == list(SOLVERS)
+    path = tmp_path / "inst.json"
+    assert main(["gen", "--kind", kind, "--n", str(n), "--m", str(m),
+                 "--seed", str(seed), "--out", str(path)]) == 0
+    for rec in records:
+        assert main(["solve", str(path), "--algo", rec.algo]) == 0
+        solved = json.loads(capsys.readouterr().out)
+        assert (solved["n"], solved["m"], solved["p"], solved["k"]) == (
+            rec.n, rec.m, rec.p, rec.k
+        )
+        assert (solved["comparisons"], solved["bound"], solved["ratio"], solved["ok"]) == (
+            rec.comparisons, rec.bound, rec.ratio, rec.ok
+        )
 
 
 def test_verify_instance_geometric():

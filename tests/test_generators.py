@@ -3,6 +3,7 @@ import pytest
 from setmaxima.generators import (
     GenerationError,
     gen_convex_instance,
+    gen_instance,
     gen_keys,
     gen_random_system,
     gen_rect_instance,
@@ -91,3 +92,19 @@ def test_rect_instance_generic_position():
 
 def test_keys_generator_deterministic():
     assert gen_keys(20, 3).oracle_keys() == gen_keys(20, 3).oracle_keys()
+
+
+def test_gen_instance_dispatches_by_kind_with_keys_of_seed_plus_one():
+    abstract = gen_instance("abstract", 30, 5, 4, 0.3, seed=7)
+    assert abstract.geometry is None
+    assert abstract.system == gen_random_system(30, 5, 0.3, seed=7)
+    convex = gen_instance("convex", 60, 5, 5, 0.3, seed=7)
+    assert convex.geometry == gen_convex_instance(60, 5, 5, seed=7)
+    rect = gen_instance("rect", 60, 5, 5, 0.3, seed=7)
+    assert rect.geometry == gen_rect_instance(60, 5, seed=7)
+    for pinst in (abstract, convex, rect):
+        assert pinst.keys.oracle_keys() == gen_keys(pinst.system.n, 8).oracle_keys()
+    for pinst in (convex, rect):
+        assert pinst.system == induced_system(pinst.geometry)
+    with pytest.raises(ValueError, match="unknown instance kind"):
+        gen_instance("hexagon", 10, 2, 4, 0.3, seed=0)

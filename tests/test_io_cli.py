@@ -175,6 +175,21 @@ def test_cli_geometric_cover_needs_geometry(tmp_path, capsys):
           "--seed", "6", "--out", str(path)])
     capsys.readouterr()
     assert main(["solve", str(path), "--cover", "geometric"]) == 2
+    _assert_one_error_line(capsys.readouterr().err)
+    # the baselines ignore the cover, but the request is still refused
+    for algo in ("lattice", "sort", "bucket", "brute"):
+        assert main(["solve", str(path), "--algo", algo, "--cover", "geometric"]) == 2
+        _assert_one_error_line(capsys.readouterr().err)
+
+
+def test_cli_bench_geometric_cover_on_abstract_exit_2(tmp_path, capsys):
+    out = tmp_path / "b.csv"
+    assert main(["bench", "--kind", "abstract", "--cover", "geometric", "--n", "10",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    _assert_one_error_line(err)
+    assert "geometric" in err
+    assert not out.exists()
 
 
 def test_cli_corrupt_json_exit_2(tmp_path, capsys):
@@ -234,12 +249,12 @@ def test_cli_verify_detects_solver_mismatch(tmp_path, capsys, monkeypatch):
 
 
 def _fail_during_build(monkeypatch, exc):
-    import setmaxima.cli as cli_mod
+    import setmaxima.bench as bench_mod
 
     def failing_build(geometry):
         raise exc
 
-    monkeypatch.setattr(cli_mod, "build_geometric_lattice", failing_build)
+    monkeypatch.setattr(bench_mod, "build_geometric_lattice", failing_build)
 
 
 def _solve_two_squares(tmp_path):
