@@ -31,15 +31,19 @@ def main() -> int:
 
     ns = tuple(int(v) for v in args.sizes.split(","))
     ms = tuple(max(1, int(n * args.m_ratio)) for n in ns)
-    config = BenchConfig(
-        kind="convex",
-        ns=ns,
-        ms=ms,
-        k=args.k,
-        seeds=tuple(range(1, args.seeds + 1)),
-        algos=("lattice",),
-        jobs=args.jobs,
-    )
+    try:
+        config = BenchConfig(
+            kind="convex",
+            ns=ns,
+            ms=ms,
+            k=args.k,
+            seeds=tuple(range(1, args.seeds + 1)),
+            algos=("lattice",),
+            jobs=args.jobs,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     start = time.time()
     records = run_bench(config, out=args.out)
     elapsed = time.time() - start

@@ -83,6 +83,12 @@ class BenchConfig:
     def __post_init__(self):
         if len(self.ns) != len(self.ms):
             raise ValueError("ns and ms must have equal length")
+        if not self.ns:
+            raise ValueError("need at least one size")
+        if not self.seeds:
+            raise ValueError("need at least one seed")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
         if self.kind not in KINDS:
             raise ValueError(f"unknown instance kind {self.kind!r}")
         if self.cover is None:

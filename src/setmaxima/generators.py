@@ -82,11 +82,11 @@ def sample_convex_polygon(
     return ConvexPolygon(tuple(hull))
 
 
-def _default_radius(m: int, box: int) -> int:
+def _default_radius(m: int) -> int:
     # aim for total polygon area about 1.5x the box, so points overlap a
     # couple of polygons on average regardless of m
     frac = min(0.45, math.sqrt(1.5 / (0.7 * math.pi * m)))
-    return max(8, int(frac * box))
+    return max(8, int(frac * COORD_BOUND))
 
 
 class _NestGrid:
@@ -113,14 +113,42 @@ class _NestGrid:
         self.cells.setdefault(self._key(poly), []).append(poly)
 
 
-def gen_convex_instance(
-    n: int,
-    m: int,
-    k: int,
-    seed: int,
-    radius: int | None = None,
-    box: int = COORD_BOUND,
-) -> GeometricInstance:
+def _place(n: int, m: int, k: int, seed: int, cell: int, draw, release) -> GeometricInstance:
+    """The one placement loop: n seeded points, then m polygons, each
+    ``draw(rng)`` redrawn up to 400 times until it is not None, holds a
+    point, induces a set no placed polygon induces and nests with none of
+    them (on a ``_NestGrid`` of ``cell``); ``release(poly)`` hears of every
+    polygon the loop rejects.  The centers of two nested polygons must lie at
+    most ``cell`` apart in each axis."""
+    rng = random.Random(seed)
+    points = tuple(
+        Point2(rng.randrange(COORD_BOUND + 1), rng.randrange(COORD_BOUND + 1))
+        for _ in range(n)
+    )
+    index = _PointIndex(points)
+    grid = _NestGrid(cell)
+    polygons: list[ConvexPolygon] = []
+    memberships: set[frozenset[int]] = set()
+    for _slot in range(m):
+        for _attempt in range(400):
+            poly = draw(rng)
+            if poly is None:
+                continue
+            members = index.members(poly)
+            if members and members not in memberships and not grid.nests_with_any(poly):
+                break
+            release(poly)
+        else:
+            raise GenerationError(
+                f"could not place polygon {len(polygons) + 1} of {m} (n={n}, k={k}, seed={seed})"
+            )
+        polygons.append(poly)
+        memberships.add(members)
+        grid.add(poly)
+    return GeometricInstance(points=points, polygons=tuple(polygons), k=k)
+
+
+def gen_convex_instance(n: int, m: int, k: int, seed: int) -> GeometricInstance:
     """n random points and m random convex polygons of at most k sides.
 
     The induced set system is guaranteed valid (every polygon holds a
@@ -129,58 +157,26 @@ def gen_convex_instance(
     """
     if k < 3:
         raise ValueError(f"k must be at least 3, got {k}")
-    rng = random.Random(seed)
-    points = tuple(
-        Point2(rng.randrange(box + 1), rng.randrange(box + 1)) for _ in range(n)
-    )
-    index = _PointIndex(points)
-    radius = radius if radius is not None else _default_radius(m, box)
-    grid = _NestGrid(cell=2 * radius)
-    polygons: list[ConvexPolygon] = []
-    memberships: set[frozenset[int]] = set()
-    for _slot in range(m):
-        for _attempt in range(400):
-            center = (
-                rng.randrange(radius, box - radius + 1),
-                rng.randrange(radius, box - radius + 1),
-            )
-            poly = sample_convex_polygon(rng, k, center, radius)
-            if poly is None:
-                continue
-            members = index.members(poly)
-            if not members or members in memberships:
-                continue
-            if grid.nests_with_any(poly):
-                continue
-            polygons.append(poly)
-            memberships.add(members)
-            grid.add(poly)
-            break
-        else:
-            raise GenerationError(
-                f"could not place polygon {len(polygons) + 1} of {m} "
-                f"(n={n}, k={k}, radius={radius}, seed={seed})"
-            )
-    return GeometricInstance(points=points, polygons=tuple(polygons), k=k)
+    radius = _default_radius(m)
+
+    def draw(rng: random.Random) -> ConvexPolygon | None:
+        center = (
+            rng.randrange(radius, COORD_BOUND - radius + 1),
+            rng.randrange(radius, COORD_BOUND - radius + 1),
+        )
+        return sample_convex_polygon(rng, k, center, radius)
+
+    return _place(n, m, k, seed, 2 * radius, draw, lambda poly: None)
 
 
-def gen_rect_instance(
-    n: int, m: int, seed: int, box: int = COORD_BOUND
-) -> GeometricInstance:
+def gen_rect_instance(n: int, m: int, seed: int) -> GeometricInstance:
     """Axis-aligned rectangles (k=4) in generic position: all edge
     coordinates are globally distinct, so no two rectangle boundaries share
     collinear segments, and no rectangle nests inside another."""
-    rng = random.Random(seed)
-    points = tuple(
-        Point2(rng.randrange(box + 1), rng.randrange(box + 1)) for _ in range(n)
-    )
-    index = _PointIndex(points)
-    span_lo, span_hi = box // 12, box // 3
+    span_lo, span_hi = COORD_BOUND // 12, COORD_BOUND // 3
     used: set[int] = set()
-    rects: list[ConvexPolygon] = []
-    memberships: set[frozenset[int]] = set()
 
-    def fresh(lo: int, hi: int) -> int:
+    def fresh(rng: random.Random, lo: int, hi: int) -> int:
         for _ in range(200):
             v = rng.randrange(lo, hi)
             if v not in used:
@@ -188,32 +184,20 @@ def gen_rect_instance(
                 return v
         raise GenerationError("coordinate pool exhausted")
 
-    for _slot in range(m):
-        for _attempt in range(400):
-            w = rng.randrange(span_lo, span_hi)
-            h = rng.randrange(span_lo, span_hi)
-            x1 = fresh(0, box - w)
-            y1 = fresh(0, box - h)
-            x2 = fresh(x1 + max(1, w // 2), x1 + w + 1)
-            y2 = fresh(y1 + max(1, h // 2), y1 + h + 1)
-            rect = ConvexPolygon(
-                (Point2(x1, y1), Point2(x2, y1), Point2(x2, y2), Point2(x1, y2))
-            )
-            members = index.members(rect)
-            nested = any(
-                contains_polygon(rect, other) or contains_polygon(other, rect)
-                for other in rects
-            )
-            if not members or members in memberships or nested:
-                for v in (x1, y1, x2, y2):
-                    used.discard(v)
-                continue
-            rects.append(rect)
-            memberships.add(members)
-            break
-        else:
-            raise GenerationError(f"could not place rectangle {len(rects) + 1} of {m}")
-    return GeometricInstance(points=points, polygons=tuple(rects), k=4)
+    def draw(rng: random.Random) -> ConvexPolygon:
+        w = rng.randrange(span_lo, span_hi)
+        h = rng.randrange(span_lo, span_hi)
+        x1 = fresh(rng, 0, COORD_BOUND - w)
+        y1 = fresh(rng, 0, COORD_BOUND - h)
+        x2 = fresh(rng, x1 + max(1, w // 2), x1 + w + 1)
+        y2 = fresh(rng, y1 + max(1, h // 2), y1 + h + 1)
+        return ConvexPolygon((Point2(x1, y1), Point2(x2, y1), Point2(x2, y2), Point2(x1, y2)))
+
+    def release(rect: ConvexPolygon) -> None:
+        used.difference_update(c for v in rect.vertices for c in v)
+
+    # rectangles are narrower than span_hi: nested centers lie < span_hi / 2 apart
+    return _place(n, m, 4, seed, span_hi // 2, draw, release)
 
 
 def gen_instance(kind: str, n: int, m: int, k: int, density: float, seed: int) -> ProblemInstance:

@@ -448,7 +448,11 @@ def solve_lattice_geometric(
     )
 
 
-def circle_embedding(system: SetSystem, radius: int = 1 << 18) -> GeometricInstance:
+# Radius of the circle the embedding's points lie near, well inside COORD_BOUND.
+CIRCLE_RADIUS = 1 << 18
+
+
+def circle_embedding(system: SetSystem) -> GeometricInstance:
     """Realize an arbitrary set system geometrically: points in strictly
     convex (near-circular) position, one polygon per set spanning exactly
     its members.
@@ -460,7 +464,7 @@ def circle_embedding(system: SetSystem, radius: int = 1 << 18) -> GeometricInsta
     """
     system.require_valid()
     n = system.n
-    points = _convex_position_points(n, radius)
+    points = _convex_position_points(n)
     polygons = []
     for s in system.sets:
         verts = tuple(points[e] for e in sorted(s))
@@ -469,7 +473,7 @@ def circle_embedding(system: SetSystem, radius: int = 1 << 18) -> GeometricInsta
     return GeometricInstance(points=tuple(points), polygons=tuple(polygons), k=k)
 
 
-def _convex_position_points(n: int, radius: int) -> list[Point2]:
+def _convex_position_points(n: int) -> list[Point2]:
     """n integer points in strictly convex position near a circle.
 
     Snap to the circle, then nudge individual radii until every cyclic
@@ -481,7 +485,7 @@ def _convex_position_points(n: int, radius: int) -> list[Point2]:
     offsets = [0] * n
 
     def snapped(i: int) -> Point2:
-        r = radius + offsets[i]
+        r = CIRCLE_RADIUS + offsets[i]
         return Point2(round(r * math.cos(angles[i])), round(r * math.sin(angles[i])))
 
     pts = [snapped(i) for i in range(n)]

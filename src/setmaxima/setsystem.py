@@ -33,7 +33,7 @@ class SetSystem:
 
     def validate(self) -> list[str]:
         """Return a list of violations; empty means the system is well formed."""
-        violations = []
+        violations = [f"n={self.n} is negative"] if self.n < 0 else []
         seen: dict[frozenset[int], int] = {}
         for label, s in enumerate(self.sets, start=1):
             if not s:

@@ -113,6 +113,14 @@ def test_config_validation():
     # abstract instances have no geometry to cover with
     with pytest.raises(ValueError, match="geometric"):
         BenchConfig(kind="abstract", cover="geometric")
+    # a sweep over no size or no seed would check nothing and report success
+    with pytest.raises(ValueError, match="size"):
+        BenchConfig(ns=(), ms=())
+    with pytest.raises(ValueError, match="seed"):
+        BenchConfig(seeds=())
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs"):
+            BenchConfig(jobs=jobs)
     assert BenchConfig(kind="abstract").cover == "greedy"
     assert BenchConfig(kind="convex").cover == "geometric"
     assert BenchConfig(kind="rect").cover == "geometric"
@@ -198,3 +206,27 @@ def test_sweep_ratio_script_runs(tmp_path):
     ]
     with out.open(newline="") as fh:
         assert tuple(next(csv.reader(fh))) == CSV_COLUMNS
+
+
+@pytest.mark.parametrize("flag", [["--seeds", "0"], ["--seeds", "-2"], ["--jobs", "0"]],
+                         ids=" ".join)
+def test_cli_bench_that_would_check_nothing_exit_2(tmp_path, capsys, flag):
+    out = tmp_path / "b.csv"
+    assert main(["bench", "--kind", "convex", "--n", "20", "--m", "2", *flag,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [["--seeds", "0"], ["--jobs", "0"]], ids=" ".join)
+def test_sweep_ratio_script_refuses_an_empty_sweep(tmp_path, flag):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "sweep_ratio.py"
+    out = tmp_path / "sweep.csv"
+    done = subprocess.run(
+        [sys.executable, str(script), "--sizes", "100", *flag, "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+    assert not out.exists()

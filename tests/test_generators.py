@@ -1,5 +1,10 @@
+import hashlib
+import json
+import random
+
 import pytest
 
+import setmaxima.generators as generators
 from setmaxima.generators import (
     GenerationError,
     gen_convex_instance,
@@ -81,13 +86,54 @@ def test_convex_instance_never_nested():
 
 
 def test_rect_instance_generic_position():
-    inst = gen_rect_instance(n=100, m=10, seed=4)
-    assert all(poly.sides == 4 for poly in inst.polygons)
-    xs = [v.x for poly in inst.polygons for v in poly.vertices]
-    ys = [v.y for poly in inst.polygons for v in poly.vertices]
-    assert len(set(xs)) == 2 * len(inst.polygons)
-    assert len(set(ys)) == 2 * len(inst.polygons)
-    assert induced_system(inst).validate() == []
+    for n, m, seed in [(100, 10, 4), (100, 10, 0), (300, 25, 2), (400, 60, 3), (400, 60, 4)]:
+        inst = gen_rect_instance(n=n, m=m, seed=seed)
+        rects = inst.polygons
+        assert len(rects) == m and all(rect.sides == 4 for rect in rects)
+        xs = [v.x for rect in rects for v in rect.vertices]
+        ys = [v.y for rect in rects for v in rect.vertices]
+        # each rectangle has two x and two y edge coordinates, all distinct
+        assert len(set(xs + ys)) == 4 * m
+        for i in range(m):
+            for j in range(m):
+                if i != j:
+                    assert not contains_polygon(rects[i], rects[j])
+        assert induced_system(inst).validate() == []
+
+
+def test_rect_sampler_takes_back_the_coordinates_of_a_rejected_rectangle(monkeypatch):
+    loop = {}
+
+    def place(n, m, k, seed, cell, draw, release):
+        loop.update(draw=draw, release=release)
+
+    monkeypatch.setattr(generators, "_place", place)
+    gen_rect_instance(n=10, m=1, seed=0)
+    draw, release = loop["draw"], loop["release"]
+    first = draw(random.Random(5))
+    release(first)
+    assert draw(random.Random(5)) == first
+    assert draw(random.Random(5)) != first  # kept, so its coordinates are taken
+
+
+# sha256 of the JSON [points, polygon vertices] of fixed draws, pinned so
+# that an edit to the placement loop or a sampler cannot change instances
+# silently
+GOLDEN_DIGESTS = {
+    ("convex", 60, 5, 3, 0): "c32abe5604753f947f5c0633c522d27a3f843768471bbd079b2ff86673e38c06",
+    ("convex", 300, 25, 4, 7): "95076e38affc5c515daaa376cb19715ae5a58b1d324fcf09e1b0077ec6234788",
+    ("convex", 400, 40, 8, 11): "7d51ebf26bc3f6cb127c99ae7c2a5ccb12b749470575e9d720a577d7bb271ab8",
+    ("rect", 100, 10, 4, 4): "9e06905e7d5a0951c3152176b689c5ba6a4df28bb8f44e3a24d40d55800bfcea",
+    ("rect", 300, 60, 4, 2): "0034344fda90567f377337cf2f5aabe0506f08a98065c4ab4a06cd746df4cb13",
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_DIGESTS), ids=lambda case: "-".join(map(str, case)))
+def test_geometric_instances_match_golden_digests(case):
+    kind, n, m, k, seed = case
+    inst = gen_convex_instance(n, m, k, seed) if kind == "convex" else gen_rect_instance(n, m, seed)
+    doc = [[list(p) for p in inst.points], [[list(v) for v in poly.vertices] for poly in inst.polygons]]
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == GOLDEN_DIGESTS[case]
 
 
 def test_keys_generator_deterministic():

@@ -203,6 +203,20 @@ def test_cli_missing_file_exit_2(tmp_path):
     assert main(["solve", str(tmp_path / "absent.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "--algo", algo] for algo in ("lattice", "sort", "bucket", "brute")] + [["verify"]],
+    ids=lambda argv: argv[-1],
+)
+def test_cli_negative_n_exit_2(tmp_path, capsys, argv):
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({"n": -1, "sets": []}))
+    assert main([argv[0], str(path), *argv[1:], "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    _assert_one_error_line(err)
+    assert "invalid set system: n=-1 is negative" in err
+
+
 def test_cli_missing_keys_needs_seed(tmp_path, capsys):
     path = tmp_path / "nokeys.json"
     path.write_text(json.dumps({"n": 3, "sets": [[0, 1], [1, 2]]}))

@@ -27,6 +27,11 @@ def test_validate_empty_set():
     assert any("empty" in v for v in violations)
 
 
+def test_validate_negative_n():
+    assert system_from_lists(-1, []).validate() == ["n=-1 is negative"]
+    assert system_from_lists(0, []).validate() == []
+
+
 def test_p_is_the_sum_of_set_sizes():
     system = system_from_lists(4, [{0, 1}, {1, 2, 3}])
     assert system.p == 5
