@@ -17,6 +17,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from setmaxima.bench import BenchConfig, run_bench  # noqa: E402
+from setmaxima.generators import GenerationError  # noqa: E402
 
 
 def main() -> int:
@@ -29,9 +30,10 @@ def main() -> int:
     parser.add_argument("--out", default="sweep.csv")
     args = parser.parse_args()
 
-    ns = tuple(int(v) for v in args.sizes.split(","))
-    ms = tuple(max(1, int(n * args.m_ratio)) for n in ns)
+    start = time.time()
     try:
+        ns = tuple(int(v) for v in args.sizes.split(","))
+        ms = tuple(max(1, int(n * args.m_ratio)) for n in ns)
         config = BenchConfig(
             kind="convex",
             ns=ns,
@@ -41,11 +43,10 @@ def main() -> int:
             algos=("lattice",),
             jobs=args.jobs,
         )
-    except ValueError as exc:
+        records = run_bench(config, out=args.out)
+    except (ValueError, GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    start = time.time()
-    records = run_bench(config, out=args.out)
     elapsed = time.time() - start
 
     print(f"{'n':>8} {'m':>7} {'k':>3} {'comparisons':>12} {'k(n+m)':>10} {'ratio':>7} ok")

@@ -143,7 +143,7 @@ def cross_check(
         if pinst.geometry is None:
             raise ValueError("geometric cover mode needs an instance with geometry")
         glat = build_geometric_lattice(pinst.geometry)
-    system = glat.system if glat is not None else pinst.system
+    system = pinst.system
     oracle = solve_bruteforce(system, pinst.keys)
     checks = []
     for algo in algos:

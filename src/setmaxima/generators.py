@@ -35,13 +35,18 @@ def gen_keys(n: int, seed: int) -> KeySpace:
     return KeySpace(keys)
 
 
+def _check_sizes(n: int, m: int) -> None:
+    """Every generator makes at least one element and one set."""
+    if n < 1 or m < 1:
+        raise ValueError("need n >= 1 and m >= 1")
+
+
 def gen_random_system(n: int, m: int, density: float, seed: int) -> SetSystem:
     """m distinct non-empty random subsets of [0..n); each element joins a
     set with probability ``density``."""
     if not 0 < density <= 1:
         raise ValueError(f"density must be in (0, 1], got {density}")
-    if n < 1 or m < 1:
-        raise ValueError("need n >= 1 and m >= 1")
+    _check_sizes(n, m)
     if m > (1 << n) - 1:
         raise GenerationError(f"cannot build {m} distinct non-empty subsets of {n} elements")
     rng = random.Random(seed)
@@ -155,6 +160,7 @@ def gen_convex_instance(n: int, m: int, k: int, seed: int) -> GeometricInstance:
     point, no two polygons induce the same set) and polygon pairs are
     never nested.
     """
+    _check_sizes(n, m)
     if k < 3:
         raise ValueError(f"k must be at least 3, got {k}")
     radius = _default_radius(m)
@@ -173,6 +179,7 @@ def gen_rect_instance(n: int, m: int, seed: int) -> GeometricInstance:
     """Axis-aligned rectangles (k=4) in generic position: all edge
     coordinates are globally distinct, so no two rectangle boundaries share
     collinear segments, and no rectangle nests inside another."""
+    _check_sizes(n, m)
     span_lo, span_hi = COORD_BOUND // 12, COORD_BOUND // 3
     used: set[int] = set()
 

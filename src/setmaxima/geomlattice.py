@@ -65,21 +65,17 @@ class InternalInconsistencyError(Exception):
 
 @dataclass(frozen=True)
 class GeometricInstance:
-    """Points (one per element) and convex polygons (one per set)."""
+    """Points (one per element) and convex polygons (one per set).
+
+    Checked once, when it is made: k below 3, a polygon of more than k
+    sides or a coordinate beyond ``COORD_BOUND`` raise ``ValueError``.
+    """
 
     points: tuple[Point2, ...]
     polygons: tuple[ConvexPolygon, ...]
     k: int
 
-    @property
-    def n(self) -> int:
-        return len(self.points)
-
-    @property
-    def m(self) -> int:
-        return len(self.polygons)
-
-    def validate(self) -> list[str]:
+    def __post_init__(self):
         violations = []
         if self.k < 3:
             violations.append(f"k={self.k} must be at least 3")
@@ -93,13 +89,16 @@ class GeometricInstance:
                 if abs(v[0]) > COORD_BOUND or abs(v[1]) > COORD_BOUND:
                     violations.append(f"polygon {j} exceeds the coordinate bound")
                     break
-        return violations
-
-    def require_valid(self) -> "GeometricInstance":
-        violations = self.validate()
         if violations:
-            raise ValueError("invalid geometric instance: " + "; ".join(violations))
-        return self
+            raise ValueError("invalid geometry: " + "; ".join(violations))
+
+    @property
+    def n(self) -> int:
+        return len(self.points)
+
+    @property
+    def m(self) -> int:
+        return len(self.polygons)
 
     @cached_property
     def membership(self) -> tuple[frozenset[int], ...]:
@@ -109,6 +108,12 @@ class GeometricInstance:
         bounded)."""
         index = _PointIndex(self.points)
         return tuple(index.members(poly) for poly in self.polygons)
+
+    @cached_property
+    def system(self) -> SetSystem:
+        """The set system the polygons induce, made once per instance;
+        ``ValueError`` if a polygon holds no point or two hold the same."""
+        return SetSystem(n=self.n, sets=self.membership)
 
 
 class _PointIndex:
@@ -147,7 +152,8 @@ def induced_membership(instance: GeometricInstance) -> list[frozenset[int]]:
 
 
 def induced_system(instance: GeometricInstance) -> SetSystem:
-    return SetSystem(n=instance.n, sets=instance.membership)
+    """``instance.system``: every caller gets the one induced system."""
+    return instance.system
 
 
 class RegionCache:
@@ -390,13 +396,13 @@ def check_owner_chains(label: Label, cover: tuple[Label, ...], cache: RegionCach
 
 
 def build_geometric_lattice(instance: GeometricInstance) -> GeometricLattice:
-    """Induce the set system, build the lattice, and attach geometric covers
-    (inserting virtual nodes for cover labels without elements).
+    """Build the lattice of the instance's induced system (``instance.system``,
+    the one object ``GeometricLattice.system`` holds) and attach geometric
+    covers (inserting virtual nodes for cover labels without elements).
 
     No key comparisons happen anywhere in here.
     """
-    instance.require_valid()
-    system = induced_system(instance).require_valid()
+    system = induced_system(instance)
     lattice = compute_parents(build_lattice(system))
     cache = RegionCache(instance)
     covers: dict[Label, tuple[Label, ...]] = {}
@@ -437,14 +443,9 @@ def solve_lattice_geometric(
     glat: GeometricLattice,
     keys: KeySpace,
     ledger: ComparisonLedger | None = None,
-    debug_check: bool = False,
 ) -> MaximaResult:
     return solve_lattice(
-        glat.system,
-        keys,
-        ledger=ledger,
-        prebuilt=(glat.lattice, glat.covers),
-        debug_check=debug_check,
+        glat.system, keys, ledger=ledger, prebuilt=(glat.lattice, glat.covers)
     )
 
 
@@ -462,7 +463,6 @@ def circle_embedding(system: SetSystem) -> GeometricInstance:
     members.  The resulting k is unbounded (max set size), which is the
     whole point: without a side bound the geometry encodes anything.
     """
-    system.require_valid()
     n = system.n
     points = _convex_position_points(n)
     polygons = []

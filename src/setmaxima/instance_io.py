@@ -12,7 +12,10 @@
     }
 
 When both sets and geometry are present they must agree (the loader
-cross-checks containment).
+cross-checks containment), and the loaded system is the one the geometry
+induces.  ``SetSystem`` and ``GeometricInstance`` check themselves when they
+are made; the loader reports their ``ValueError`` as an ``InputError`` with
+the same text.
 """
 
 from __future__ import annotations
@@ -78,16 +81,23 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
     (n,) = _integers([raw_n], "'n'")
     if not isinstance(raw_sets, list) or not all(isinstance(s, list) for s in raw_sets):
         raise InputError("'sets' must be a list of integer lists")
-    system = SetSystem(
-        n=n,
-        sets=tuple(
-            frozenset(_integers(s, f"a member of set {j}"))
-            for j, s in enumerate(raw_sets, start=1)
-        ),
+    sets = tuple(
+        frozenset(_integers(s, f"a member of set {j}")) for j, s in enumerate(raw_sets, start=1)
     )
-    violations = system.validate()
-    if violations:
-        raise InputError("invalid set system: " + "; ".join(violations))
+    geometry = None
+    if doc.get("geometry") is not None:
+        geometry = _geometry_from_dict(doc["geometry"], n, len(sets))
+        # before the induced system is made, so an empty or repeated
+        # polygon reads as a mismatch rather than as an invalid system
+        if geometry.membership != sets:
+            bad = [
+                j + 1 for j, (got, want) in enumerate(zip(geometry.membership, sets)) if got != want
+            ]
+            raise InputError(f"geometry disagrees with 'sets' for polygon(s) {bad[:5]}")
+    try:
+        system = geometry.system if geometry is not None else SetSystem(n=n, sets=sets)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
     keys = None
     if doc.get("keys") is not None:
@@ -99,24 +109,10 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
             raise InputError(f"malformed 'keys': {exc}") from exc
         if keys.n != n:
             raise InputError(f"got {keys.n} keys for {n} elements")
-
-    geometry = None
-    if doc.get("geometry") is not None:
-        geometry = _geometry_from_dict(doc["geometry"], n)
-        induced = geometry.membership
-        if induced != system.sets:
-            bad = [
-                j + 1
-                for j, (got, want) in enumerate(zip(induced, system.sets))
-                if got != want
-            ]
-            raise InputError(
-                f"geometry disagrees with 'sets' for polygon(s) {bad[:5]}"
-            )
     return ProblemInstance(system=system, keys=keys, geometry=geometry)
 
 
-def _geometry_from_dict(geo: dict, n: int) -> GeometricInstance:
+def _geometry_from_dict(geo: dict, n: int, m: int) -> GeometricInstance:
     if not isinstance(geo, dict):
         raise InputError("'geometry' must be an object")
     try:
@@ -137,11 +133,12 @@ def _geometry_from_dict(geo: dict, n: int) -> GeometricInstance:
         raise InputError(f"malformed geometry block: {exc}") from exc
     if len(points) != n:
         raise InputError(f"geometry has {len(points)} points for {n} elements")
-    instance = GeometricInstance(points=points, polygons=polygons, k=k)
-    violations = instance.validate()
-    if violations:
-        raise InputError("invalid geometry: " + "; ".join(violations))
-    return instance
+    if len(polygons) != m:
+        raise InputError(f"geometry has {len(polygons)} polygons for {m} sets")
+    try:
+        return GeometricInstance(points=points, polygons=polygons, k=k)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def save_instance(path: str | Path, instance: ProblemInstance) -> None:

@@ -184,7 +184,6 @@ def build_lattice(system: SetSystem) -> Lattice:
 
     Runs in O(p); performs no key comparisons.
     """
-    system.require_valid()
     lat = Lattice(m=system.m, n=system.n)
     classes = system.signature_classes()
     for i in range(1, system.m + 1):

@@ -14,25 +14,18 @@ T = TypeVar("T")
 
 @dataclass(frozen=True)
 class SetSystem:
-    """A collection of distinct non-empty index sets S_1..S_m over [0..n)."""
+    """A collection of distinct non-empty index sets S_1..S_m over [0..n).
+
+    Checked once, when it is made: a negative n, an empty set, two equal
+    sets or an element outside [0..n) raise ``ValueError``, so every
+    instance is well formed.
+    """
 
     n: int
     sets: tuple[frozenset[int], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "sets", tuple(frozenset(s) for s in self.sets))
-
-    @property
-    def m(self) -> int:
-        return len(self.sets)
-
-    @property
-    def p(self) -> int:
-        """The total size sum(|S_i|)."""
-        return sum(map(len, self.sets))
-
-    def validate(self) -> list[str]:
-        """Return a list of violations; empty means the system is well formed."""
         violations = [f"n={self.n} is negative"] if self.n < 0 else []
         seen: dict[frozenset[int], int] = {}
         for label, s in enumerate(self.sets, start=1):
@@ -47,21 +40,17 @@ class SetSystem:
                 violations.append(
                     f"set {label} has out-of-range elements: {sorted(bad)}"
                 )
-        return violations
-
-    def require_valid(self) -> "SetSystem":
-        """Raise ValueError unless the system is well formed.
-
-        A success is remembered (see :meth:`compiled`), so only the first
-        call pays the O(p) scan.
-        """
-        self.compiled(SetSystem._raise_if_invalid)
-        return self
-
-    def _raise_if_invalid(self) -> None:
-        violations = self.validate()
         if violations:
             raise ValueError("invalid set system: " + "; ".join(violations))
+
+    @property
+    def m(self) -> int:
+        return len(self.sets)
+
+    @property
+    def p(self) -> int:
+        """The total size sum(|S_i|)."""
+        return sum(map(len, self.sets))
 
     def compiled(self, compile: Callable[["SetSystem"], T]) -> T:
         """``compile(self)``, run on the first call with that function and

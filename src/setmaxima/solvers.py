@@ -5,7 +5,9 @@
 * bucket baseline
 * brute-force oracle (unaudited key access, reference counts only)
 
-Each solve owns one ledger; audited solvers never read raw keys.
+Each solve owns one ledger; audited solvers never read raw keys.  A
+:class:`~setmaxima.setsystem.SetSystem` is well formed from the moment it
+is made, so no solver checks its input again.
 
 The lattice and its covers depend only on the sets, never on the keys.
 ``solve_lattice`` therefore answers a key assignment from the lattice's
@@ -93,7 +95,6 @@ def solve_bruteforce(system: SetSystem, keys: KeySpace) -> MaximaResult:
     The reported comparison count is the reference sum(|S_i| - 1): what a
     per-set scan would pay without sharing any work.
     """
-    system.require_valid()
     raw = keys.oracle_keys()
     maxima = tuple(max(s, key=raw.__getitem__) for s in system.sets)
     reference = system.p - system.m
@@ -140,7 +141,6 @@ def solve_sort(
     maximum is its member of the latest place: one ``np.maximum.reduceat``
     over the plan's members answers every set, with no further comparison.
     """
-    system.require_valid()
     ledger = ledger if ledger is not None else ComparisonLedger()
     start = ledger.count
     plan = sort_plan(system)
@@ -216,7 +216,6 @@ def solve_bucket(
     :meth:`~setmaxima.order.KeySpace.propagate` call over the buckets and
     the plan's per-set layer.
     """
-    system.require_valid()
     ledger = ledger if ledger is not None else ComparisonLedger()
     start = ledger.count
     plan = bucket_plan(system)
@@ -234,7 +233,6 @@ def solve_lattice(
     cover_mode: str = "greedy",
     ledger: ComparisonLedger | None = None,
     prebuilt: tuple[Lattice, dict[Label, tuple[Label, ...]]] | None = None,
-    debug_check: bool = False,
 ) -> MaximaResult:
     """Reduce each class to a champion, then push champions up the
     cover-pruned DAG, deepest layer first.
@@ -245,11 +243,8 @@ def solve_lattice(
     :class:`SolvePlan` for those covers, so a prebuilt structure pays for
     the plan once and every later key assignment only compares.  The
     comparison count is asserted against the budget n + sum(|cover|) on
-    every run.  With ``debug_check`` the loop invariant is checked before
-    each layer, on a ``propagate`` of the layers below it into a scratch
-    ledger, and then the solve makes its one call as usual.
+    every run.
     """
-    system.require_valid()
     ledger = ledger if ledger is not None else ComparisonLedger()
     start = ledger.count
     if prebuilt is not None:
@@ -263,13 +258,7 @@ def solve_lattice(
             f"the system of n={system.n}, m={system.m}"
         )
     plan = lattice.solve_plan(covers)
-    pushes = [push for _, push in plan.layers]
-    if debug_check:
-        for i, (layer, _) in enumerate(plan.layers):
-            scratch = keys.propagate(plan.classes, pushes[:i], ComparisonLedger()).tolist()
-            held = dict(zip(plan.labels, (None if c < 0 else c for c in scratch)))
-            _check_loop_invariant(lattice, covers, held, keys, layer)
-    champion = keys.propagate(plan.classes, pushes, ledger)
+    champion = keys.propagate(plan.classes, [push for _, push in plan.layers], ledger)
     if champion.size < len(plan.labels):  # the slots no class or push names are empty
         champion = np.pad(champion, (0, len(plan.labels) - champion.size), constant_values=-1)
     maxima = tuple(champion[plan.outputs].tolist())
@@ -282,8 +271,9 @@ def solve_lattice(
 
 
 def _check_loop_invariant(lattice, covers, champion, keys, layer):
-    """Debug mode: before processing a layer, every node at or below it must
-    already hold the max over its reachable classes (checked unaudited)."""
+    """The loop invariant of a lattice solve, for the tests' checks: before
+    a layer is pushed, every node at or below it must already hold the max
+    over its reachable classes (checked unaudited)."""
     raw = keys.oracle_keys()
     children: dict[Label, list[Label]] = {lb: [] for lb in lattice.nodes}
     for label, cover in covers.items():

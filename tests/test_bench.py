@@ -219,7 +219,11 @@ def test_cli_bench_that_would_check_nothing_exit_2(tmp_path, capsys, flag):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", [["--seeds", "0"], ["--jobs", "0"]], ids=" ".join)
+@pytest.mark.parametrize(
+    "flag",
+    [["--seeds", "0"], ["--jobs", "0"], ["--sizes", "0"], ["--k", "2"], ["--sizes", "x"]],
+    ids=" ".join,
+)
 def test_sweep_ratio_script_refuses_an_empty_sweep(tmp_path, flag):
     script = Path(__file__).resolve().parent.parent / "scripts" / "sweep_ratio.py"
     out = tmp_path / "sweep.csv"

@@ -202,7 +202,12 @@ def test_line_intersection_rational():
 
 def convex_intersection(p, q):
     """P cap Q as the build computes it: the region of label {1, 2}."""
-    return RegionCache(GeometricInstance((), (p, q), k=3)).region(frozenset({1, 2}))
+    return RegionCache(pair_instance(p, q)).region(frozenset({1, 2}))
+
+
+def pair_instance(p, q):
+    """Polygons p and q, labels 1 and 2, with no points."""
+    return GeometricInstance((), (p, q), k=max(3, p.sides, q.sides))
 
 
 def test_intersection_idempotent():
@@ -344,7 +349,7 @@ def rect(x0, y0, x1, y1):
 def owned_clip(p, q):
     """p (label 1) clipped by q (label 2): the region (None when empty)
     and its edge owners."""
-    entry = RegionCache(GeometricInstance((), (p, q), k=3)).entry(frozenset({1, 2}))
+    entry = RegionCache(pair_instance(p, q)).entry(frozenset({1, 2}))
     return entry.polygon(), list(entry.owners)
 
 

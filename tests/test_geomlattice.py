@@ -98,13 +98,17 @@ def test_boundary_points_are_members():
 
 
 def test_instance_validation():
-    inst = GeometricInstance(points=(), polygons=(square(0, 0, 1, 1),), k=2)
-    assert any("k=2" in v for v in inst.validate())
+    with pytest.raises(ValueError, match=r"^invalid geometry: k=2 must be at least 3; "):
+        GeometricInstance(points=(), polygons=(square(0, 0, 1, 1),), k=2)
     tri = ConvexPolygon((Point2(0, 0), Point2(9, 0), Point2(0, 9)))
-    inst = GeometricInstance(points=(), polygons=(square(0, 0, 1, 1), tri), k=3)
-    assert any("> k sides" in v for v in inst.validate())
-    inst = GeometricInstance(points=(Point2(1 << 21, 0),), polygons=(tri,), k=3)
-    assert any("coordinate bound" in v for v in inst.validate())
+    with pytest.raises(ValueError, match=r"^invalid geometry: polygon 1 has 4 > k sides$"):
+        GeometricInstance(points=(), polygons=(square(0, 0, 1, 1), tri), k=3)
+    bound = "exceeds the coordinate bound"
+    with pytest.raises(ValueError, match=rf"^invalid geometry: point 0 {bound}$"):
+        GeometricInstance(points=(Point2(1 << 21, 0),), polygons=(tri,), k=3)
+    far = ConvexPolygon((Point2(0, 0), Point2(1 << 21, 0), Point2(0, 9)))
+    with pytest.raises(ValueError, match=rf"^invalid geometry: polygon 2 {bound}$"):
+        GeometricInstance(points=(), polygons=(tri, far), k=3)
 
 
 # ------------------------------------------------------------- region caching

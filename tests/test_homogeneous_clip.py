@@ -251,7 +251,6 @@ def test_regions_match_reference_at_the_coordinate_bound():
     largest = [0, 0]
     for _ in range(40):
         inst = GeometricInstance(points=(), polygons=_box_polygons(rng, 5), k=6)
-        assert not inst.validate()
         cache, labels = RegionCache(inst), _all_labels(inst.m)
         assert _assert_cache_matches_reference(inst, cache, labels)[0] > 0
         for label in labels:

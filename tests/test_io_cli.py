@@ -71,6 +71,26 @@ def test_geometry_set_mismatch_rejected():
         instance_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "sets, polygons, message",
+    [
+        # two polygons for one set: zip would compare only the first
+        ([[0, 1]], None, "geometry has 2 polygons for 1 sets"),
+        # a polygon that holds no point, and one that repeats another
+        ([[0, 1], [1, 2], [2]], [[[7, 7], [9, 7], [9, 9], [7, 9]]],
+         r"geometry disagrees with 'sets' for polygon\(s\) \[3\]"),
+        ([[0, 1], [1, 2], [2]], [[[1, 1], [4, 1], [4, 4], [1, 4]]],
+         r"geometry disagrees with 'sets' for polygon\(s\) \[3\]"),
+    ],
+)
+def test_geometry_must_induce_exactly_the_sets(sets, polygons, message):
+    doc = copy.deepcopy(TWO_SQUARES)
+    doc["sets"] = sets
+    doc["geometry"]["polygons"] += polygons or []
+    with pytest.raises(InputError, match=message):
+        instance_from_dict(doc)
+
+
 def test_bad_documents_rejected():
     with pytest.raises(InputError):
         instance_from_dict([1, 2])
@@ -419,6 +439,51 @@ def test_load_and_build_find_membership_once(tmp_path, monkeypatch):
     glat = build_geometric_lattice(loaded.geometry)
     assert len(calls) == inst.m
     assert glat.system.sets == loaded.system.sets
+
+
+def test_load_and_build_check_geometry_and_sets_once(tmp_path, monkeypatch):
+    from setmaxima.geomlattice import GeometricInstance, _PointIndex, build_geometric_lattice
+    from setmaxima.setsystem import SetSystem
+
+    inst = gen_convex_instance(n=300, m=25, k=4, seed=4)
+    path = tmp_path / "geo.json"
+    save_instance(path, ProblemInstance(system=inst.system, geometry=inst))
+    checked = []
+    for cls in (GeometricInstance, SetSystem):
+        check = cls.__post_init__
+        monkeypatch.setattr(
+            cls, "__post_init__",
+            lambda self, check=check: checked.append(type(self).__name__) or check(self),
+        )
+    members = _PointIndex.members
+    calls = []
+    monkeypatch.setattr(
+        _PointIndex, "members", lambda self, poly: calls.append(poly) or members(self, poly)
+    )
+    loaded = load_instance(path)
+    glat = build_geometric_lattice(loaded.geometry)
+    assert checked == ["GeometricInstance", "SetSystem"]
+    assert len(calls) == inst.m
+    assert loaded.system is loaded.geometry.system is glat.system
+
+
+def test_cli_more_polygons_than_sets_exit_2(tmp_path):
+    doc = copy.deepcopy(TWO_SQUARES)
+    doc["sets"] = [[0, 1]]
+    code, err = _verify_text(tmp_path, json.dumps(doc))
+    assert code == 2
+    assert err == "error: geometry has 2 polygons for 1 sets\n"
+
+
+@pytest.mark.parametrize("kind", ["abstract", "convex", "rect"])
+@pytest.mark.parametrize("size", [["--n", "0", "--m", "2"], ["--n", "-5", "--m", "2"],
+                                  ["--n", "20", "--m", "0"], ["--n", "20", "--m", "-1"]],
+                         ids=" ".join)
+def test_cli_gen_needs_an_element_and_a_set(capsys, kind, size):
+    assert main(["gen", "--kind", kind, *size, "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: need n >= 1 and m >= 1\n"
+    assert captured.out == ""
 
 
 def test_cli_sets_disagreeing_with_geometry_exit_2(tmp_path):

@@ -9,27 +9,31 @@ from setmaxima.setsystem import SetSystem, system_from_lists
 
 
 def test_validate_ok():
-    assert system_from_lists(3, [{0, 1}, {1, 2}]).validate() == []
+    system = system_from_lists(3, [{0, 1}, {1, 2}])
+    assert system.sets == (frozenset({0, 1}), frozenset({1, 2}))
 
 
 def test_validate_duplicates():
-    violations = system_from_lists(2, [{0}, {0}]).validate()
-    assert any("duplicates" in v for v in violations)
+    with pytest.raises(ValueError, match=r"^invalid set system: sets 1 and 2 are duplicates$"):
+        system_from_lists(2, [{0}, {0}])
 
 
 def test_validate_out_of_range():
-    violations = system_from_lists(3, [{0, 5}]).validate()
-    assert any("out-of-range" in v for v in violations)
+    with pytest.raises(
+        ValueError, match=r"^invalid set system: set 1 has out-of-range elements: \[5\]$"
+    ):
+        system_from_lists(3, [{0, 5}])
 
 
 def test_validate_empty_set():
-    violations = system_from_lists(3, [set()]).validate()
-    assert any("empty" in v for v in violations)
+    with pytest.raises(ValueError, match=r"^invalid set system: set 1 is empty$"):
+        system_from_lists(3, [set()])
 
 
 def test_validate_negative_n():
-    assert system_from_lists(-1, []).validate() == ["n=-1 is negative"]
-    assert system_from_lists(0, []).validate() == []
+    with pytest.raises(ValueError, match=r"^invalid set system: n=-1 is negative$"):
+        system_from_lists(-1, [])
+    assert system_from_lists(0, []).m == 0
 
 
 def test_p_is_the_sum_of_set_sizes():
@@ -98,28 +102,9 @@ def test_signature_grouping_is_partition(n, seed):
     assert len(groups) <= system.n
 
 
-def test_require_valid_scans_once_per_valid_instance(monkeypatch):
+def test_every_violation_is_reported_and_copies_are_checked_too():
+    with pytest.raises(ValueError, match="set 2 is empty; sets 1 and 3 are duplicates"):
+        system_from_lists(2, [{0}, set(), {0}])
     system = system_from_lists(3, [{0, 1}, {1, 2}])
-    calls = []
-    original = SetSystem.validate
-
-    def counted(self):
-        calls.append(self)
-        return original(self)
-
-    monkeypatch.setattr(SetSystem, "validate", counted)
-    assert system.require_valid() is system
-    assert system.require_valid() is system
-    assert len(calls) == 1
-    # the remembered success is no field: equality and copies are unchanged
-    assert system == system_from_lists(3, [{0, 1}, {1, 2}])
-    # a copy with an element out of range does not inherit the success
     with pytest.raises(ValueError, match="out-of-range"):
-        replace(system, n=2).require_valid()
-
-
-def test_require_valid_raises_on_every_call():
-    system = system_from_lists(3, [{0, 5}])
-    for _ in range(3):
-        with pytest.raises(ValueError, match="out-of-range"):
-            system.require_valid()
+        replace(system, n=2)

@@ -169,13 +169,32 @@ def test_lattice_matches_oracle_100_instances(cover_mode):
         assert result.comparisons <= result.bound
 
 
+def check_loop_invariant_per_layer(lattice, covers, keys):
+    """The loop invariant before each layer of ``lattice.solve_plan(covers)``:
+    a ``propagate`` of the layers below it, into a scratch ledger, leaves
+    every node at or below the layer holding its reachable maximum."""
+    plan = lattice.solve_plan(covers)
+    pushes = [push for _, push in plan.layers]
+    for i, (layer, _) in enumerate(plan.layers):
+        scratch = keys.propagate(plan.classes, pushes[:i], ComparisonLedger()).tolist()
+        held = dict(zip(plan.labels, (None if c < 0 else c for c in scratch)))
+        _check_loop_invariant(lattice, covers, held, keys, layer)
+
+
+def _greedy_lattice(system):
+    lat = compute_parents(build_lattice(system))
+    return lat, good_covers(lat)
+
+
 def test_lattice_debug_check_loop_invariant():
     for seed in range(10):
         rng = random.Random(seed + 77)
         n, m = _feasible(rng, 25, 8)
         system = gen_random_system(n, m, 0.5, seed)
         keys = gen_keys(n, seed)
-        result = solve_lattice(system, keys, debug_check=True)
+        lat, covers = _greedy_lattice(system)
+        check_loop_invariant_per_layer(lat, covers, keys)
+        result = solve_lattice(system, keys, prebuilt=(lat, covers))
         assert result.maxima == solve_bruteforce(system, keys).maxima
 
 
@@ -305,7 +324,6 @@ def _merge_sort(items, keys, ledger):
 
 def reference_solve_sort(system, keys, ledger=None):
     """The recursive merge sort over all of X, then a rank lookup per set."""
-    system.require_valid()
     ledger = ledger if ledger is not None else ComparisonLedger()
     start = ledger.count
     order = _merge_sort(list(range(system.n)), keys, ledger)
@@ -318,7 +336,6 @@ def reference_solve_lattice(system, keys, cover_mode="greedy", ledger=None, preb
                             debug_check=False):
     """The per-node lattice loop: champions keyed by label, covers pushed
     one node at a time in descending layer order."""
-    system.require_valid()
     ledger = ledger if ledger is not None else ComparisonLedger()
     start = ledger.count
     if prebuilt is not None:
@@ -462,15 +479,18 @@ def test_geometric_lattice_matches_reference():
 def test_debug_check_runs_match_reference():
     for seed, system in _seeded_systems(10, n_max=30, m_max=8, offset=900):
         keys = gen_keys(system.n, seed)
+        lat, covers = _greedy_lattice(system)
+        check_loop_invariant_per_layer(lat, covers, keys)
         _assert_same_run(
-            _transcribed(solve_lattice, system, keys, debug_check=True),
+            _transcribed(solve_lattice, system, keys, prebuilt=(lat, covers)),
             _transcribed(reference_solve_lattice, system, keys, debug_check=True),
         )
     inst = gen_convex_instance(n=80, m=8, k=4, seed=2)
     glat = build_geometric_lattice(inst)
     keys = gen_keys(inst.n, 3)
+    check_loop_invariant_per_layer(glat.lattice, glat.covers, keys)
     _assert_same_run(
-        _transcribed(solve_lattice_geometric, glat, keys, debug_check=True),
+        _transcribed(solve_lattice_geometric, glat, keys),
         _transcribed(
             reference_solve_lattice, glat.system, keys,
             prebuilt=(glat.lattice, glat.covers), debug_check=True,
@@ -481,16 +501,16 @@ def test_debug_check_runs_match_reference():
 def test_debug_check_catches_a_broken_plan():
     # element 2 is alone in class {1,2,3} and holds the largest key
     system = system_from_lists(6, [{0, 1, 2, 3}, {1, 2, 4}, {2, 3, 5}])
-    lat = compute_parents(build_lattice(system))
-    covers = good_covers(lat)
+    lat, covers = _greedy_lattice(system)
     plan = lat.solve_plan(covers)
     assert [layer for layer, _ in plan.layers] == [3, 2]
     keys = KeySpace([1, 2, 6, 3, 4, 5])
-    assert solve_lattice(system, keys, prebuilt=(lat, covers), debug_check=True).maxima == (2, 2, 2)
+    check_loop_invariant_per_layer(lat, covers, keys)
+    assert solve_lattice(system, keys, prebuilt=(lat, covers)).maxima == (2, 2, 2)
     # drop the pushes of layer 3: the check before layer 2 must notice
     lat._plan = (covers, replace(plan, layers=plan.layers[1:]))
     with pytest.raises(AssertionError, match="loop invariant"):
-        solve_lattice(system, keys, prebuilt=(lat, covers), debug_check=True)
+        check_loop_invariant_per_layer(lat, covers, keys)
 
 
 def test_bucket_matches_quadratic_reference():
