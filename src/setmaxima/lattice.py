@@ -6,6 +6,11 @@ distinct non-empty element signature, plus all m first-layer singletons
 ``phi`` of elements whose signature is exactly its label.  Parent edges
 connect a node to the maximal lattice nodes strictly contained in it.
 
+Parents and greedy covers come from numpy kernels that run over all nodes
+at once.  They number the nodes internally and hold each label as packed
+64-bit words, keeping only the non-zero ones; results are written back as
+frozenset parents and cover tuples keyed by label.
+
 Building the lattice, computing parents, computing covers and compiling a
 solve plan never touch element keys: no ledger is involved anywhere in
 this module.
@@ -13,9 +18,8 @@ this module.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import chain, compress, groupby
 from typing import Iterable
 
 import numpy as np
@@ -195,39 +199,171 @@ def build_lattice(system: SetSystem) -> Lattice:
     return lat
 
 
+# Pairs expanded at once (node and candidate subset, or node and parent),
+# which bounds every per-pair temporary of the parent and cover kernels.
+_BLOCK = 4096
+
+
+@dataclass(frozen=True)
+class _Words:
+    """Labels as packed bit rows: label ``j`` holds index ``i`` when bit
+    ``(i - 1) % 64`` of its word ``(i - 1) // 64`` is set.  Only non-zero
+    words are kept, label after label, by ascending word ``index``; label
+    ``j`` owns ``start[j]:start[j + 1]``.  ``size`` is each label's index
+    count and ``members`` holds its indices minus one, ascending, label after
+    label.  A full row is ``width`` words long.
+    """
+
+    start: np.ndarray
+    index: np.ndarray
+    bits: np.ndarray
+    size: np.ndarray
+    members: np.ndarray
+    width: int
+
+
+def _pack(labels: list[Label]) -> _Words:
+    """The labels as :class:`_Words`, label ``j`` at ``labels[j]``."""
+    size = np.fromiter(map(len, labels), np.int64, len(labels))
+    key = np.repeat(np.arange(len(labels), dtype=np.int64), size)
+    members = np.fromiter(chain.from_iterable(labels), np.int64, len(key))
+    members -= 1
+    width = (int(members.max(initial=0)) >> 6) + 1
+    key *= width << 6
+    key += members
+    key.sort()
+    np.remainder(key, width << 6, out=members)
+    key >>= 6  # global word number: label * width + word index
+    heads = np.flatnonzero(np.diff(key, prepend=-1))
+    shift = (members & 63).astype(np.uint64)
+    bits = np.add.reduceat(np.left_shift(np.uint64(1), shift, out=shift), heads)
+    key = key[heads]
+    start = np.searchsorted(key, np.arange(len(labels) + 1) * width)
+    return _Words(start, key % width, bits, size, members, width)
+
+
+def _spread(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """``start[r] .. start[r] + count[r] - 1`` for each row r, concatenated."""
+    runs = np.cumsum(count) - count
+    return np.arange(int(count.sum())) + np.repeat(start - runs, count)
+
+
+def _ranges(start: np.ndarray, count: np.ndarray, block: int):
+    """The items of ``_spread(start, count)``, at most ``block`` at a time:
+    yields (row, item) arrays."""
+    ends = np.cumsum(count)
+    total = int(ends[-1]) if len(ends) else 0
+    for lo in range(0, total, block):
+        hi = min(lo + block, total)
+        first, last = np.searchsorted(ends, [lo, hi - 1], side="right")
+        rows = slice(first, last + 1)
+        firsts = ends[rows] - count[rows]
+        done = np.maximum(firsts, lo) - firsts  # items of the row in earlier blocks
+        taken = np.minimum(ends[rows], hi) - firsts - done
+        yield np.repeat(np.arange(first, last + 1), taken), _spread(start[rows] + done, taken)
+
+
+def _rows(words: _Words, labels: np.ndarray) -> np.ndarray:
+    """The full rows of these labels, one after another."""
+    n_words = words.start[labels + 1] - words.start[labels]
+    at = _spread(words.start[labels], n_words)
+    rows = np.zeros(len(labels) * words.width, np.uint64)
+    rows[np.repeat(np.arange(len(labels)) * words.width, n_words) + words.index[at]] = words.bits[at]
+    return rows
+
+
+def _subsets(words: _Words, j: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Which pairs have label ``k`` a subset of label ``j``; ``j`` ascending.
+
+    The complements of the rows of this block's labels J are laid out, one
+    row per distinct J, and each pair reads K's non-zero words, one at a
+    time, until one misses.
+    """
+    new = np.diff(j, prepend=-1) != 0
+    outside = ~_rows(words, j[new])
+    base = (np.cumsum(new) - 1) * words.width
+    at, end = words.start[k], words.start[k + 1]
+    pair = np.arange(len(k))
+    fits = np.zeros(len(k), bool)
+    while len(pair):
+        held = words.bits[at] & outside[base + words.index[at]] == 0
+        at += 1
+        fits[pair[held & (at == end)]] = True
+        more = np.flatnonzero(held & (at < end))
+        pair, at, end, base = pair[more], at[more], end[more], base[more]
+    return fits
+
+
+def _files(words: _Words):
+    """Each label filed under its rarest index, and where its candidates lie.
+
+    Returns the labels in file order (by rarest index, then size) and, for
+    each (label J, index i of J) entry of ``words.members``: J, the start of
+    file i and the number of its labels smaller than J, a prefix of it.
+    """
+    size, members = words.size, words.members
+    freq = np.bincount(members)
+    rarest = np.minimum.reduceat(freq[members] * len(freq) + members, np.cumsum(size) - size)
+    rarest %= len(freq)
+    top = int(size.max()) + 1
+    filed = np.lexsort((size, rarest))
+    file_key = (rarest * top + size)[filed]
+    owner = np.repeat(np.arange(len(size)), size)
+    file_start = np.searchsorted(file_key, members * top)
+    smaller = np.searchsorted(file_key, members * top + size[owner]) - file_start
+    return filed, owner, file_start, smaller
+
+
+def _strict_subsets(labels: list[Label]) -> np.ndarray:
+    """Every pair (J, K) of label ids with K a strict subset of J, as
+    ``J * len(labels) + K``, ascending."""
+    words = _pack(labels)
+    filed, owner, file_start, smaller = _files(words)
+    subs = []
+    for entry, at in _ranges(file_start, smaller, _BLOCK):
+        j, k = owner[entry], filed[at]
+        fits = _subsets(words, j, k)
+        subs.append(j[fits] * len(labels) + k[fits])
+    return np.sort(np.concatenate(subs)) if subs else np.zeros(0, np.int64)
+
+
+def _undominated(subs: np.ndarray, count: int) -> np.ndarray:
+    """Mask of the pairs (J, K) of ``subs`` with K in no subs(K') for K' in
+    subs(J): a join on ids, since subs(K') is a run of ``subs`` itself."""
+    j, k = np.divmod(subs, count)
+    start = np.searchsorted(j, np.arange(count + 1))
+    kept = np.ones(len(subs), bool)
+    for entry, at in _ranges(start[k], np.diff(start)[k], _BLOCK):
+        kept[np.searchsorted(subs, j[entry] * count + k[at])] = False
+    return kept
+
+
 def compute_parents(lattice: Lattice) -> Lattice:
     """Populate each node's parents: maximal lattice nodes strictly below it.
 
     Each node is filed once, under the index of its label that the fewest
     nodes contain (ties to the smallest index).  A strict subset K of J is
-    filed under an index of K, hence of J, so scanning the files of J's
-    indices meets every candidate exactly once: never more tests than all
-    pairs, nor than an inverted index over every index.
+    filed under an index of K, hence of J, so the files of J's indices hold
+    every candidate exactly once.  The search runs over all nodes at once on
+    packed label words: (J, K) candidate pairs with |K| < |J| are expanded
+    ``_BLOCK`` at a time, and K is tested against J one non-zero word of K
+    at a time.  The strict subsets found, subs, give the parents as
+    subs - subs o subs: K is dominated in subs(J) exactly when it lies in
+    subs(K') for some K' in subs(J), so no further subset test is needed
+    (P. Pritchard, "On computing the subset graph of a collection of sets",
+    J. Algorithms 33, 1999).  Parents are written back as frozensets.
     """
-    nodes = list(lattice.nodes.values())
-    freq = Counter(i for node in nodes for i in node.label)
-    files: dict[int, list[LatticeNode]] = {}
-    for node in nodes:
-        rarest = min(node.label, key=lambda i: (freq[i], i))
-        files.setdefault(rarest, []).append(node)
-    order = {node.label: (-node.layer, label_sort_key(node.label)) for node in nodes}
-
-    for node in nodes:
-        jm = node.mask
-        subs = [
-            cand
-            for i in node.label
-            for cand in files.get(i, ())
-            if cand.mask & jm == cand.mask and cand.mask != jm
-        ]
-        # maximality filter: largest candidates first, keep those below no kept one
-        subs.sort(key=lambda s: order[s.label])
-        kept: list[LatticeNode] = []
-        for cand in subs:
-            cm = cand.mask
-            if not any(cm & keep.mask == cm for keep in kept):
-                kept.append(cand)
-        node.parents = frozenset(c.label for c in kept)
+    labels = list(lattice.nodes)
+    count = len(labels)
+    if not count:
+        return lattice
+    subs = _strict_subsets(labels)
+    owner, parent = np.divmod(subs[_undominated(subs, count)], count)
+    del subs
+    parents = np.fromiter(labels, object, count)[parent]
+    ends = np.searchsorted(owner, np.arange(1, count + 1)).tolist()
+    for node, lo, hi in zip(lattice.nodes.values(), [0, *ends], ends):
+        node.parents = frozenset(parents[lo:hi])
     return lattice
 
 
@@ -239,33 +375,120 @@ def _require_parents(node: LatticeNode) -> list[Label]:
     return sorted(node.parents, key=label_sort_key)
 
 
+def _uncoverable(label: Label) -> LatticeError:
+    return LatticeError(
+        f"node {format_label(label)} has no good-cover: some index is in no parent"
+    )
+
+
+def _greedy_picks(words: _Words, targets: np.ndarray, parents: np.ndarray, count: np.ndarray):
+    """Greedy set covers of a block of labels at once.
+
+    Target t, label ``targets[t]``, owns the next ``count[t]`` labels of
+    ``parents``, in tie-break order.  The targets' uncovered rows are laid
+    out for the block.  Each round picks, for every target not yet covered,
+    the parent that covers most of its uncovered indices, the first such on
+    ties: one ``np.bitwise_count`` of every parent word AND the uncovered
+    word of the same index, and one segmented maximum of
+    ``gain * stride + (stride - 1 - position)``.  Returns a mask of the
+    picked entries of ``parents`` and a mask of the targets whose parents
+    miss an index.
+    """
+    uncovered = _rows(words, targets)
+    stride = max(int(count.max(initial=0)), 1)
+    pair = np.arange(len(parents))
+    position = pair - np.repeat(np.cumsum(count) - count, count)
+    n_words = words.start[parents + 1] - words.start[parents]
+    at = _spread(words.start[parents], n_words)
+    bits = words.bits[at]
+    row = np.arange(len(targets)) * words.width
+    slot = np.repeat(np.repeat(row, count), n_words) + words.index[at]
+    left = words.size[targets]
+    failed = count == 0
+    live = np.flatnonzero(~failed)
+    pair_count = count[live]
+    picked = np.zeros(len(parents), bool)
+    while len(live):
+        word_first = np.cumsum(n_words) - n_words
+        gain = np.add.reduceat(np.bitwise_count(bits & uncovered[slot]), word_first, dtype=np.int64)
+        first = np.cumsum(pair_count) - pair_count
+        best = np.maximum.reduceat(gain * stride + (stride - 1 - position), first)
+        gained = best // stride
+        took = gained > 0
+        failed[live[~took]] = True
+        pick = (first + stride - 1 - best % stride)[took]
+        picked[pair[pick]] = True
+        cleared = _spread(word_first[pick], n_words[pick])
+        uncovered[slot[cleared]] &= ~bits[cleared]
+        left[live] -= gained
+        alive = took & (left[live] > 0)
+        pair_alive = np.repeat(alive, pair_count)
+        word_alive = np.repeat(pair_alive, n_words)
+        live, pair_count = live[alive], pair_count[alive]
+        pair, position, n_words = pair[pair_alive], position[pair_alive], n_words[pair_alive]
+        bits, slot = bits[word_alive], slot[word_alive]
+    return picked, failed
+
+
 def good_cover_greedy(node: LatticeNode, lattice: Lattice) -> tuple[Label, ...]:
     """Greedy set cover of the node label by parent labels.
 
     Largest marginal coverage first; ties broken by the lexicographically
-    smallest label, so covers are deterministic.
+    smallest label, so covers are deterministic.  This is the kernel of
+    ``good_covers`` run on one node.
     """
     parents = _require_parents(node)
-    masks = [label_to_mask(p) for p in parents]
-    uncovered = node.mask
-    chosen: list[Label] = []
-    remaining = list(zip(parents, masks))
-    while uncovered:
-        best = -1
-        best_gain = 0
-        for idx, (_, pm) in enumerate(remaining):
-            gain = (pm & uncovered).bit_count()
-            if gain > best_gain:
-                best, best_gain = idx, gain
-        if best_gain == 0:
-            raise LatticeError(
-                f"node {format_label(node.label)} has no good-cover: "
-                "some index is in no parent"
-            )
-        label, pm = remaining.pop(best)
-        chosen.append(label)
-        uncovered &= ~pm
-    return tuple(sorted(chosen, key=label_sort_key))
+    picked, failed = _greedy_picks(
+        _pack([node.label, *parents]),
+        np.zeros(1, np.int64),
+        np.arange(1, len(parents) + 1),
+        np.array([len(parents)]),
+    )
+    if failed[0]:
+        raise _uncoverable(node.label)
+    return tuple(compress(parents, picked))
+
+
+def _greedy_covers(lattice: Lattice) -> tuple[dict[Label, tuple[Label, ...]], LatticeNode | None]:
+    """Greedy covers of every node of layer >= 2, in one batched kernel, or
+    the first node, in ``labels_by_layer()`` order, left without one (its
+    parents miss an index or were never computed).
+
+    Labels are numbered in ``label_sort_key`` order, so parent ids sort in
+    tie-break order and a stable sort by size gives ``labels_by_layer()``.
+    """
+    labels = sorted(lattice.nodes, key=label_sort_key)
+    words = _pack(labels)
+    by_layer = np.argsort(words.size, kind="stable")
+    targets = by_layer[words.size[by_layer] >= 2]
+    if not len(targets):
+        return {}, None
+    parent_sets = [lattice.nodes[labels[t]].parents or () for t in targets.tolist()]
+    count = np.fromiter(map(len, parent_sets), np.int64, len(parent_sets))
+    ids = dict(zip(labels, range(len(labels))))
+    parents = np.fromiter(map(ids.__getitem__, chain.from_iterable(parent_sets)), np.int64, int(count.sum()))
+    del ids, parent_sets
+    parents += np.repeat(np.arange(len(targets)) * len(labels), count)
+    parents.sort()
+    parents %= len(labels)
+    # blocks of whole nodes, about _BLOCK parents each
+    picked = np.zeros(len(parents), bool)
+    failed = np.zeros(len(targets), bool)
+    ends = np.cumsum(count)
+    weight = np.cumsum(np.maximum(count, 1))  # a node without parents still has a row
+    cuts = [0, *(np.flatnonzero(np.diff(weight // _BLOCK)) + 1).tolist(), len(targets)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        pairs = slice(ends[lo] - count[lo], ends[hi - 1])
+        picked[pairs], failed[lo:hi] = _greedy_picks(words, targets[lo:hi], parents[pairs], count[lo:hi])
+    if failed.any():
+        return {}, lattice.nodes[labels[targets[np.argmax(failed)]]]
+    ends = np.cumsum(picked)[ends - 1].tolist()
+    labels = np.fromiter(labels, object, len(labels))
+    cover = labels[parents[picked]]
+    return {
+        label: tuple(cover[lo:hi])
+        for label, lo, hi in zip(labels[targets], [0, *ends], ends)
+    }, None
 
 
 def good_cover_exact(
@@ -315,23 +538,25 @@ def good_cover_exact(
 
 
 def good_covers(lattice: Lattice, mode: str = "greedy", budget: int = 20) -> dict[Label, tuple[Label, ...]]:
-    """Covers for every node of layer >= 2.
+    """Covers for every node of layer >= 2, in ``labels_by_layer()`` order.
 
-    mode 'exact' falls back to greedy per node when the budget trips.
+    Greedy covers come from one batched kernel.  Mode 'exact' then replaces
+    the cover of each node with at most ``budget`` parents by its exact
+    cover, so the greedy cover stays exactly where the budget trips.  The
+    first node without a cover names the error, as a per-node loop would.
     """
     if mode not in ("greedy", "exact"):
         raise ValueError(f"unknown cover mode {mode!r}")
-    covers: dict[Label, tuple[Label, ...]] = {}
-    for label in lattice.labels_by_layer():
-        node = lattice.nodes[label]
-        if node.layer < 2:
-            continue
-        if mode == "exact":
-            try:
-                cover = good_cover_exact(node, lattice, budget=budget)
-            except CoverBudgetExceeded:
-                cover = good_cover_greedy(node, lattice)
-        else:
-            cover = good_cover_greedy(node, lattice)
-        covers[label] = cover
+    covers, stuck = _greedy_covers(lattice)
+    exact = mode == "exact"
+    if stuck is not None:
+        _require_parents(stuck)
+        if exact and len(stuck.parents) <= budget:
+            good_cover_exact(stuck, lattice, budget=budget)
+        raise _uncoverable(stuck.label)
+    if exact:
+        for label in covers:
+            node = lattice.nodes[label]
+            if len(node.parents) <= budget:
+                covers[label] = good_cover_exact(node, lattice, budget=budget)
     return covers
