@@ -14,8 +14,10 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
+
 from .geometry import COORD_BOUND, ConvexPolygon, Point2, contains_polygon, strict_hull
-from .geomlattice import GeometricInstance, _PointIndex, induced_system
+from .geomlattice import GeometricInstance, induced_system
 from .instance_io import ProblemInstance
 from .order import KeySpace
 from .setsystem import SetSystem
@@ -116,6 +118,37 @@ class _NestGrid:
 
     def add(self, poly: ConvexPolygon) -> None:
         self.cells.setdefault(self._key(poly), []).append(poly)
+
+
+class _PointIndex:
+    """Points sorted by x, for the members of one polygon at a time: the
+    placement loop's check of each candidate it draws."""
+
+    def __init__(self, points: tuple[Point2, ...]):
+        arr = np.asarray([[int(p[0]), int(p[1])] for p in points], dtype=np.int64)
+        arr = arr.reshape(len(points), 2)
+        self.coords = arr
+        self.order = np.argsort(arr[:, 0], kind="stable") if len(points) else np.empty(0, np.int64)
+        self.xs = arr[self.order, 0] if len(points) else np.empty(0, np.int64)
+
+    def members(self, poly: ConvexPolygon) -> frozenset[int]:
+        if len(self.coords) == 0:
+            return frozenset()
+        xmin, ymin, xmax, ymax = poly.bbox()
+        lo = int(np.searchsorted(self.xs, xmin, side="left"))
+        hi = int(np.searchsorted(self.xs, xmax, side="right"))
+        cand = self.order[lo:hi]
+        ys = self.coords[cand, 1]
+        cand = cand[(ys >= ymin) & (ys <= ymax)]
+        if cand.size == 0:
+            return frozenset()
+        px = self.coords[cand, 0]
+        py = self.coords[cand, 1]
+        keep = np.ones(cand.size, dtype=bool)
+        for a, b in poly.edges():
+            cross = (b[0] - a[0]) * (py - a[1]) - (b[1] - a[1]) * (px - a[0])
+            keep &= cross >= 0
+        return frozenset(int(e) for e in cand[keep])
 
 
 def _place(n: int, m: int, k: int, seed: int, cell: int, draw, release) -> GeometricInstance:

@@ -1,7 +1,8 @@
 """Exact 2D primitives: orientation, hulls, convex polygons, clipping, chains.
 
 All arithmetic is exact.  Input coordinates are integers bounded by
-COORD_BOUND = 2^20, so batched int64 evaluation elsewhere cannot overflow.
+COORD_BOUND = 2^20, so batched int64 evaluation (the polygon check
+``convex_polygons`` here, membership elsewhere) cannot overflow.
 
 Clipping works on homogeneous integers and never divides.  Every input
 edge has a line (a, b, c) = (ay-by, bx-ax, ax*by-ay*bx), positive on its
@@ -20,7 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 COORD_BOUND = 1 << 20
 
@@ -176,6 +180,58 @@ class ConvexPolygon:
         xs = [p[0] for p in self.vertices]
         ys = [p[1] for p in self.vertices]
         return min(xs), min(ys), max(xs), max(ys)
+
+
+def convex_polygons(vertices: Sequence[Point2], sizes: Sequence[int]) -> list[ConvexPolygon]:
+    """``ConvexPolygon`` of each run of ``sizes`` integer vertices, checked
+    all at once.
+
+    One cross-product sign test covers every cyclic vertex triple, and one
+    count every polygon's vertices lower, in (y, x) order, than both their
+    neighbours.  A cycle that turns strictly left at every vertex winds as
+    many times as it has such vertices, so a polygon of three or more
+    vertices that passes both tests, with one such vertex, is strictly
+    convex and CCW and repeats no vertex: it is made through
+    ``ConvexPolygon.trusted``, from that lowest-then-leftmost vertex.  Every
+    other polygon goes through the constructor, in order, so the first bad
+    one raises the constructor's error; so do all of them when a coordinate
+    lies beyond ``COORD_BOUND``, where int64 could overflow.
+    """
+    sizes = np.asarray(sizes, np.int64).reshape(-1)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    batch = sizes >= 3
+    coords = list(chain.from_iterable(vertices))
+    if coords and max(map(abs, coords)) <= COORD_BOUND:
+        xy = np.array(coords, np.int64).reshape(-1, 2)
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        size, first = sizes[owner], starts[owner]
+        local = np.arange(len(xy)) - first
+        b = first + (local - 1) % size
+        a = first + (local - 2) % size
+        turn = (xy[b, 0] - xy[a, 0]) * (xy[:, 1] - xy[a, 1]) - (xy[b, 1] - xy[a, 1]) * (
+            xy[:, 0] - xy[a, 0]
+        )
+        # (y, x) order as one number: |x| <= 2^20 < 2^21
+        key = (xy[:, 1] << 22) + xy[:, 0]
+        lowest = (key[b] < key[a]) & (key[b] < key)
+        batch &= np.bincount(owner, turn <= 0, len(sizes)) == 0
+        batch &= np.bincount(owner, lowest, len(sizes)) == 1
+        start = np.zeros(len(sizes), np.int64)
+        start[owner[lowest]] = b[lowest] - starts[owner[lowest]]
+        # vertex t of a checked polygon is its input vertex start + t
+        order = first + (local + start[owner]) % size
+        rotated = list(map(vertices.__getitem__, order.tolist()))
+        del xy, owner, size, first, local, a, b, turn, key, lowest, order
+    else:
+        batch[:] = False
+    polygons = []
+    for lo, hi, checked in zip(starts.tolist(), ends.tolist(), batch.tolist()):
+        if checked:
+            polygons.append(ConvexPolygon.trusted(tuple(rotated[lo:hi])))
+        else:
+            polygons.append(ConvexPolygon(tuple(vertices[lo:hi])))
+    return polygons
 
 
 def point_in_convex(poly: ConvexPolygon, pt: Point2) -> str:

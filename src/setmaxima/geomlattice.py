@@ -1,6 +1,9 @@
 """Convex-polygon set systems: containment-induced systems, per-node
 intersection regions, side-count-bounded covers, and the circle embedding.
 
+Containment is one numpy pass over a uniform grid for all polygons at
+once (``grid_membership``), computed once per instance.
+
 Every region Q_I comes from one Sutherland-Hodgman clip loop on
 homogeneous integers (``geometry.clip_region``), whether a polygon of I is
 full or a point or segment (as the circle embedding makes them); only two
@@ -18,6 +21,10 @@ a pair exceeds Q exactly when it fits inside one witness set.  Labels
 that are not lattice nodes are inserted as virtual nodes (empty class)
 and covered recursively.  Witness sets, merges and chains are set
 operations on owners; the exact segment predicates stay as their oracle.
+The chain check reads the cover pass's own witness sets: a member has a
+chain on an edge exactly when it fits that edge's witness set.  Nodes the
+construction does not apply to get greedy covers, all in one batch once
+the cover queue is empty.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -46,13 +53,16 @@ from .geometry import (
     same_region,
 )
 from .lattice import (
+    _BLOCK,
     Label,
     Lattice,
+    LatticeNode,
     build_lattice,
     compute_parents,
     format_label,
-    good_cover_greedy,
+    greedy_covers,
     label_sort_key,
+    _spread,
 )
 from .order import ComparisonLedger, KeySpace
 from .setsystem import SetSystem
@@ -61,6 +71,11 @@ from .solvers import MaximaResult, solve_lattice
 
 class InternalInconsistencyError(Exception):
     """Exact-arithmetic invariant broke; indicates a predicate bug."""
+
+
+def _beyond_bound(points: tuple[Point2, ...]) -> bool:
+    """Whether a coordinate of these points lies beyond ``COORD_BOUND``."""
+    return max(map(abs, chain.from_iterable(points)), default=0) > COORD_BOUND
 
 
 @dataclass(frozen=True)
@@ -79,16 +94,17 @@ class GeometricInstance:
         violations = []
         if self.k < 3:
             violations.append(f"k={self.k} must be at least 3")
-        for idx, p in enumerate(self.points):
-            if abs(p[0]) > COORD_BOUND or abs(p[1]) > COORD_BOUND:
-                violations.append(f"point {idx} exceeds the coordinate bound")
+        if _beyond_bound(self.points):
+            violations += [
+                f"point {idx} exceeds the coordinate bound"
+                for idx, p in enumerate(self.points)
+                if _beyond_bound((p,))
+            ]
         for j, poly in enumerate(self.polygons, start=1):
             if poly.sides > self.k:
                 violations.append(f"polygon {j} has {poly.sides} > k sides")
-            for v in poly.vertices:
-                if abs(v[0]) > COORD_BOUND or abs(v[1]) > COORD_BOUND:
-                    violations.append(f"polygon {j} exceeds the coordinate bound")
-                    break
+            if _beyond_bound(poly.vertices):
+                violations.append(f"polygon {j} exceeds the coordinate bound")
         if violations:
             raise ValueError("invalid geometry: " + "; ".join(violations))
 
@@ -106,8 +122,7 @@ class GeometricInstance:
         belongs to polygon j when it lies in the interior or on the
         perimeter.  Exact (int64 stays in range because coordinates are
         bounded)."""
-        index = _PointIndex(self.points)
-        return tuple(index.members(poly) for poly in self.polygons)
+        return grid_membership(self.points, self.polygons)
 
     @cached_property
     def system(self) -> SetSystem:
@@ -116,34 +131,87 @@ class GeometricInstance:
         return SetSystem(n=self.n, sets=self.membership)
 
 
-class _PointIndex:
-    """Points sorted by x for bbox prefiltering of containment queries."""
+def grid_membership(
+    points: tuple[Point2, ...], polygons: tuple[ConvexPolygon, ...]
+) -> tuple[frozenset[int], ...]:
+    """The points of each polygon, interior or perimeter, found for every
+    polygon in one pass over a uniform grid (W. R. Franklin, "Uniform
+    grids: a technique for intersection detection on serial and parallel
+    machines", Auto-Carto 9, 1989).
 
-    def __init__(self, points: tuple[Point2, ...]):
-        arr = np.asarray([[int(p[0]), int(p[1])] for p in points], dtype=np.int64)
-        arr = arr.reshape(len(points), 2)
-        self.coords = arr
-        self.order = np.argsort(arr[:, 0], kind="stable") if len(points) else np.empty(0, np.int64)
-        self.xs = arr[self.order, 0] if len(points) else np.empty(0, np.int64)
+    The cells are squares of half the polygons' mean bbox side, and the
+    points are bucketed by cell.  A polygon's candidates are the points of
+    the cells its bbox meets, one run of the bucketed points per cell row,
+    kept when inside its bbox; all k edge tests then run over every
+    candidate at once, in blocks of whole polygons with about ``_BLOCK``
+    candidates each, whose member sets are made before the next block.  A
+    polygon of fewer than k vertices repeats its last vertex; the
+    zero-length edges this makes pass every point, so points and segments
+    need no case of their own.  Exact: coordinates are bounded, so int64
+    cannot overflow.
+    """
+    n, m = len(points), len(polygons)
+    if not n or not m:
+        return (frozenset(),) * m
+    xy = np.fromiter(chain.from_iterable(points), np.int64, 2 * n).reshape(n, 2)
+    sizes = np.fromiter((len(poly.vertices) for poly in polygons), np.int64, m)
+    verts = np.fromiter(
+        chain.from_iterable(chain.from_iterable(poly.vertices for poly in polygons)),
+        np.int64,
+        2 * int(sizes.sum()),
+    ).reshape(-1, 2)
+    # corner t of polygon j is its vertex min(t, size - 1)
+    corner = (np.cumsum(sizes) - sizes)[:, None] + np.minimum(
+        np.arange(sizes.max()), sizes[:, None] - 1
+    )
+    ax, ay = verts[corner, 0], verts[corner, 1]
+    bx, by = np.roll(ax, -1, 1), np.roll(ay, -1, 1)
+    # edge t, corner t to corner t + 1, as a*x + b*y + c >= 0 on its left
+    lines = ((ay - by).T.copy(), (bx - ax).T.copy(), (ax * by - ay * bx).T.copy())
+    low = np.stack((ax.min(1), ay.min(1)), 1)
+    high = np.stack((ax.max(1), ay.max(1)), 1)
+    del verts, corner, ax, ay, bx, by
 
-    def members(self, poly: ConvexPolygon) -> frozenset[int]:
-        if len(self.coords) == 0:
-            return frozenset()
-        xmin, ymin, xmax, ymax = poly.bbox()
-        lo = int(np.searchsorted(self.xs, xmin, side="left"))
-        hi = int(np.searchsorted(self.xs, xmax, side="right"))
-        cand = self.order[lo:hi]
-        ys = self.coords[cand, 1]
-        cand = cand[(ys >= ymin) & (ys <= ymax)]
-        if cand.size == 0:
-            return frozenset()
-        px = self.coords[cand, 0]
-        py = self.coords[cand, 1]
-        keep = np.ones(cand.size, dtype=bool)
-        for a, b in poly.edges():
-            cross = (b[0] - a[0]) * (py - a[1]) - (b[1] - a[1]) * (px - a[0])
-            keep &= cross >= 0
-        return frozenset(int(e) for e in cand[keep])
+    origin = xy.min(0)
+    span = xy.max(0) - origin + 1
+    # about as many cells as points at most, however small the polygons
+    side = max(int((high - low).mean()) // 2, int(span.max()) // math.isqrt(n) + 1)
+    width, height = (int(v) // side + 1 for v in span)
+    cell = (xy[:, 1] - origin[1]) // side * width + (xy[:, 0] - origin[0]) // side
+    bucketed = np.argsort(cell, kind="stable")
+    bounds = np.zeros(width * height + 1, np.int64)
+    np.cumsum(np.bincount(cell, minlength=width * height), out=bounds[1:])
+    del cell
+    # the cells each bbox meets, clipped to the grid
+    first = np.maximum((low - origin) // side, 0)
+    last = np.minimum((high - origin) // side, (width - 1, height - 1))
+    rows = np.where((last >= first).all(1), last[:, 1] - first[:, 1] + 1, 0)
+    polygon = np.repeat(np.arange(m), rows)
+    row = _spread(first[:, 1], rows)
+    start = bounds[row * width + first[polygon, 0]]
+    count = bounds[row * width + last[polygon, 0] + 1] - start
+    del bounds, row, first, last
+    # blocks of whole polygons, about _BLOCK candidates each
+    row_end = np.cumsum(rows)
+    weight = np.cumsum(np.bincount(polygon, count, m)).astype(np.int64)
+    cuts = [0, *(np.flatnonzero(np.diff(weight // _BLOCK)) + 1).tolist(), m]
+
+    members = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        pairs = slice(row_end[lo] - rows[lo], row_end[hi - 1])
+        owner = np.repeat(polygon[pairs], count[pairs])
+        point = bucketed[_spread(start[pairs], count[pairs])]
+        x, y = xy[point, 0], xy[point, 1]
+        keep = (x >= low[owner, 0]) & (x <= high[owner, 0])
+        keep &= (y >= low[owner, 1]) & (y <= high[owner, 1])
+        owner, point, x, y = owner[keep], point[keep], x[keep], y[keep]
+        for a, b, c in zip(*lines):
+            keep = a[owner] * x + b[owner] * y + c[owner] >= 0
+            owner, point, x, y = owner[keep], point[keep], x[keep], y[keep]
+        ends = np.cumsum(np.bincount(owner - lo, minlength=hi - lo)).tolist()
+        point = point.tolist()
+        members += [frozenset(point[a:b]) for a, b in zip([0, *ends], ends)]
+    return tuple(members)
 
 
 def induced_membership(instance: GeometricInstance) -> list[frozenset[int]]:
@@ -316,6 +384,7 @@ def geometric_cover(
                 f"cover member {format_label(member)} does not strictly "
                 f"enclose the region of {format_label(label)}"
             )
+    _check_witness_chains(label, members, edge_sets)
     return tuple(members)
 
 
@@ -365,34 +434,46 @@ def owner_chains(owners: tuple[Owners, ...], member: Label) -> list[Chain]:
     return [Chain(tuple(run)) for is_free, run in groupby(cycle, key=free.__getitem__) if is_free]
 
 
+def _check_witness_chains(label: Label, cover: list[Label], witness: list[Label]) -> None:
+    """The chain check of a cover on the witness sets of its node's region,
+    ``witness[e] = label - owners(e)``.
+
+    Member M has a chain on edge e exactly when M fits in witness[e], so
+    every member must fit in one, and no witness set may hold two members
+    (two members share an edge exactly when their union fits).  Raises on
+    the first member, in cover order, that breaks either.
+    """
+    claimed: list[Label | None] = [None] * len(witness)
+    for member in cover:
+        chained = False
+        for edge, w in enumerate(witness):
+            if member <= w:
+                other = claimed[edge]
+                if other is not None:
+                    raise InternalInconsistencyError(
+                        f"chains of {format_label(other)} and "
+                        f"{format_label(member)} overlap on {format_label(label)}"
+                    )
+                claimed[edge] = member
+                chained = True
+        if not chained:
+            raise InternalInconsistencyError(
+                f"cover member {format_label(member)} of {format_label(label)} "
+                "has no chains"
+            )
+
+
 def check_owner_chains(label: Label, cover: tuple[Label, ...], cache: RegionCache) -> None:
     """``check_cover_chains`` on edge owners: every cover member must
     produce at least one chain over the node's region, and chains of
     distinct members must not share edges.  Raises on violation.
 
-    The build runs this check; ``check_cover_chains`` makes the same
-    check with exact segment predicates and stays as its oracle.
+    ``geometric_cover`` makes this check on the witness sets it holds;
+    ``check_cover_chains`` makes it with exact segment predicates and
+    stays as its oracle.
     """
-    owners = cache.owners(label)
-    per_member: dict[Label, list[Chain]] = {}
-    for member in cover:
-        cs = owner_chains(owners, member)
-        if not cs:
-            raise InternalInconsistencyError(
-                f"cover member {format_label(member)} of {format_label(label)} "
-                "has no chains"
-            )
-        per_member[member] = cs
-    claimed: dict[int, Label] = {}
-    for member in sorted(per_member, key=label_sort_key):
-        for chain in per_member[member]:
-            for edge in chain.edge_indices:
-                other = claimed.setdefault(edge, member)
-                if other != member:
-                    raise InternalInconsistencyError(
-                        f"chains of {format_label(other)} and "
-                        f"{format_label(member)} overlap on {format_label(label)}"
-                    )
+    members = sorted(cover, key=label_sort_key)
+    _check_witness_chains(label, members, [label - own for own in cache.owners(label)])
 
 
 def build_geometric_lattice(instance: GeometricInstance) -> GeometricLattice:
@@ -407,6 +488,7 @@ def build_geometric_lattice(instance: GeometricInstance) -> GeometricLattice:
     cache = RegionCache(instance)
     covers: dict[Label, tuple[Label, ...]] = {}
     fallbacks: list[Label] = []
+    greedy: list[LatticeNode] = []
 
     queue = deque(lb for lb in lattice.labels_by_layer() if len(lb) >= 2)
     while queue:
@@ -418,17 +500,21 @@ def build_geometric_lattice(instance: GeometricInstance) -> GeometricLattice:
             fallbacks.append(label)
             node = lattice.nodes.get(label)
             if node is not None and not node.virtual:
-                cover = good_cover_greedy(node, lattice)
-            else:
-                cover = tuple(frozenset((i,)) for i in sorted(label))
-        else:
-            check_owner_chains(label, cover, cache)
+                # a greedy cover takes parents, nodes queued from the start,
+                # so it can wait for one pass over every such node; the
+                # placeholder keeps the covers in queue order
+                greedy.append(node)
+                covers[label] = ()
+                continue
+            cover = tuple(frozenset((i,)) for i in sorted(label))
         covers[label] = cover
         for member in cover:
             if member not in lattice.nodes:
                 lattice.add_virtual(member)
             if len(member) >= 2 and member not in covers:
                 queue.append(member)
+    for node, cover in zip(greedy, greedy_covers(greedy)):
+        covers[node.label] = cover
     return GeometricLattice(
         instance=instance,
         system=system,

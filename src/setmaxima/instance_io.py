@@ -13,18 +13,25 @@
 
 When both sets and geometry are present they must agree (the loader
 cross-checks containment), and the loaded system is the one the geometry
-induces.  ``SetSystem`` and ``GeometricInstance`` check themselves when they
-are made; the loader reports their ``ValueError`` as an ``InputError`` with
-the same text.
+induces.  ``SetSystem`` and ``GeometricInstance`` check themselves when
+they are made; the loader reports their ``ValueError`` as an
+``InputError`` with the same text.
+
+Well-formed geometry is checked in bulk: all coordinates in one type pass,
+and all polygons in one ``geometry.convex_polygons`` call.  Where a bulk
+check fails, the items are read again one at a time, so the first bad item
+names the error, in the same words as a per-item parse.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 from pathlib import Path
 
-from .geometry import ConvexPolygon, GeometryError, Point2
+from .geometry import ConvexPolygon, GeometryError, Point2, convex_polygons
 from .geomlattice import GeometricInstance
 from .order import KeySpace
 from .setsystem import SetSystem
@@ -63,10 +70,10 @@ def instance_to_dict(instance: ProblemInstance) -> dict:
 def _integers(values, what: str) -> list[int]:
     """``values`` as a list, each of them an integer."""
     values = list(values)
-    for value in values:
-        # int() would truncate floats and parse strings, and bool is an int
-        if type(value) is not int:
-            raise InputError(f"{what} must be an integer, not {type(value).__name__}")
+    # int() would truncate floats and parse strings, and bool is an int
+    if not set(map(type, values)) <= {int}:
+        bad = next(type(value) for value in values if type(value) is not int)
+        raise InputError(f"{what} must be an integer, not {bad.__name__}")
     return values
 
 
@@ -112,20 +119,51 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
     return ProblemInstance(system=system, keys=keys, geometry=geometry)
 
 
+# a Point2 from a row already checked to be two integers
+_point = partial(tuple.__new__, Point2)
+
+
+def _lists(rows) -> bool:
+    """Whether ``rows`` is a list of lists."""
+    return type(rows) is list and set(map(type, rows)) <= {list}
+
+
+def _integer_pairs(rows) -> bool:
+    """Whether ``rows`` is a list of lists of two integers, checked in bulk."""
+    return (
+        _lists(rows)
+        and set(map(len, rows)) <= {2}
+        and set(map(type, chain.from_iterable(rows))) <= {int}
+    )
+
+
 def _geometry_from_dict(geo: dict, n: int, m: int) -> GeometricInstance:
+    """Well-formed points and polygons are type-checked in one pass each,
+    and every polygon is checked by one ``convex_polygons`` call.  When a
+    pass finds a bad row it reads the rows again one at a time, a polygon's
+    vertices and then the polygon itself, so the first bad item names the
+    error as it always has."""
     if not isinstance(geo, dict):
         raise InputError("'geometry' must be an object")
     try:
-        points = tuple(
-            Point2(*_integers(p, f"a coordinate of point {i}"))
-            for i, p in enumerate(geo["points"])
-        )
-        polygons = tuple(
-            ConvexPolygon(
-                tuple(Point2(*_integers(v, f"a coordinate of polygon {j}")) for v in poly)
+        raw = geo["points"]
+        if _integer_pairs(raw):
+            points = tuple(map(_point, raw))
+        else:
+            points = tuple(
+                Point2(*_integers(p, f"a coordinate of point {i}")) for i, p in enumerate(raw)
             )
-            for j, poly in enumerate(geo["polygons"], start=1)
-        )
+        raw = geo["polygons"]
+        vertices = list(chain.from_iterable(raw)) if _lists(raw) else None
+        if vertices is not None and _integer_pairs(vertices):
+            polygons = tuple(convex_polygons(list(map(_point, vertices)), list(map(len, raw))))
+        else:
+            polygons = tuple(
+                ConvexPolygon(
+                    tuple(Point2(*_integers(v, f"a coordinate of polygon {j}")) for v in poly)
+                )
+                for j, poly in enumerate(raw, start=1)
+            )
         (k,) = _integers([geo["k"]], "'k'")
     except GeometryError as exc:
         raise InputError(f"bad polygon in geometry block: {exc}") from exc

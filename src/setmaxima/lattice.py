@@ -437,16 +437,29 @@ def good_cover_greedy(node: LatticeNode, lattice: Lattice) -> tuple[Label, ...]:
     smallest label, so covers are deterministic.  This is the kernel of
     ``good_covers`` run on one node.
     """
-    parents = _require_parents(node)
+    return greedy_covers([node])[0]
+
+
+def greedy_covers(nodes: list[LatticeNode]) -> list[tuple[Label, ...]]:
+    """``good_cover_greedy`` of each node, in one pass of the kernel; the
+    first node in ``nodes`` without a cover names the error."""
+    if not nodes:
+        return []
+    parents = [_require_parents(node) for node in nodes]
+    count = np.fromiter(map(len, parents), np.int64, len(nodes))
+    candidates = list(chain.from_iterable(parents))
     picked, failed = _greedy_picks(
-        _pack([node.label, *parents]),
-        np.zeros(1, np.int64),
-        np.arange(1, len(parents) + 1),
-        np.array([len(parents)]),
+        _pack([node.label for node in nodes] + candidates),
+        np.arange(len(nodes)),
+        np.arange(len(nodes), len(nodes) + len(candidates)),
+        count,
     )
-    if failed[0]:
-        raise _uncoverable(node.label)
-    return tuple(compress(parents, picked))
+    if failed.any():
+        raise _uncoverable(nodes[int(np.argmax(failed))].label)
+    ends = np.cumsum(count).tolist()
+    return [
+        tuple(compress(candidates[lo:hi], picked[lo:hi])) for lo, hi in zip([0, *ends], ends)
+    ]
 
 
 def _greedy_covers(lattice: Lattice) -> tuple[dict[Label, tuple[Label, ...]], LatticeNode | None]:

@@ -1,12 +1,15 @@
 import math
 import random
 import sys
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from corpora import mixed_circle_embeddings, tangency_heavy_instances
 
+from setmaxima import geomlattice
+from setmaxima import lattice as lattice_module
 from setmaxima.generators import (
     gen_convex_instance,
     gen_keys,
@@ -28,11 +31,13 @@ from setmaxima.geomlattice import (
     check_cover_chains,
     check_owner_chains,
     circle_embedding,
+    geometric_cover,
     induced_membership,
     induced_system,
     owner_chains,
     solve_lattice_geometric,
 )
+from setmaxima.lattice import build_lattice, compute_parents, good_cover_greedy
 from setmaxima.order import ComparisonLedger, KeySpace
 from setmaxima.setsystem import SetSystem, system_from_lists
 from setmaxima.solvers import solve_bruteforce
@@ -255,6 +260,54 @@ def test_check_owner_chains_rejects_a_member_without_chains():
     cache = RegionCache(inst)
     with pytest.raises(InternalInconsistencyError, match="no chains"):
         check_owner_chains(fs(1, 2), (fs(1), fs(2)), cache)
+
+
+def _per_label_build(instance):
+    """The build loop as it covered each fallback node on its own, with
+    ``good_cover_greedy``: the reference for the batched fallbacks."""
+    lattice = compute_parents(build_lattice(instance.system))
+    cache = RegionCache(instance)
+    covers, fallbacks = {}, []
+    queue = deque(lb for lb in lattice.labels_by_layer() if len(lb) >= 2)
+    while queue:
+        label = queue.popleft()
+        if label in covers:
+            continue
+        cover = geometric_cover(label, cache, instance.k)
+        if cover is None:
+            fallbacks.append(label)
+            node = lattice.nodes.get(label)
+            if node is not None and not node.virtual:
+                cover = good_cover_greedy(node, lattice)
+            else:
+                cover = tuple(frozenset((i,)) for i in sorted(label))
+        covers[label] = cover
+        for member in cover:
+            if member not in lattice.nodes:
+                lattice.add_virtual(member)
+            if len(member) >= 2 and member not in covers:
+                queue.append(member)
+    return lattice, covers, tuple(fallbacks)
+
+
+def test_fallbacks_are_covered_in_one_batch_as_one_at_a_time(monkeypatch):
+    instances = [inst for inst, _ in tangency_heavy_instances(150)]
+    instances += list(mixed_circle_embeddings(150, 23))
+    want = [_per_label_build(inst) for inst in instances]
+    calls = []
+    batch = geomlattice.greedy_covers
+    monkeypatch.setattr(geomlattice, "greedy_covers", lambda nodes: calls.append(nodes) or batch(nodes))
+    monkeypatch.setattr(lattice_module, "good_cover_greedy", None)
+    monkeypatch.setattr(geomlattice, "check_owner_chains", None)
+    greedy = 0
+    for inst, (lat, covers, fallbacks) in zip(instances, want):
+        glat = build_geometric_lattice(inst)
+        assert glat.fallback_labels == fallbacks
+        assert list(glat.covers.items()) == list(covers.items())
+        assert glat.lattice.dump(glat.covers) == lat.dump(covers)
+        greedy += len(calls[-1])
+    # one batch per build, and some of them cover nodes
+    assert len(calls) == len(instances) and greedy > 100
 
 
 # ------------------------------------------- edge owners against predicates

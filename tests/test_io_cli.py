@@ -421,28 +421,43 @@ def test_non_integers_are_not_coerced():
         instance_from_dict({"n": 2, "sets": [[0, 1]], "keys": "12"})
 
 
+def _count_membership(monkeypatch):
+    """The polygon lists the membership kernel is called on, and a guard
+    that fails on any use of the placement loop's per-polygon index."""
+    from setmaxima import geomlattice
+    from setmaxima.generators import _PointIndex
+
+    kernel = geomlattice.grid_membership
+    calls = []
+
+    def counted(points, polygons):
+        calls.append(polygons)
+        return kernel(points, polygons)
+
+    def refused(self, poly):
+        raise AssertionError("load or build used the placement loop's index")
+
+    monkeypatch.setattr(geomlattice, "grid_membership", counted)
+    monkeypatch.setattr(_PointIndex, "members", refused)
+    return calls
+
+
 def test_load_and_build_find_membership_once(tmp_path, monkeypatch):
-    from setmaxima.geomlattice import _PointIndex, build_geometric_lattice
+    from setmaxima.geomlattice import build_geometric_lattice
 
     inst = gen_convex_instance(n=300, m=25, k=4, seed=4)
     path = tmp_path / "geo.json"
     save_instance(path, ProblemInstance(system=induced_system(inst), geometry=inst))
-    members = _PointIndex.members
-    calls = []
-
-    def counted(self, poly):
-        calls.append(poly)
-        return members(self, poly)
-
-    monkeypatch.setattr(_PointIndex, "members", counted)
+    calls = _count_membership(monkeypatch)
     loaded = load_instance(path)
     glat = build_geometric_lattice(loaded.geometry)
-    assert len(calls) == inst.m
+    # one kernel pass over every polygon, for load and build together
+    assert calls == [loaded.geometry.polygons] and len(calls[0]) == inst.m
     assert glat.system.sets == loaded.system.sets
 
 
 def test_load_and_build_check_geometry_and_sets_once(tmp_path, monkeypatch):
-    from setmaxima.geomlattice import GeometricInstance, _PointIndex, build_geometric_lattice
+    from setmaxima.geomlattice import GeometricInstance, build_geometric_lattice
     from setmaxima.setsystem import SetSystem
 
     inst = gen_convex_instance(n=300, m=25, k=4, seed=4)
@@ -455,15 +470,11 @@ def test_load_and_build_check_geometry_and_sets_once(tmp_path, monkeypatch):
             cls, "__post_init__",
             lambda self, check=check: checked.append(type(self).__name__) or check(self),
         )
-    members = _PointIndex.members
-    calls = []
-    monkeypatch.setattr(
-        _PointIndex, "members", lambda self, poly: calls.append(poly) or members(self, poly)
-    )
+    calls = _count_membership(monkeypatch)
     loaded = load_instance(path)
     glat = build_geometric_lattice(loaded.geometry)
     assert checked == ["GeometricInstance", "SetSystem"]
-    assert len(calls) == inst.m
+    assert calls == [loaded.geometry.polygons] and len(calls[0]) == inst.m
     assert loaded.system is loaded.geometry.system is glat.system
 
 
