@@ -22,9 +22,7 @@ that are not lattice nodes are inserted as virtual nodes (empty class)
 and covered recursively.  Witness sets, merges and chains are set
 operations on owners; the exact segment predicates stay as their oracle.
 The chain check reads the cover pass's own witness sets: a member has a
-chain on an edge exactly when it fits that edge's witness set.  Nodes the
-construction does not apply to get greedy covers, all in one batch once
-the cover queue is empty.
+chain on an edge exactly when it fits that edge's witness set.
 """
 
 from __future__ import annotations
@@ -37,6 +35,7 @@ from itertools import chain, groupby
 
 import numpy as np
 
+from .arrays import spread
 from .geometry import (
     COORD_BOUND,
     Chain,
@@ -53,16 +52,13 @@ from .geometry import (
     same_region,
 )
 from .lattice import (
-    _BLOCK,
     Label,
     Lattice,
-    LatticeNode,
     build_lattice,
     compute_parents,
     format_label,
-    greedy_covers,
+    good_cover_greedy,
     label_sort_key,
-    _spread,
 )
 from .order import ComparisonLedger, KeySpace
 from .setsystem import SetSystem
@@ -71,11 +67,6 @@ from .solvers import MaximaResult, solve_lattice
 
 class InternalInconsistencyError(Exception):
     """Exact-arithmetic invariant broke; indicates a predicate bug."""
-
-
-def _beyond_bound(points: tuple[Point2, ...]) -> bool:
-    """Whether a coordinate of these points lies beyond ``COORD_BOUND``."""
-    return max(map(abs, chain.from_iterable(points)), default=0) > COORD_BOUND
 
 
 @dataclass(frozen=True)
@@ -94,17 +85,16 @@ class GeometricInstance:
         violations = []
         if self.k < 3:
             violations.append(f"k={self.k} must be at least 3")
-        if _beyond_bound(self.points):
-            violations += [
-                f"point {idx} exceeds the coordinate bound"
-                for idx, p in enumerate(self.points)
-                if _beyond_bound((p,))
-            ]
+        for idx, p in enumerate(self.points):
+            if abs(p[0]) > COORD_BOUND or abs(p[1]) > COORD_BOUND:
+                violations.append(f"point {idx} exceeds the coordinate bound")
         for j, poly in enumerate(self.polygons, start=1):
             if poly.sides > self.k:
                 violations.append(f"polygon {j} has {poly.sides} > k sides")
-            if _beyond_bound(poly.vertices):
-                violations.append(f"polygon {j} exceeds the coordinate bound")
+            for v in poly.vertices:
+                if abs(v[0]) > COORD_BOUND or abs(v[1]) > COORD_BOUND:
+                    violations.append(f"polygon {j} exceeds the coordinate bound")
+                    break
         if violations:
             raise ValueError("invalid geometry: " + "; ".join(violations))
 
@@ -129,6 +119,12 @@ class GeometricInstance:
         """The set system the polygons induce, made once per instance;
         ``ValueError`` if a polygon holds no point or two hold the same."""
         return SetSystem(n=self.n, sets=self.membership)
+
+
+# (polygon, point) candidates tested at once by the membership kernel,
+# which bounds its per-candidate temporaries; larger blocks save a few ms
+# on 2,000 polygons but raise the kernel's peak memory
+_BLOCK = 4096
 
 
 def grid_membership(
@@ -187,7 +183,7 @@ def grid_membership(
     last = np.minimum((high - origin) // side, (width - 1, height - 1))
     rows = np.where((last >= first).all(1), last[:, 1] - first[:, 1] + 1, 0)
     polygon = np.repeat(np.arange(m), rows)
-    row = _spread(first[:, 1], rows)
+    row = spread(first[:, 1], rows)
     start = bounds[row * width + first[polygon, 0]]
     count = bounds[row * width + last[polygon, 0] + 1] - start
     del bounds, row, first, last
@@ -200,7 +196,7 @@ def grid_membership(
     for lo, hi in zip(cuts, cuts[1:]):
         pairs = slice(row_end[lo] - rows[lo], row_end[hi - 1])
         owner = np.repeat(polygon[pairs], count[pairs])
-        point = bucketed[_spread(start[pairs], count[pairs])]
+        point = bucketed[spread(start[pairs], count[pairs])]
         x, y = xy[point, 0], xy[point, 1]
         keep = (x >= low[owner, 0]) & (x <= high[owner, 0])
         keep &= (y >= low[owner, 1]) & (y <= high[owner, 1])
@@ -435,32 +431,33 @@ def owner_chains(owners: tuple[Owners, ...], member: Label) -> list[Chain]:
 
 
 def _check_witness_chains(label: Label, cover: list[Label], witness: list[Label]) -> None:
-    """The chain check of a cover on the witness sets of its node's region,
-    ``witness[e] = label - owners(e)``.
+    """The chain check of a cover, sorted by ``label_sort_key``, on the
+    witness sets of its node's region, ``witness[e] = label - owners(e)``.
 
     Member M has a chain on edge e exactly when M fits in witness[e], so
     every member must fit in one, and no witness set may hold two members
-    (two members share an edge exactly when their union fits).  Raises on
-    the first member, in cover order, that breaks either.
+    (two members share an edge exactly when their union fits).  Raises as
+    ``check_owner_chains`` does: first on a member without chains, in cover
+    order, then on the first member that shares an edge with one before it.
     """
-    claimed: list[Label | None] = [None] * len(witness)
+    fits = []
     for member in cover:
-        chained = False
-        for edge, w in enumerate(witness):
-            if member <= w:
-                other = claimed[edge]
-                if other is not None:
-                    raise InternalInconsistencyError(
-                        f"chains of {format_label(other)} and "
-                        f"{format_label(member)} overlap on {format_label(label)}"
-                    )
-                claimed[edge] = member
-                chained = True
-        if not chained:
+        edges = [edge for edge, w in enumerate(witness) if member <= w]
+        if not edges:
             raise InternalInconsistencyError(
                 f"cover member {format_label(member)} of {format_label(label)} "
                 "has no chains"
             )
+        fits.append(edges)
+    claimed: dict[int, Label] = {}
+    for member, edges in zip(cover, fits):
+        for edge in edges:
+            other = claimed.setdefault(edge, member)
+            if other != member:
+                raise InternalInconsistencyError(
+                    f"chains of {format_label(other)} and "
+                    f"{format_label(member)} overlap on {format_label(label)}"
+                )
 
 
 def check_owner_chains(label: Label, cover: tuple[Label, ...], cache: RegionCache) -> None:
@@ -468,12 +465,32 @@ def check_owner_chains(label: Label, cover: tuple[Label, ...], cache: RegionCach
     produce at least one chain over the node's region, and chains of
     distinct members must not share edges.  Raises on violation.
 
-    ``geometric_cover`` makes this check on the witness sets it holds;
-    ``check_cover_chains`` makes it with exact segment predicates and
-    stays as its oracle.
+    The build does not call this: ``geometric_cover`` makes the same check
+    on the witness sets it holds (``_check_witness_chains``).  This check
+    walks each member's chains with ``owner_chains``, as
+    ``check_cover_chains`` does with exact segment predicates; both stay
+    as the oracles of the build's check.
     """
-    members = sorted(cover, key=label_sort_key)
-    _check_witness_chains(label, members, [label - own for own in cache.owners(label)])
+    owners = cache.owners(label)
+    per_member: dict[Label, list[Chain]] = {}
+    for member in cover:
+        cs = owner_chains(owners, member)
+        if not cs:
+            raise InternalInconsistencyError(
+                f"cover member {format_label(member)} of {format_label(label)} "
+                "has no chains"
+            )
+        per_member[member] = cs
+    claimed: dict[int, Label] = {}
+    for member in sorted(per_member, key=label_sort_key):
+        for chain in per_member[member]:
+            for edge in chain.edge_indices:
+                other = claimed.setdefault(edge, member)
+                if other != member:
+                    raise InternalInconsistencyError(
+                        f"chains of {format_label(other)} and "
+                        f"{format_label(member)} overlap on {format_label(label)}"
+                    )
 
 
 def build_geometric_lattice(instance: GeometricInstance) -> GeometricLattice:
@@ -488,7 +505,6 @@ def build_geometric_lattice(instance: GeometricInstance) -> GeometricLattice:
     cache = RegionCache(instance)
     covers: dict[Label, tuple[Label, ...]] = {}
     fallbacks: list[Label] = []
-    greedy: list[LatticeNode] = []
 
     queue = deque(lb for lb in lattice.labels_by_layer() if len(lb) >= 2)
     while queue:
@@ -500,21 +516,15 @@ def build_geometric_lattice(instance: GeometricInstance) -> GeometricLattice:
             fallbacks.append(label)
             node = lattice.nodes.get(label)
             if node is not None and not node.virtual:
-                # a greedy cover takes parents, nodes queued from the start,
-                # so it can wait for one pass over every such node; the
-                # placeholder keeps the covers in queue order
-                greedy.append(node)
-                covers[label] = ()
-                continue
-            cover = tuple(frozenset((i,)) for i in sorted(label))
+                cover = good_cover_greedy(node, lattice)
+            else:
+                cover = tuple(frozenset((i,)) for i in sorted(label))
         covers[label] = cover
         for member in cover:
             if member not in lattice.nodes:
                 lattice.add_virtual(member)
             if len(member) >= 2 and member not in covers:
                 queue.append(member)
-    for node, cover in zip(greedy, greedy_covers(greedy)):
-        covers[node.label] = cover
     return GeometricLattice(
         instance=instance,
         system=system,

@@ -13,9 +13,9 @@
 
 When both sets and geometry are present they must agree (the loader
 cross-checks containment), and the loaded system is the one the geometry
-induces.  ``SetSystem`` and ``GeometricInstance`` check themselves when
-they are made; the loader reports their ``ValueError`` as an
-``InputError`` with the same text.
+induces.  ``SetSystem`` and ``GeometricInstance`` check themselves when they
+are made; the loader reports their ``ValueError`` as an ``InputError`` with
+the same text.
 
 Well-formed geometry is checked in bulk: all coordinates in one type pass,
 and all polygons in one ``geometry.convex_polygons`` call.  Where a bulk
@@ -70,10 +70,10 @@ def instance_to_dict(instance: ProblemInstance) -> dict:
 def _integers(values, what: str) -> list[int]:
     """``values`` as a list, each of them an integer."""
     values = list(values)
-    # int() would truncate floats and parse strings, and bool is an int
-    if not set(map(type, values)) <= {int}:
-        bad = next(type(value) for value in values if type(value) is not int)
-        raise InputError(f"{what} must be an integer, not {bad.__name__}")
+    for value in values:
+        # int() would truncate floats and parse strings, and bool is an int
+        if type(value) is not int:
+            raise InputError(f"{what} must be an integer, not {type(value).__name__}")
     return values
 
 

@@ -24,6 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .arrays import ranges, spread
 from .order import Scan, compile_classes, compile_layer
 from .setsystem import SetSystem
 
@@ -242,31 +243,10 @@ def _pack(labels: list[Label]) -> _Words:
     return _Words(start, key % width, bits, size, members, width)
 
 
-def _spread(start: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """``start[r] .. start[r] + count[r] - 1`` for each row r, concatenated."""
-    runs = np.cumsum(count) - count
-    return np.arange(int(count.sum())) + np.repeat(start - runs, count)
-
-
-def _ranges(start: np.ndarray, count: np.ndarray, block: int):
-    """The items of ``_spread(start, count)``, at most ``block`` at a time:
-    yields (row, item) arrays."""
-    ends = np.cumsum(count)
-    total = int(ends[-1]) if len(ends) else 0
-    for lo in range(0, total, block):
-        hi = min(lo + block, total)
-        first, last = np.searchsorted(ends, [lo, hi - 1], side="right")
-        rows = slice(first, last + 1)
-        firsts = ends[rows] - count[rows]
-        done = np.maximum(firsts, lo) - firsts  # items of the row in earlier blocks
-        taken = np.minimum(ends[rows], hi) - firsts - done
-        yield np.repeat(np.arange(first, last + 1), taken), _spread(start[rows] + done, taken)
-
-
 def _rows(words: _Words, labels: np.ndarray) -> np.ndarray:
     """The full rows of these labels, one after another."""
     n_words = words.start[labels + 1] - words.start[labels]
-    at = _spread(words.start[labels], n_words)
+    at = spread(words.start[labels], n_words)
     rows = np.zeros(len(labels) * words.width, np.uint64)
     rows[np.repeat(np.arange(len(labels)) * words.width, n_words) + words.index[at]] = words.bits[at]
     return rows
@@ -320,7 +300,7 @@ def _strict_subsets(labels: list[Label]) -> np.ndarray:
     words = _pack(labels)
     filed, owner, file_start, smaller = _files(words)
     subs = []
-    for entry, at in _ranges(file_start, smaller, _BLOCK):
+    for entry, at in ranges(file_start, smaller, _BLOCK):
         j, k = owner[entry], filed[at]
         fits = _subsets(words, j, k)
         subs.append(j[fits] * len(labels) + k[fits])
@@ -333,7 +313,7 @@ def _undominated(subs: np.ndarray, count: int) -> np.ndarray:
     j, k = np.divmod(subs, count)
     start = np.searchsorted(j, np.arange(count + 1))
     kept = np.ones(len(subs), bool)
-    for entry, at in _ranges(start[k], np.diff(start)[k], _BLOCK):
+    for entry, at in ranges(start[k], np.diff(start)[k], _BLOCK):
         kept[np.searchsorted(subs, j[entry] * count + k[at])] = False
     return kept
 
@@ -399,7 +379,7 @@ def _greedy_picks(words: _Words, targets: np.ndarray, parents: np.ndarray, count
     pair = np.arange(len(parents))
     position = pair - np.repeat(np.cumsum(count) - count, count)
     n_words = words.start[parents + 1] - words.start[parents]
-    at = _spread(words.start[parents], n_words)
+    at = spread(words.start[parents], n_words)
     bits = words.bits[at]
     row = np.arange(len(targets)) * words.width
     slot = np.repeat(np.repeat(row, count), n_words) + words.index[at]
@@ -418,7 +398,7 @@ def _greedy_picks(words: _Words, targets: np.ndarray, parents: np.ndarray, count
         failed[live[~took]] = True
         pick = (first + stride - 1 - best % stride)[took]
         picked[pair[pick]] = True
-        cleared = _spread(word_first[pick], n_words[pick])
+        cleared = spread(word_first[pick], n_words[pick])
         uncovered[slot[cleared]] &= ~bits[cleared]
         left[live] -= gained
         alive = took & (left[live] > 0)
@@ -437,29 +417,16 @@ def good_cover_greedy(node: LatticeNode, lattice: Lattice) -> tuple[Label, ...]:
     smallest label, so covers are deterministic.  This is the kernel of
     ``good_covers`` run on one node.
     """
-    return greedy_covers([node])[0]
-
-
-def greedy_covers(nodes: list[LatticeNode]) -> list[tuple[Label, ...]]:
-    """``good_cover_greedy`` of each node, in one pass of the kernel; the
-    first node in ``nodes`` without a cover names the error."""
-    if not nodes:
-        return []
-    parents = [_require_parents(node) for node in nodes]
-    count = np.fromiter(map(len, parents), np.int64, len(nodes))
-    candidates = list(chain.from_iterable(parents))
+    parents = _require_parents(node)
     picked, failed = _greedy_picks(
-        _pack([node.label for node in nodes] + candidates),
-        np.arange(len(nodes)),
-        np.arange(len(nodes), len(nodes) + len(candidates)),
-        count,
+        _pack([node.label, *parents]),
+        np.zeros(1, np.int64),
+        np.arange(1, len(parents) + 1),
+        np.array([len(parents)]),
     )
-    if failed.any():
-        raise _uncoverable(nodes[int(np.argmax(failed))].label)
-    ends = np.cumsum(count).tolist()
-    return [
-        tuple(compress(candidates[lo:hi], picked[lo:hi])) for lo, hi in zip([0, *ends], ends)
-    ]
+    if failed[0]:
+        raise _uncoverable(node.label)
+    return tuple(compress(parents, picked))
 
 
 def _greedy_covers(lattice: Lattice) -> tuple[dict[Label, tuple[Label, ...]], LatticeNode | None]:

@@ -1,7 +1,6 @@
 import math
 import random
 import sys
-from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,7 +8,6 @@ import pytest
 from corpora import mixed_circle_embeddings, tangency_heavy_instances
 
 from setmaxima import geomlattice
-from setmaxima import lattice as lattice_module
 from setmaxima.generators import (
     gen_convex_instance,
     gen_keys,
@@ -31,13 +29,12 @@ from setmaxima.geomlattice import (
     check_cover_chains,
     check_owner_chains,
     circle_embedding,
-    geometric_cover,
     induced_membership,
     induced_system,
     owner_chains,
     solve_lattice_geometric,
 )
-from setmaxima.lattice import build_lattice, compute_parents, good_cover_greedy
+from setmaxima.lattice import label_sort_key
 from setmaxima.order import ComparisonLedger, KeySpace
 from setmaxima.setsystem import SetSystem, system_from_lists
 from setmaxima.solvers import solve_bruteforce
@@ -262,52 +259,103 @@ def test_check_owner_chains_rejects_a_member_without_chains():
         check_owner_chains(fs(1, 2), (fs(1), fs(2)), cache)
 
 
-def _per_label_build(instance):
-    """The build loop as it covered each fallback node on its own, with
-    ``good_cover_greedy``: the reference for the batched fallbacks."""
-    lattice = compute_parents(build_lattice(instance.system))
-    cache = RegionCache(instance)
-    covers, fallbacks = {}, []
-    queue = deque(lb for lb in lattice.labels_by_layer() if len(lb) >= 2)
-    while queue:
-        label = queue.popleft()
-        if label in covers:
+def _outcome(check, *args):
+    """None when ``check`` passes, else the kind of its error and the member
+    it names last (two members overlapping may name either earlier one)."""
+    try:
+        check(*args)
+    except InternalInconsistencyError as exc:
+        text = str(exc)
+        if text.endswith("has no chains"):
+            return "no chains", text
+        assert " overlap on " in text, text
+        return "overlap", text.split(" and ")[1]
+    return None
+
+
+def _fabricated_covers(label, cover, rng):
+    """The built cover and covers made wrong on purpose from it: a member
+    dropped, two merged, one repeated inside a larger one, the singletons,
+    and random subsets of the label; each sorted as the build sorts it."""
+    made = [cover, cover[1:], tuple(fs(i) for i in label)]
+    if len(cover) >= 2:
+        made.append((cover[0] | cover[1], *cover[2:]))
+        made.append((cover[0], cover[0] | cover[1]))
+    items = sorted(label)
+    for _ in range(4):
+        made.append(
+            tuple(
+                frozenset(rng.sample(items, rng.randint(1, len(items) - 1)))
+                for _ in range(rng.randint(1, 4))
+            )
+        )
+    return [tuple(sorted(set(c), key=label_sort_key)) for c in made if c]
+
+
+def _assert_witness_check_matches_oracles(glat, rng):
+    """``_check_witness_chains`` on a node's witness sets gives the outcome
+    of ``check_owner_chains`` on every fabricated cover, and passes or
+    raises as ``check_cover_chains`` does; returns the numbers of covers
+    checked and of covers that raised."""
+    cache = glat.regions
+    fallbacks = set(glat.fallback_labels)
+    checked = raised = 0
+    for label, cover in glat.covers.items():
+        if label in fallbacks:
             continue
-        cover = geometric_cover(label, cache, instance.k)
-        if cover is None:
-            fallbacks.append(label)
-            node = lattice.nodes.get(label)
-            if node is not None and not node.virtual:
-                cover = good_cover_greedy(node, lattice)
-            else:
-                cover = tuple(frozenset((i,)) for i in sorted(label))
-        covers[label] = cover
-        for member in cover:
-            if member not in lattice.nodes:
-                lattice.add_virtual(member)
-            if len(member) >= 2 and member not in covers:
-                queue.append(member)
-    return lattice, covers, tuple(fallbacks)
+        witness = [label - own for own in cache.owners(label)]
+        for made in _fabricated_covers(label, cover, rng):
+            got = _outcome(geomlattice._check_witness_chains, label, list(made), witness)
+            assert got == _outcome(check_owner_chains, label, made, cache), (label, made)
+            exact = _outcome(check_cover_chains, label, made, cache)
+            assert (got is None) == (exact is None), (label, made)
+            checked += 1
+            raised += got is not None
+    return checked, raised
 
 
-def test_fallbacks_are_covered_in_one_batch_as_one_at_a_time(monkeypatch):
-    instances = [inst for inst, _ in tangency_heavy_instances(150)]
-    instances += list(mixed_circle_embeddings(150, 23))
-    want = [_per_label_build(inst) for inst in instances]
-    calls = []
-    batch = geomlattice.greedy_covers
-    monkeypatch.setattr(geomlattice, "greedy_covers", lambda nodes: calls.append(nodes) or batch(nodes))
-    monkeypatch.setattr(lattice_module, "good_cover_greedy", None)
+def test_witness_chain_check_matches_owner_and_segment_checks():
+    rng = random.Random(5)
+    glats = [build_geometric_lattice(inst) for inst, _trial in tangency_heavy_instances(60)]
+    glats += [build_geometric_lattice(inst) for inst in mixed_circle_embeddings(40, 23)]
+    glats.append(build_geometric_lattice(gen_convex_instance(n=300, m=24, k=4, seed=3)))
+    checked = raised = 0
+    for glat in glats:
+        c, r = _assert_witness_check_matches_oracles(glat, rng)
+        checked, raised = checked + c, raised + r
+    # the built covers pass, and many fabricated ones do not
+    assert checked > 1000 and 100 < raised < checked
+
+
+def test_witness_chain_check_reports_no_chains_before_an_overlap():
+    # {1} and {1, 2} share edges, and {1, 2, 3} has no chain: like
+    # check_owner_chains, the check names the chainless member, though the
+    # overlap comes first in cover order
+    inst = GeometricInstance(
+        points=(Point2(8, 8),),
+        polygons=(square(0, 0, 10, 10), square(6, 0, 16, 10), square(3, 6, 13, 16)),
+        k=4,
+    )
+    cache = RegionCache(inst)
+    label = fs(1, 2, 3)
+    cover = (fs(1), fs(1, 2), fs(1, 2, 3))
+    witness = [label - own for own in cache.owners(label)]
+    with pytest.raises(InternalInconsistencyError, match="no chains"):
+        check_owner_chains(label, cover, cache)
+    with pytest.raises(InternalInconsistencyError, match="no chains"):
+        geomlattice._check_witness_chains(label, list(cover), witness)
+    with pytest.raises(InternalInconsistencyError, match="overlap"):
+        geomlattice._check_witness_chains(label, list(cover[:2]), witness)
+
+
+def test_build_checks_chains_without_check_owner_chains(monkeypatch):
+    instances = [inst for inst, _trial in tangency_heavy_instances(40)]
+    want = [build_geometric_lattice(inst) for inst in instances]
     monkeypatch.setattr(geomlattice, "check_owner_chains", None)
-    greedy = 0
-    for inst, (lat, covers, fallbacks) in zip(instances, want):
-        glat = build_geometric_lattice(inst)
-        assert glat.fallback_labels == fallbacks
-        assert list(glat.covers.items()) == list(covers.items())
-        assert glat.lattice.dump(glat.covers) == lat.dump(covers)
-        greedy += len(calls[-1])
-    # one batch per build, and some of them cover nodes
-    assert len(calls) == len(instances) and greedy > 100
+    for inst, glat in zip(instances, want):
+        again = build_geometric_lattice(inst)
+        assert again.fallback_labels == glat.fallback_labels
+        assert again.lattice.dump(again.covers) == glat.lattice.dump(glat.covers)
 
 
 # ------------------------------------------- edge owners against predicates
