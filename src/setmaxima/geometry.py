@@ -394,6 +394,33 @@ def region_of(points: Sequence[Point2], owners: Sequence[Owners]) -> Region:
     return Region(verts, lines, tuple(owners))
 
 
+def polygon_regions(polygons: Sequence[ConvexPolygon], owners: Sequence[Owners]) -> list[Region]:
+    """``region_of`` of every polygon, each edge of polygon j owned by
+    ``owners[j]``, with all edge lines computed in one int64 pass.
+
+    With integer coordinates within ``COORD_BOUND`` a vertex is (x, y, 1)
+    and the line from p to q is (py - qy, qx - px, px*qy - py*qx), so
+    |c| <= 2^41 and int64 cannot overflow; any other coordinate goes
+    through ``region_of`` for every polygon.
+    """
+    sizes = [len(poly.vertices) for poly in polygons]
+    coords = list(chain.from_iterable(chain.from_iterable(poly.vertices for poly in polygons)))
+    if not (set(map(type, coords)) <= {int} and max(map(abs, coords), default=0) <= COORD_BOUND):
+        return [region_of(poly.vertices, (own,) * len(poly.vertices)) for poly, own in zip(polygons, owners)]
+    x, y = np.array(coords, np.int64).reshape(-1, 2).T
+    ends = np.cumsum(sizes, dtype=np.int64)
+    # the next vertex of each, cyclic within its polygon
+    after = np.arange(1, x.size + 1)
+    after[ends - 1] = ends - sizes
+    qx, qy = x[after], y[after]
+    verts = list(zip(coords[0::2], coords[1::2], [1] * x.size))
+    lines = list(zip((y - qy).tolist(), (qx - x).tolist(), (x * qy - y * qx).tolist()))
+    return [
+        Region(tuple(verts[hi - size : hi]), tuple(lines[hi - size : hi]), (own,) * size)
+        for hi, size, own in zip(ends.tolist(), sizes, owners)
+    ]
+
+
 def clip_region(subject: Region, clip_lines: Sequence[Line], clip_owner: Owners) -> Region:
     """Sutherland-Hodgman clip of a convex CCW subject by the convex polygon
     whose CCW edges lie on ``clip_lines``, exact and without division.

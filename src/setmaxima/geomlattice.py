@@ -48,7 +48,7 @@ from .geometry import (
     clip_region,
     meet_degenerate,
     orientation,
-    region_of,
+    polygon_regions,
     same_region,
 )
 from .lattice import (
@@ -224,7 +224,8 @@ class RegionCache:
     """Memoized intersection regions Q_I, shared across all cover work.
 
     Regions are computed by clipping along the sorted label prefix so that
-    nested labels share work.  Each is kept as the ``Region`` the clip
+    nested labels share work; the polygons' own regions are made all at
+    once (``polygon_regions``).  Each is kept as the ``Region`` the clip
     kernel makes (homogeneous vertices, edge lines and edge owners), the
     empty and degenerate ones included; ``region()`` converts one to a
     ``ConvexPolygon`` on request and keeps no copy.  The owners of a full
@@ -237,10 +238,10 @@ class RegionCache:
         # one shared owner set per polygon: most region edges have one owner
         self._owner = [frozenset((j,)) for j in range(1, len(self.polygons) + 1)]
         none = frozenset()
-        self._input = [
-            region_of(poly.vertices, (none if poly.is_degenerate else own,) * len(poly.vertices))
-            for poly, own in zip(self.polygons, self._owner)
-        ]
+        self._input = polygon_regions(
+            self.polygons,
+            [none if poly.is_degenerate else own for poly, own in zip(self.polygons, self._owner)],
+        )
         self._memo: dict[tuple[int, ...], Region] = {}
 
     def region(self, label: Label) -> ConvexPolygon | None:

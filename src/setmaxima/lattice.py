@@ -132,7 +132,10 @@ class Lattice:
         members = [sorted(self.nodes[label].phi) for label in labels]
         if any(phi and phi[0] < 0 for phi in members):
             raise LatticeError("a class holds a negative element index")
-        classes = compile_classes((i, phi) for i, phi in enumerate(members) if phi)
+        lengths = np.fromiter(map(len, members), np.int64, len(members))
+        slots = np.flatnonzero(lengths)
+        source = np.fromiter(chain.from_iterable(members), np.int64, int(lengths.sum()))
+        classes = compile_classes(slots, lengths[slots], source)
         layers = []
         for layer, group in groupby(labels, key=len):
             if layer < 2:

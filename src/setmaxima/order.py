@@ -32,7 +32,7 @@ and tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, pairwise
+from itertools import pairwise
 from numbers import Integral
 from typing import Iterable, Sequence
 
@@ -80,7 +80,10 @@ class Scan:
     ``targets[s]``.  The first position of a segment is its head; every
     other one is a push, and ``pushes`` lists them in the order in which the
     equivalent ``compare`` calls would meet them.  ``span`` is one more than
-    the largest index in ``source`` (0 when empty).
+    the largest index in ``source`` (0 when empty).  ``heads`` holds each
+    segment's first position and ``met`` the position before each push,
+    where the running maximum it meets stands, so a solve reads both as
+    compiled.
     """
 
     source: np.ndarray
@@ -89,6 +92,8 @@ class Scan:
     ends: np.ndarray
     targets: np.ndarray
     span: int
+    heads: np.ndarray
+    met: np.ndarray
 
 
 def _scan(
@@ -97,13 +102,14 @@ def _scan(
     """Lay ``source`` out in segments of ``lengths``; ``pushes`` defaults to
     every position after its segment's head, in buffer order."""
     ends = np.cumsum(lengths) - 1
+    heads = ends - lengths + 1
     offset = np.repeat(np.arange(lengths.size, dtype=np.int64) << 32, lengths)
     if pushes is None:
         tail = np.ones(source.size, dtype=bool)
-        tail[ends - lengths + 1] = False
+        tail[heads] = False
         pushes = np.flatnonzero(tail)
     span = int(source.max()) + 1 if source.size else 0
-    return Scan(source, offset, pushes, ends, targets, span)
+    return Scan(source, offset, pushes, ends, targets, span, heads, pushes - 1)
 
 
 def _meet(rank: np.ndarray, scan: Scan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -111,12 +117,14 @@ def _meet(rank: np.ndarray, scan: Scan) -> tuple[np.ndarray, np.ndarray, np.ndar
     rank of each push, and the rank of the champion it meets (0 if none)."""
     run = rank + scan.offset
     np.maximum.accumulate(run, out=run)
-    return run, rank[scan.pushes], run[scan.pushes - 1] & _RANK
+    return run, rank[scan.pushes], run[scan.met] & _RANK
 
 
-def compile_classes(classes: Iterable[tuple[int, Sequence[int]]]) -> Scan:
-    """Compile (slot, members) pairs into the class :class:`Scan` of
-    :meth:`KeySpace.propagate`.
+def compile_classes(slots: Sequence[int], lengths: Sequence[int], members: Sequence[int]) -> Scan:
+    """Compile classes into the class :class:`Scan` of
+    :meth:`KeySpace.propagate`: class c, of slot ``slots[c]``, is the run
+    of ``lengths[c]`` members that follows the earlier classes' runs in
+    ``members``.
 
     Each class is one segment, its members in the given order: the first
     heads it and every later one costs one comparison, so a one-member
@@ -126,16 +134,15 @@ def compile_classes(classes: Iterable[tuple[int, Sequence[int]]]) -> Scan:
     non-negative (else IndexError), so a call only range-checks ``span``,
     one more than the largest member, against its keys.
     """
-    slots: list[int] = []
-    runs: list[Sequence[int]] = []
-    for slot, members in classes:
-        if len(members) == 0:
-            raise ValueError(f"the class of slot {slot} is empty")
-        slots.append(slot)
-        runs.append(members)
-    lengths = np.fromiter(map(len, runs), np.int64, len(runs))
-    source = np.fromiter(chain.from_iterable(runs), np.int64, int(lengths.sum()))
-    scan = _scan(source, lengths, np.array(slots, dtype=np.int64))
+    slots = np.asarray(slots, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    source = np.asarray(members, dtype=np.int64)
+    if slots.shape != lengths.shape or int(lengths.sum()) != source.size:
+        raise ValueError("a class needs one slot and one length, summing to the members")
+    empty = np.flatnonzero(lengths <= 0)
+    if empty.size:
+        raise ValueError(f"the class of slot {slots[empty[0]]} is empty")
+    scan = _scan(source, lengths, slots)
     order = np.lexsort((source, scan.offset))
     if np.any((np.diff(scan.offset[order]) == 0) & (np.diff(source[order]) == 0)):
         raise ValueError("a class holds an element twice")
@@ -208,9 +215,10 @@ def compile_sort(items: Iterable[int]) -> SortBatch:
     IndexError), so a sort only range-checks ``top`` against its keys.
     """
     items = np.fromiter(items, np.int64)
-    if items.size and items.min() < 0:
-        raise IndexError(f"negative index in a sort batch: {items.min()}")
-    if np.unique(items).size != items.size:
+    ordered = np.sort(items)
+    if items.size and ordered[0] < 0:
+        raise IndexError(f"negative index in a sort batch: {ordered[0]}")
+    if np.any(ordered[1:] == ordered[:-1]):
         raise ValueError("merge_sort items contain duplicates")
     levels = []
     size = 0
@@ -363,7 +371,7 @@ class KeySpace:
         # a class's largest (rank, member) pair names its champion
         key = members.astype(np.int64) << 32
         key |= classes.source
-        best = np.maximum.reduceat(key, np.concatenate(([0], classes.ends + 1))[:-1])
+        best = np.maximum.reduceat(key, classes.heads)
         rank[classes.targets] = best >> 32
         element[best >> 32] = best & _RANK
         ledger.count += int(classes.pushes.size)

@@ -21,26 +21,30 @@ comparison, and runs as an array kernel over the key space's ranks, so a
 solve makes no Python call per comparison.
 
 The sort baseline's split tree depends only on n: ``solve_sort`` compiles
-a :class:`SortPlan` (the sort batch of all n elements and the sets'
-members end to end) on its first solve over a
-:class:`~setmaxima.setsystem.SetSystem` and remembers it on that system.
+a :class:`SortPlan` (the sort batch of all n elements, and the sets'
+members end to end as the system's signature grouping holds them) on its
+first solve over a :class:`~setmaxima.setsystem.SetSystem` and remembers
+it on that system.
 Each solve is one :meth:`~setmaxima.order.KeySpace.merge_sort` of the
 plan's batch, a numpy kernel over the ranks with no Python call per
 comparison, and one ``np.maximum.reduceat`` over the members for the
 maxima.
 
 Grouping elements by signature is key-independent too: ``solve_bucket``
-compiles the grouping into a :class:`BucketPlan` on its first solve over a
-:class:`~setmaxima.setsystem.SetSystem`, remembers it on that (frozen)
-system and reuses it.  Every later solve is one ``propagate`` call that
-reduces the buckets and pushes each bucket's champion into the slot of
-every set it meets, a single layer.
+compiles the system's signature grouping
+(:meth:`~setmaxima.setsystem.SetSystem.signatures`, made once per
+system and shared with the lattice build and the sort plan) into a
+:class:`BucketPlan` on its first solve, remembers it on that (frozen)
+system and reuses it.  The grouping's arrays are the plan's buckets as
+they stand, and one sort of its (set, bucket) pairs lays out the per-set
+layer.  Every later solve is one ``propagate`` call that reduces the
+buckets and pushes each bucket's champion into the slot of every set it
+meets, a single layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -50,7 +54,6 @@ from .lattice import (
     build_lattice,
     compute_parents,
     good_covers,
-    label_sort_key,
 )
 from .order import (
     ComparisonLedger,
@@ -120,9 +123,8 @@ class SortPlan:
 
 
 def _compile_sort_plan(system: SetSystem) -> SortPlan:
-    lengths = np.fromiter(map(len, system.sets), np.int64, system.m)
-    members = np.fromiter(chain.from_iterable(system.sets), np.int64, system.p)
-    return SortPlan(compile_sort(range(system.n)), members, np.cumsum(lengths) - lengths)
+    groups = system.signatures()
+    return SortPlan(compile_sort(range(system.n)), groups.members, groups.starts)
 
 
 def sort_plan(system: SetSystem) -> SortPlan:
@@ -160,7 +162,8 @@ class BucketPlan:
     """Key-independent schedule of a bucket solve over one set system.
 
     Slots 0..b-1 number the buckets (the elements of one non-empty
-    signature) in ``label_sort_key`` order of their signatures, and slot
+    signature) in ``label_sort_key`` order of their signatures, as
+    :class:`~setmaxima.setsystem.SignatureGroups` holds them, and slot
     b + i - 1 holds set i.  ``buckets`` holds every bucket's ascending
     members (see :func:`~setmaxima.order.compile_classes`).  ``per_set`` is
     one push layer from bucket slots into set slots, set by set, each set's
@@ -177,20 +180,16 @@ class BucketPlan:
 
 
 def _compile_bucket_plan(system: SetSystem) -> BucketPlan:
-    groups = system.signature_classes()
-    if len(groups) > min(system.n, (1 << system.m) - 1):
+    groups = system.signatures()
+    count = groups.sizes.size
+    if count > min(system.n, (1 << system.m) - 1):
         raise AssertionError("more buckets than distinct signatures can exist")
-    order = sorted(groups, key=label_sort_key)
-    hits: list[list[int]] = [[] for _ in range(system.m)]
-    for slot, sig in enumerate(order):
-        for i in sig:
-            hits[i - 1].append(slot)
-    buckets = compile_classes(enumerate(map(groups.__getitem__, order)))
-    per_set = compile_layer(
-        np.fromiter(chain.from_iterable(hits), np.int64),
-        np.repeat(np.arange(len(order), len(order) + system.m), list(map(len, hits))),
-    )
-    bound = buckets.pushes.size + sum(len(slots) - 1 for slots in hits if slots)
+    buckets = compile_classes(np.arange(count), groups.sizes, groups.elements)
+    # the (set, bucket slot) pairs as one number each, sorted set by set
+    pairs = groups.labels * count + np.repeat(np.arange(count), groups.degrees)
+    pairs.sort()
+    per_set = compile_layer(pairs % count, pairs // count + count - 1)
+    bound = buckets.pushes.size + pairs.size - system.m
     return BucketPlan(buckets, per_set, bound)
 
 

@@ -8,7 +8,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from setmaxima.generators import GenerationError, gen_convex_instance, gen_keys
+from setmaxima.generators import GenerationError, gen_convex_instance, gen_keys, gen_random_system
 from setmaxima.geometry import ConvexPolygon, Point2, strict_hull
 from setmaxima.geomlattice import (
     GeometricInstance,
@@ -31,6 +31,25 @@ class GeometricCase:
     glat: object
     keys: KeySpace
     results: dict
+
+
+def abstract_systems(count):
+    """The acceptance suite's abstract systems: ``count`` random systems of
+    n in [1, 200] and m <= 50, each with its seed."""
+    seed = 0
+    built = 0
+    while built < count:
+        seed += 1
+        rng = random.Random(10_000 + seed)
+        n = rng.randint(1, 200)
+        m = min(rng.randint(1, 50), 2**n - 1)
+        density = rng.uniform(0.05, 0.9)
+        try:
+            system = gen_random_system(n, m, density, seed=seed)
+        except GenerationError:
+            continue
+        yield seed, system
+        built += 1
 
 
 def build_geometric_corpus():

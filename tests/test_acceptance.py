@@ -11,9 +11,9 @@ from fractions import Fraction
 
 import pytest
 
+from corpora import abstract_systems
 from setmaxima.bench import BenchConfig, run_bench
 from setmaxima.generators import (
-    GenerationError,
     gen_convex_instance,
     gen_keys,
     gen_random_system,
@@ -68,18 +68,8 @@ class AbstractCase:
 @pytest.fixture(scope="module")
 def abstract_corpus():
     cases = []
-    seed = 0
-    while len(cases) < N_ABSTRACT:
-        seed += 1
-        rng = random.Random(10_000 + seed)
-        n = rng.randint(1, 200)
-        m = min(rng.randint(1, 50), 2**n - 1)
-        density = rng.uniform(0.05, 0.9)
-        try:
-            system = gen_random_system(n, m, density, seed=seed)
-        except GenerationError:
-            continue
-        keys = gen_keys(n, seed + 500_000)
+    for seed, system in abstract_systems(N_ABSTRACT):
+        keys = gen_keys(system.n, seed + 500_000)
         results = {
             "brute": solve_bruteforce(system, keys),
             "sort": solve_sort(system, keys),

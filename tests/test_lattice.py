@@ -67,7 +67,7 @@ def test_phi_partition_matches_signature_oracle():
                 assert e not in seen
                 seen.add(e)
         assert seen == set().union(*system.sets)
-        distinct_sigs = {s for s in system.signatures() if s}
+        distinct_sigs = {system.signature(e) for e in range(system.n)} - {frozenset()}
         assert len(lat.nodes) <= system.m + len(distinct_sigs)
         assert len(lat.nodes) <= system.m + system.n
 

@@ -18,9 +18,19 @@ from setmaxima.order import (
 from test_solvers import _merge_sort
 
 
+def _classes(pairs):
+    """``compile_classes`` of (slot, members) pairs."""
+    pairs = list(pairs)
+    return compile_classes(
+        [slot for slot, _ in pairs],
+        [len(members) for _, members in pairs],
+        [e for _, members in pairs for e in members],
+    )
+
+
 def _max_of_class(ks, members, ledger):
     """The member of largest key, as the one class of a ``propagate`` call."""
-    return int(ks.propagate(compile_classes([(0, members)]), (), ledger)[0])
+    return int(ks.propagate(_classes([(0, members)]), (), ledger)[0])
 
 
 def test_compare_greater_and_ledger():
@@ -199,7 +209,7 @@ def _listed(champion, slots=0):
 def _propagate(ks, start, layers, ledger):
     """``propagate`` from a champion list (None for an empty slot): each
     held element is a one-member class, which costs no comparison."""
-    classes = compile_classes([(slot, (e,)) for slot, e in enumerate(start) if e is not None])
+    classes = _classes([(slot, (e,)) for slot, e in enumerate(start) if e is not None])
     return _listed(ks.propagate(classes, layers, ledger), len(start))
 
 
@@ -215,7 +225,7 @@ def test_reduce_classes_equals_max_of_class_calls():
             size = rng.randint(1, len(elements))
             classes.append((slot, tuple(sorted(elements[:size]))))
             elements, slot = elements[size:], slot + rng.randint(1, 3)
-        batch = compile_classes(classes)
+        batch = _classes(classes)
         assert batch.span - 1 == max(members[-1] for _, members in classes)
         ledger = ComparisonLedger(record_transcript=True)
         champion = ks.propagate(batch, (), ledger)
@@ -234,11 +244,11 @@ def test_reduce_classes_range_checks_top_once():
     ks = KeySpace([1, 2, 3])
     ledger = ComparisonLedger(record_transcript=True)
     with pytest.raises(IndexError):
-        ks.propagate(compile_classes([(0, (0, 1)), (1, (2, 3))]), (), ledger)
+        ks.propagate(_classes([(0, (0, 1)), (1, (2, 3))]), (), ledger)
     assert ledger.count == 0 and ledger.transcript == ()
-    champion = ks.propagate(compile_classes([(0, (0, 1)), (1, (2,))]), (), ledger)
+    champion = ks.propagate(_classes([(0, (0, 1)), (1, (2,))]), (), ledger)
     assert _listed(champion) == [1, 2] and ledger.count == 1
-    assert ks.propagate(compile_classes([]), (), ledger).size == 0
+    assert ks.propagate(_classes([]), (), ledger).size == 0
     assert ledger.count == 1
 
 
@@ -285,11 +295,28 @@ def test_propagate_range_errors():
     with pytest.raises(IndexError):
         _layer([(0, (-1,))])
     with pytest.raises(IndexError):
-        compile_classes([(-1, (0,))])
+        _classes([(-1, (0,))])
     with pytest.raises(ValueError):
         _layer([(0, (1,)), (1, (2,))])
     with pytest.raises(ValueError):
         compile_layer([0, 1], [2])
+
+
+def test_compile_classes_rejects_empty_repeated_and_negative_members():
+    with pytest.raises(ValueError, match="^the class of slot 3 is empty$"):
+        compile_classes([0, 3, 5], [1, 0, 1], [0, 1])
+    with pytest.raises(ValueError, match="^a class holds an element twice$"):
+        compile_classes([0, 1], [2, 2], [1, 2, 3, 3])
+    with pytest.raises(IndexError, match="^negative index in a class batch: -2$"):
+        compile_classes([0], [2], [4, -2])
+    with pytest.raises(ValueError, match="one slot and one length"):
+        compile_classes([0, 1], [2], [1, 2])
+    with pytest.raises(ValueError, match="one slot and one length"):
+        compile_classes([0], [2], [1, 2, 3])
+    # one element in two classes is legal: each class checks its own members
+    scan = compile_classes([4, 2], [2, 1], [7, 1, 7])
+    assert scan.targets.tolist() == [4, 2] and scan.heads.tolist() == [0, 2]
+    assert scan.pushes.tolist() == [1] and scan.met.tolist() == [0]
 
 
 def test_propagate_one_call_over_many_layers_equals_a_call_per_layer():
@@ -333,7 +360,7 @@ def test_propagate_range_checks_every_champion_before_comparing():
     for classes in ([(0, (0,)), (1, (1,)), (2, (3,))], [(0, (0, 2)), (1, (1,)), (2, (3,))]):
         ledger = ComparisonLedger(record_transcript=True)
         with pytest.raises(IndexError, match="out of range in propagate: 3"):
-            ks.propagate(compile_classes(classes), [layer], ledger)
+            ks.propagate(_classes(classes), [layer], ledger)
         assert ledger.count == 0 and ledger.transcript == ()
 
 
@@ -365,7 +392,7 @@ def test_reduce_classes_kernel_equals_per_pair_reference(keys, data):
         max_size=6, unique_by=lambda c: c[0],
     ))
     ledger = ComparisonLedger(record_transcript=True)
-    champion = ks.propagate(compile_classes(classes), (), ledger)
+    champion = ks.propagate(_classes(classes), (), ledger)
     assert champion.size == max((s for s, _ in classes), default=-1) + 1
     reference = ComparisonLedger(record_transcript=True)
     expected = [None] * 10
@@ -404,7 +431,7 @@ def test_propagate_kernel_equals_per_pair_reference(keys, data):
             for child in data.draw(st.permutations(range(lo, hi)))
         ])
     ledger = ComparisonLedger(record_transcript=True)
-    champion = ks.propagate(compile_classes(classes), [_layer(steps) for steps in layers], ledger)
+    champion = ks.propagate(_classes(classes), [_layer(steps) for steps in layers], ledger)
     # the slots run up to the largest one a class or a push names
     named = [s for s, _ in classes] + [
         slot for steps in layers for child, into in steps if into for slot in (child, *into)

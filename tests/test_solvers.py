@@ -1,11 +1,13 @@
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
-from setmaxima import solvers
+from setmaxima import setsystem, solvers
 from setmaxima.generators import gen_convex_instance, gen_keys, gen_random_system
 from setmaxima.geomlattice import build_geometric_lattice, induced_system, solve_lattice_geometric
+from setmaxima.instance_io import ProblemInstance, load_instance, save_instance
 from setmaxima.lattice import (
     Lattice,
     build_lattice,
@@ -13,8 +15,8 @@ from setmaxima.lattice import (
     good_covers,
     label_sort_key,
 )
-from setmaxima.order import ComparisonLedger, KeySpace
-from setmaxima.setsystem import SetSystem, system_from_lists
+from setmaxima.order import ComparisonLedger, KeySpace, compile_classes, compile_layer, compile_sort
+from setmaxima.setsystem import system_from_lists
 from setmaxima.solvers import (
     MaximaResult,
     _check_loop_invariant,
@@ -27,6 +29,7 @@ from setmaxima.solvers import (
     sort_comparison_bound,
     sort_plan,
 )
+from test_setsystem import reference_signature_classes
 
 
 def _feasible(rng, n_max, m_max):
@@ -372,10 +375,7 @@ def reference_solve_bucket(system, keys, ledger=None):
     """The quadratic bucket loop: all buckets re-sorted for every set."""
     ledger = ledger if ledger is not None else ComparisonLedger()
     start = ledger.count
-    buckets = {}
-    for element, sig in enumerate(system.signatures()):
-        if sig:
-            buckets.setdefault(sig, []).append(element)
+    buckets = reference_signature_classes(system)
     champion = {}
     for sig in sorted(buckets, key=label_sort_key):
         champion[sig] = _reference_max(keys, sorted(buckets[sig]), ledger)
@@ -528,22 +528,89 @@ def test_bucket_matches_quadratic_reference():
     )
 
 
+def reference_bucket_plan(system):
+    """The bucket plan as the per-set loop compiled it: buckets sorted by
+    ``label_sort_key``, and one Python list of bucket slots per set."""
+    groups = reference_signature_classes(system)
+    order = sorted(groups, key=label_sort_key)
+    hits = [[] for _ in range(system.m)]
+    for slot, sig in enumerate(order):
+        for i in sig:
+            hits[i - 1].append(slot)
+    buckets = compile_classes(
+        range(len(order)), [len(groups[sig]) for sig in order], [e for sig in order for e in groups[sig]]
+    )
+    per_set = compile_layer(
+        [slot for slots in hits for slot in slots],
+        [len(order) + i for i, slots in enumerate(hits) for _ in slots],
+    )
+    return buckets, per_set, buckets.pushes.size + sum(len(slots) - 1 for slots in hits)
+
+
+def reference_sort_plan(system):
+    lengths = [len(s) for s in system.sets]
+    members = [e for s in system.sets for e in s]
+    return compile_sort(range(system.n)), members, np.cumsum([0, *lengths])[:-1]
+
+
+def _plain(value):
+    """Arrays as (dtype, items), in nested tuples too, so == compares them."""
+    if isinstance(value, np.ndarray):
+        return str(value.dtype), value.tolist()
+    if isinstance(value, tuple):
+        return tuple(map(_plain, value))
+    return value
+
+
+def _assert_same_scan(got, want):
+    for field in fields(want):
+        assert _plain(getattr(got, field.name)) == _plain(getattr(want, field.name)), field.name
+
+
+def _assert_plans_as_reference(system):
+    plan = bucket_plan(system)
+    buckets, per_set, bound = reference_bucket_plan(system)
+    _assert_same_scan(plan.buckets, buckets)
+    _assert_same_scan(plan.per_set, per_set)
+    assert plan.bound == bound
+    plan = sort_plan(system)
+    batch, members, starts = reference_sort_plan(system)
+    _assert_same_scan(plan.batch, batch)
+    assert plan.members.tolist() == members and plan.starts.tolist() == starts.tolist()
+    assert plan.members.dtype == plan.starts.dtype == np.int64
+
+
+def test_bucket_and_sort_plans_equal_the_per_set_compile():
+    for _, system in _seeded_systems(60, n_max=80, offset=700):
+        _assert_plans_as_reference(system)
+    for system in (
+        system_from_lists(0, []),
+        system_from_lists(5, []),
+        system_from_lists(8, [{1, 4}, {4, 6}, {6}]),
+        # the shapes of the benchmark's workloads
+        gen_convex_instance(20000, 2000, 4, seed=2).system,
+        gen_convex_instance(20000, 200, 8, seed=2).system,
+        gen_random_system(2000, 30, 0.5, seed=2),
+    ):
+        _assert_plans_as_reference(system)
+
+
 def test_bucket_plan_is_compiled_once_and_reused(monkeypatch):
-    # each system is made with ``signatures`` counted: the geometric build
-    # groups its system's signatures for the lattice, and the bucket plan
-    # must reuse that grouping instead of making its own
+    # each system is made with the signature grouping kernel counted: the
+    # geometric build groups its system's signatures for the lattice, and
+    # the bucket plan must reuse that grouping instead of making its own
     makers = [lambda system=system: system
               for _, system in _seeded_systems(12, n_max=60, offset=300)]
     makers.append(
         lambda: build_geometric_lattice(gen_convex_instance(n=150, m=12, k=4, seed=5)).system
     )
-    signatures = SetSystem.signatures
+    group = setsystem._group_signatures
     for index, make in enumerate(makers):
         compiled_for = []
         with monkeypatch.context() as patch:
             patch.setattr(
-                SetSystem, "signatures",
-                lambda self: compiled_for.append(self) or signatures(self),
+                setsystem, "_group_signatures",
+                lambda system: compiled_for.append(system) or group(system),
             )
             system = make()
             runs = []
@@ -557,6 +624,25 @@ def test_bucket_plan_is_compiled_once_and_reused(monkeypatch):
             _assert_same_run(got, want)
         assert bucket_comparison_bound(system) == plan.bound == want[0].bound
         assert bucket_plan(system) is plan
+
+
+def test_pipeline_groups_signatures_once(monkeypatch, tmp_path):
+    # a load, a build and a solve of each kind run the grouping kernel
+    # once, on the loaded system, and read it from there
+    instance = gen_convex_instance(n=150, m=12, k=4, seed=9)
+    path = tmp_path / "convex.json"
+    save_instance(path, ProblemInstance(system=instance.system, geometry=instance))
+    group = setsystem._group_signatures
+    grouped = []
+    monkeypatch.setattr(
+        setsystem, "_group_signatures", lambda system: grouped.append(system) or group(system)
+    )
+    glat = build_geometric_lattice(load_instance(path).geometry)
+    keys = gen_keys(glat.system.n, 9)
+    solve_lattice_geometric(glat, keys)
+    solve_sort(glat.system, keys)
+    solve_bucket(glat.system, keys)
+    assert grouped == [glat.system] and grouped[0] is glat.system
 
 
 def test_sort_plan_is_compiled_once_and_reused(monkeypatch):
