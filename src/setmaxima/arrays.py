@@ -25,3 +25,26 @@ def ranges(start: np.ndarray, count: np.ndarray, block: int):
         done = np.maximum(firsts, lo) - firsts  # items of the row in earlier blocks
         taken = np.minimum(ends[rows], hi) - firsts - done
         yield np.repeat(np.arange(first, last + 1), taken), spread(start[rows] + done, taken)
+
+
+def sort_pairs(major: np.ndarray, minor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (major, minor) pairs in lexicographic order, as two int64 arrays;
+    ``major`` must be non-negative.
+
+    One int64 sort of ``major * span + (minor - low)`` where every such
+    number fits in int64, else an ``np.lexsort``, so the order is exact for
+    any int64 pairs.
+    """
+    if not minor.size:
+        return major, minor
+    low = int(minor.min())
+    span = int(minor.max()) - low + 1
+    if (int(major.max()) + 1) * span >= 1 << 63:
+        order = np.lexsort((minor, major))
+        return major[order], minor[order]
+    key = minor - low
+    key += major * span
+    key.sort()
+    major, minor = np.divmod(key, span)
+    minor += low
+    return major, minor

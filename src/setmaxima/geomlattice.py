@@ -74,7 +74,9 @@ class GeometricInstance:
     """Points (one per element) and convex polygons (one per set).
 
     Checked once, when it is made: k below 3, a polygon of more than k
-    sides or a coordinate beyond ``COORD_BOUND`` raise ``ValueError``.
+    sides, a coordinate beyond ``COORD_BOUND`` or a coordinate that is not
+    an ``int`` raise ``ValueError``.  Membership runs on int64 arrays, which
+    would truncate a ``Fraction``.
     """
 
     points: tuple[Point2, ...]
@@ -95,6 +97,18 @@ class GeometricInstance:
                 if abs(v[0]) > COORD_BOUND or abs(v[1]) > COORD_BOUND:
                     violations.append(f"polygon {j} exceeds the coordinate bound")
                     break
+        vertices = chain.from_iterable(poly.vertices for poly in self.polygons)
+        if not set(map(type, chain.from_iterable(chain(self.points, vertices)))) <= {int}:
+            violations += [
+                f"point {i} has a non-integer coordinate"
+                for i, p in enumerate(self.points)
+                if set(map(type, p)) != {int}
+            ]
+            violations += [
+                f"polygon {j} has a non-integer coordinate"
+                for j, poly in enumerate(self.polygons, start=1)
+                if set(map(type, chain.from_iterable(poly.vertices))) != {int}
+            ]
         if violations:
             raise ValueError("invalid geometry: " + "; ".join(violations))
 

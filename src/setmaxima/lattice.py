@@ -9,7 +9,10 @@ connect a node to the maximal lattice nodes strictly contained in it.
 Parents and greedy covers come from numpy kernels that run over all nodes
 at once.  They number the nodes internally and hold each label as packed
 64-bit words, keeping only the non-zero ones; results are written back as
-frozenset parents and cover tuples keyed by label.
+frozenset parents and cover tuples keyed by label.  The solve plan is
+compiled the same way: the nodes are numbered once, in node map order, and
+the slot order, the classes and every push layer come from array sorts
+over those ids.
 
 Building the lattice, computing parents, computing covers and compiling a
 solve plan never touch element keys: no ledger is involved anywhere in
@@ -18,13 +21,13 @@ this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain, compress, groupby
+from dataclasses import dataclass
+from itertools import chain, compress
 from typing import Iterable
 
 import numpy as np
 
-from .arrays import ranges, spread
+from .arrays import ranges, sort_pairs, spread
 from .order import Scan, compile_classes, compile_layer
 from .setsystem import SetSystem
 
@@ -44,13 +47,6 @@ def label_sort_key(label: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(label))
 
 
-def label_to_mask(label: Iterable[int]) -> int:
-    mask = 0
-    for i in label:
-        mask |= 1 << (i - 1)
-    return mask
-
-
 def format_label(label: Iterable[int]) -> str:
     return "{" + ",".join(str(i) for i in sorted(label)) + "}"
 
@@ -61,13 +57,10 @@ class LatticeNode:
     phi: frozenset[int]
     virtual: bool = False
     parents: frozenset[Label] | None = None
-    mask: int = field(default=0, repr=False)
 
     def __post_init__(self):
         if not self.label:
             raise LatticeError("empty node label")
-        if not self.mask:
-            self.mask = label_to_mask(self.label)
 
     @property
     def layer(self) -> int:
@@ -78,12 +71,14 @@ class LatticeNode:
 class SolvePlan:
     """Key-independent schedule of one lattice solve over fixed covers.
 
-    Slots number the lattice labels in ``labels_by_layer()`` order.
+    Slots number the lattice labels in ``labels_by_layer()`` order, which
+    one lexsort of the labels' ascending members, by layer first, gives.
     ``classes`` holds every non-empty class, by slot, members sorted (see
     :func:`~setmaxima.order.compile_classes`).  ``layers`` holds (layer,
     push layer) for layers >= 2, deepest first; a layer pushes each node's
     slot into the slots of its cover members, nodes in slot order and
-    members in cover order (see :func:`~setmaxima.order.compile_layer`).
+    members in cover order.  One :func:`~setmaxima.order.compile_layer`
+    call lays out every layer.
     ``outputs`` is the slot of the singleton {i} for i = 1..m, and
     ``budget`` is n + sum(|cover|).  Class members come from frozensets, so
     they are duplicate-free; compiling checks they are non-negative, and
@@ -127,38 +122,51 @@ class Lattice:
         return self._plan[1]
 
     def _compile_plan(self, covers: dict[Label, tuple[Label, ...]]) -> SolvePlan:
-        labels = self.labels_by_layer()
-        slot = {label: i for i, label in enumerate(labels)}
-        members = [sorted(self.nodes[label].phi) for label in labels]
-        if any(phi and phi[0] < 0 for phi in members):
+        """Compile from node ids, numbered in node map order.  A negative
+        class member raises first; then the first node of layer >= 2, in
+        slot order, without a cover or with a cover member that is not a
+        node names the error."""
+        labels = list(self.nodes)
+        count = len(labels)
+        ids = dict(zip(labels, range(count)))
+        order, layer = _slot_order(labels)
+        slot = np.empty(count, np.int64)
+        slot[order] = np.arange(count)
+        ordered = np.fromiter(labels, object, count)[order].tolist()
+        # every class, by (slot, member)
+        phis = [node.phi for node in self.nodes.values()]
+        lengths = np.fromiter(map(len, phis), np.int64, count)
+        members = np.fromiter(chain.from_iterable(phis), np.int64, int(lengths.sum()))
+        if members.size and members.min() < 0:
             raise LatticeError("a class holds a negative element index")
-        lengths = np.fromiter(map(len, members), np.int64, len(members))
-        slots = np.flatnonzero(lengths)
-        source = np.fromiter(chain.from_iterable(members), np.int64, int(lengths.sum()))
-        classes = compile_classes(slots, lengths[slots], source)
-        layers = []
-        for layer, group in groupby(labels, key=len):
-            if layer < 2:
-                continue
-            children: list[int] = []
-            parents: list[int] = []
-            for label in group:
-                cover = covers.get(label)
+        owner, members = sort_pairs(np.repeat(slot, lengths), members)
+        heads = np.flatnonzero(np.diff(owner, prepend=-1))
+        classes = compile_classes(owner[heads], np.diff(heads, append=owner.size), members)
+        # the covers of the nodes of layer >= 2, in slot order, as node ids
+        first = int(np.searchsorted(layer, 2))
+        upper = ordered[first:]
+        chosen = list(map(covers.get, upper))
+        try:
+            sizes = np.fromiter(map(len, chosen), np.int64, len(chosen))
+            parents = np.fromiter(map(ids.__getitem__, chain.from_iterable(chosen)), np.int64, int(sizes.sum()))
+        except (TypeError, KeyError):
+            for label, cover in zip(upper, chosen):
                 if cover is None:
-                    raise LatticeError(f"node {format_label(label)} has no cover")
-                missing = [c for c in cover if c not in slot]
+                    raise LatticeError(f"node {format_label(label)} has no cover") from None
+                missing = [c for c in cover if c not in ids]
                 if missing:
                     raise LatticeError(
                         f"cover member {format_label(missing[0])} of "
                         f"{format_label(label)} is not a lattice node"
-                    )
-                children += [slot[label]] * len(cover)
-                parents += [slot[c] for c in cover]
-            layers.append((layer, compile_layer(children, parents)))
-        layers.reverse()
-        outputs = np.array([slot[frozenset((i,))] for i in range(1, self.m + 1)], dtype=np.int64)
-        budget = self.n + sum(len(c) for c in covers.values())
-        return SolvePlan(tuple(labels), classes, tuple(layers), outputs, budget)
+                    ) from None
+            raise
+        cuts = np.flatnonzero(np.diff(layer[first:], prepend=0))  # each layer's first node
+        children = np.repeat(np.arange(first, count), sizes)
+        pushes = compile_layer(children, slot[parents], np.add.reduceat(sizes, cuts))
+        layers = tuple(zip(layer[first:][cuts].tolist(), pushes))[::-1]
+        outputs = slot[[ids[frozenset((i,))] for i in range(1, self.m + 1)]]
+        budget = self.n + sum(map(len, covers.values()))
+        return SolvePlan(tuple(ordered), classes, layers, outputs, budget)
 
     def add_virtual(self, label: Label) -> LatticeNode:
         return self.add_node(label, frozenset(), virtual=True)
@@ -224,6 +232,21 @@ class _Words:
     size: np.ndarray
     members: np.ndarray
     width: int
+
+
+def _slot_order(labels: list[Label]) -> tuple[np.ndarray, np.ndarray]:
+    """The label ids in ``labels_by_layer()`` order, and each one's layer:
+    one lexsort of the rows of ascending members, by layer first."""
+    size = np.fromiter(map(len, labels), np.int64, len(labels))
+    owner, members = sort_pairs(
+        np.repeat(np.arange(len(labels)), size),
+        np.fromiter(chain.from_iterable(labels), np.int64, int(size.sum())),
+    )
+    # row j holds label j's members, ascending, then zeros
+    rows = np.zeros((len(labels), int(size.max(initial=0))), np.int64)
+    rows[owner, np.arange(owner.size) - np.repeat(np.cumsum(size) - size, size)] = members
+    order = np.lexsort(np.vstack((rows.T[::-1], size)))
+    return order, size[order]
 
 
 def _pack(labels: list[Label]) -> _Words:
@@ -494,7 +517,8 @@ def good_cover_exact(
         raise CoverBudgetExceeded(
             f"{len(parents)} parents > budget {budget} for {format_label(node.label)}"
         )
-    masks = [label_to_mask(p) for p in parents]
+    # index i of a label as bit i - 1
+    *masks, target = (sum(1 << (i - 1) for i in label) for label in (*parents, node.label))
     # union and widest parent of each suffix masks[i:]
     union, widest = [0] * (len(masks) + 1), [0] * (len(masks) + 1)
     for i in range(len(masks) - 1, -1, -1):
@@ -514,7 +538,7 @@ def good_cover_exact(
         return None
 
     for size in range(1, len(parents) + 1):
-        found = search(0, size, node.mask)
+        found = search(0, size, target)
         if found is not None:
             return tuple(parents[i] for i in found)
     raise LatticeError(f"node {format_label(node.label)} has no good-cover")

@@ -38,6 +38,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .arrays import sort_pairs
+
 # A scan value is (segment << 32) + rank; the low 32 bits give the rank back.
 _RANK = (1 << 32) - 1
 
@@ -81,9 +83,9 @@ class Scan:
     other one is a push, and ``pushes`` lists them in the order in which the
     equivalent ``compare`` calls would meet them.  ``span`` is one more than
     the largest index in ``source`` (0 when empty).  ``heads`` holds each
-    segment's first position and ``met`` the position before each push,
-    where the running maximum it meets stands, so a solve reads both as
-    compiled.
+    segment's first position, ``met`` the position before each push, where
+    the running maximum it meets stands, and ``pushed`` the index each push
+    reads, ``source[pushes]``, so a solve reads all three as compiled.
     """
 
     source: np.ndarray
@@ -94,6 +96,7 @@ class Scan:
     span: int
     heads: np.ndarray
     met: np.ndarray
+    pushed: np.ndarray
 
 
 def _scan(
@@ -109,15 +112,16 @@ def _scan(
         tail[heads] = False
         pushes = np.flatnonzero(tail)
     span = int(source.max()) + 1 if source.size else 0
-    return Scan(source, offset, pushes, ends, targets, span, heads, pushes - 1)
+    return Scan(source, offset, pushes, ends, targets, span, heads, pushes - 1, source[pushes])
 
 
 def _meet(rank: np.ndarray, scan: Scan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The segmented running maximum of ``rank`` laid out by ``scan``, the
-    rank of each push, and the rank of the champion it meets (0 if none)."""
-    run = rank + scan.offset
+    """The segmented running maximum of the int32 ranks ``rank[scan.source]``,
+    the rank of each push, and the rank of the champion it meets (0 if
+    none), both int32: the low 32 bits of the running maximum."""
+    run = rank[scan.source] + scan.offset
     np.maximum.accumulate(run, out=run)
-    return run, rank[scan.pushes], run[scan.met] & _RANK
+    return run, rank[scan.pushed], run[scan.met].astype(np.int32)
 
 
 def compile_classes(slots: Sequence[int], lengths: Sequence[int], members: Sequence[int]) -> Scan:
@@ -143,8 +147,8 @@ def compile_classes(slots: Sequence[int], lengths: Sequence[int], members: Seque
     if empty.size:
         raise ValueError(f"the class of slot {slots[empty[0]]} is empty")
     scan = _scan(source, lengths, slots)
-    order = np.lexsort((source, scan.offset))
-    if np.any((np.diff(scan.offset[order]) == 0) & (np.diff(source[order]) == 0)):
+    segment, member = sort_pairs(scan.offset >> 32, source)
+    if np.any((segment[1:] == segment[:-1]) & (member[1:] == member[:-1])):
         raise ValueError("a class holds an element twice")
     indices = np.concatenate((scan.targets, source))
     if indices.size and indices.min() < 0:
@@ -152,39 +156,61 @@ def compile_classes(slots: Sequence[int], lengths: Sequence[int], members: Seque
     return scan
 
 
-def compile_layer(children: Sequence[int], parents: Sequence[int]) -> Scan:
-    """Compile one push layer: push i moves the champion of slot
-    ``children[i]`` into slot ``parents[i]``, in order.
+def compile_layer(
+    children: Sequence[int], parents: Sequence[int], sizes: Sequence[int] | None = None
+) -> tuple[Scan, ...]:
+    """Compile consecutive push layers, one :class:`Scan` each: push i
+    moves the champion of slot ``children[i]`` into slot ``parents[i]``,
+    and the first ``sizes[0]`` pushes make the first layer, the next
+    ``sizes[1]`` the second, and so on (by default, one layer of every
+    push).
 
     No slot may both push and receive within a layer (else ValueError), so
-    the pushes are independent and run at once: each parent slot is one
-    segment, headed by its own champion and followed by the pushes into it
-    in push order (a stable sort by parent).  Slots must be non-negative
-    (else IndexError).
+    a layer's pushes are independent and run at once: each parent slot of
+    a layer is one segment, headed by its own champion and followed by the
+    pushes into it in push order.  One sort by (layer, parent, push) lays
+    out every layer, and the layers are cut from it.  Slots must be
+    non-negative (else IndexError).
     """
     child = np.asarray(children, dtype=np.int64)
     parent = np.asarray(parents, dtype=np.int64)
-    if child.shape != parent.shape:
-        raise ValueError("a push needs one child and one parent slot")
+    sizes = np.array([child.size] if sizes is None else sizes, dtype=np.int64)
+    if child.shape != parent.shape or int(sizes.sum()) != child.size:
+        raise ValueError("a push needs one child and one parent slot, and one layer")
+    layer = np.repeat(np.arange(sizes.size), sizes)
+    top = 1
     if child.size:
-        if min(child.min(), parent.min()) < 0:
-            raise IndexError(f"negative slot in a push layer: {min(child.min(), parent.min())}")
-        receives = np.zeros(max(child.max(), parent.max()) + 1, dtype=bool)
-        receives[parent] = True
-        if receives[child].any():
+        low = min(child.min(), parent.min())
+        if low < 0:
+            raise IndexError(f"negative slot in a push layer: {low}")
+        top = int(max(child.max(), parent.max())) + 1
+        # slot s of layer l as l * top + s
+        receives = np.zeros(sizes.size * top, dtype=bool)
+        receives[layer * top + parent] = True
+        if receives[layer * top + child].any():
             raise ValueError("a slot both pushes and receives in one layer")
-    order = np.argsort(parent, kind="stable")
-    targets, counts = np.unique(parent, return_counts=True)
-    heads = np.cumsum(counts + 1) - (counts + 1)
-    # the k-th push in parent order follows k earlier pushes and the heads
-    # of its own and every earlier segment
-    placed = np.arange(parent.size) + np.repeat(np.arange(1, targets.size + 1), counts)
-    source = np.empty(parent.size + targets.size, dtype=np.int64)
-    source[heads] = targets
+    segment_key, order = sort_pairs(layer * top + parent, np.arange(child.size))
+    new = np.diff(segment_key, prepend=-1) != 0
+    segment = np.cumsum(new) - 1
+    segment_layer, targets = np.divmod(segment_key[new], top)
+    counts = np.diff(np.flatnonzero(new), append=child.size)
+    # the k-th push in (layer, parent) order follows k earlier pushes and
+    # the heads of its own and every earlier segment
+    placed = np.arange(child.size) + segment + 1
+    source = np.empty(child.size + targets.size, dtype=np.int64)
+    source[np.cumsum(counts + 1) - (counts + 1)] = targets
     source[placed] = child[order]
-    pushes = np.empty(parent.size, dtype=np.int64)
+    pushes = np.empty(child.size, dtype=np.int64)
     pushes[order] = placed
-    return _scan(source, counts + 1, targets, pushes)
+    # layer l holds the pushes from firsts[l] on and the segments
+    # cuts[l]:cuts[l + 1]; its buffer follows the earlier layers' pushes
+    # and heads
+    firsts = np.cumsum(sizes) - sizes
+    cuts = np.searchsorted(segment_layer, np.arange(sizes.size + 1)).tolist()
+    return tuple(
+        _scan(source[p + s:p + size + t], counts[s:t] + 1, targets[s:t], pushes[p:p + size] - (p + s))
+        for p, size, s, t in zip(firsts.tolist(), sizes.tolist(), cuts, cuts[1:])
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,13 +403,15 @@ class KeySpace:
         ledger.count += int(classes.pushes.size)
         if ledger._transcript is not None:
             element[members] = classes.source
-            _, pushed, met = _meet(members, classes)
+            _, pushed, met = _meet(self._rank, classes)
             self._record(ledger, element, pushed, met)
         for layer in layers:
-            run, pushed, met = _meet(rank[layer.source], layer)
+            run, pushed, met = _meet(rank, layer)
             # a push compares unless it or the champion it meets is empty
-            # (rank 0), or both are the same element
-            compared = (np.minimum(pushed, met) > 0) & (pushed != met)
+            # (rank 0, and ranks are never negative), or both are the same
+            # element
+            compared = np.logical_and(pushed, met)
+            compared &= pushed != met
             ledger.count += int(np.count_nonzero(compared))
             if ledger._transcript is not None:
                 self._record(ledger, element, pushed[compared], met[compared])

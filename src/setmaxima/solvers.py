@@ -188,7 +188,7 @@ def _compile_bucket_plan(system: SetSystem) -> BucketPlan:
     # the (set, bucket slot) pairs as one number each, sorted set by set
     pairs = groups.labels * count + np.repeat(np.arange(count), groups.degrees)
     pairs.sort()
-    per_set = compile_layer(pairs % count, pairs // count + count - 1)
+    (per_set,) = compile_layer(pairs % count, pairs // count + count - 1)
     bound = buckets.pushes.size + pairs.size - system.m
     return BucketPlan(buckets, per_set, bound)
 
@@ -260,9 +260,10 @@ def solve_lattice(
     champion = keys.propagate(plan.classes, [push for _, push in plan.layers], ledger)
     if champion.size < len(plan.labels):  # the slots no class or push names are empty
         champion = np.pad(champion, (0, len(plan.labels) - champion.size), constant_values=-1)
-    maxima = tuple(champion[plan.outputs].tolist())
-    if -1 in maxima:
-        raise AssertionError(f"no champion reached set {maxima.index(-1) + 1}")
+    maxima = champion[plan.outputs]
+    if maxima.size and maxima.min() < 0:
+        raise AssertionError(f"no champion reached set {int(maxima.argmin()) + 1}")
+    maxima = tuple(maxima.tolist())
     used = ledger.count - start
     if used > plan.budget:
         raise AssertionError(f"lattice count {used} > budget {plan.budget}")

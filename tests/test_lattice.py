@@ -17,7 +17,6 @@ from setmaxima.lattice import (
     good_cover_greedy,
     good_covers,
     label_sort_key,
-    label_to_mask,
 )
 from setmaxima.order import ComparisonLedger, KeySpace
 from setmaxima.setsystem import system_from_lists
@@ -206,8 +205,8 @@ def _exact_by_enumeration(node, lat, budget=20):
     parents = sorted(node.parents, key=label_sort_key)
     if len(parents) > budget:
         raise CoverBudgetExceeded(f"{len(parents)} parents > budget {budget}")
-    masks = [label_to_mask(p) for p in parents]
-    target = node.mask
+    masks = [sum(1 << (i - 1) for i in p) for p in parents]
+    target = sum(1 << (i - 1) for i in node.label)
     for size in range(1, len(parents) + 1):
         for combo in combinations(range(len(parents)), size):
             u = 0

@@ -27,12 +27,16 @@ from setmaxima.lattice import (
     good_cover_greedy,
     good_covers,
     label_sort_key,
-    label_to_mask,
 )
 
 
 def fs(*items):
     return frozenset(items)
+
+
+def mask(label):
+    """The label as a Python int, index i at bit i - 1."""
+    return sum(1 << (i - 1) for i in label)
 
 
 def reference_parents(lat):
@@ -44,20 +48,21 @@ def reference_parents(lat):
         rarest = min(node.label, key=lambda i: (freq[i], i))
         files.setdefault(rarest, []).append(node)
     order = {node.label: (-node.layer, label_sort_key(node.label)) for node in nodes}
+    masks = {node.label: mask(node.label) for node in nodes}
     parents = {}
     for node in nodes:
-        jm = node.mask
+        jm = masks[node.label]
         subs = [
             cand
             for i in node.label
             for cand in files.get(i, ())
-            if cand.mask & jm == cand.mask and cand.mask != jm
+            if masks[cand.label] & jm == masks[cand.label] and masks[cand.label] != jm
         ]
         # largest candidates first; keep those below no kept one
         subs.sort(key=lambda s: order[s.label])
         kept = []
         for cand in subs:
-            if not any(cand.mask & keep.mask == cand.mask for keep in kept):
+            if not any(masks[cand.label] & masks[keep.label] == masks[cand.label] for keep in kept):
                 kept.append(cand)
         parents[node.label] = frozenset(c.label for c in kept)
     return parents
@@ -66,8 +71,8 @@ def reference_parents(lat):
 def reference_greedy_cover(node):
     """Largest marginal coverage first, the smallest label on ties."""
     parents = sorted(node.parents, key=label_sort_key)
-    remaining = [(p, label_to_mask(p)) for p in parents]
-    uncovered = node.mask
+    remaining = [(p, mask(p)) for p in parents]
+    uncovered = mask(node.label)
     chosen = []
     while uncovered:
         best, best_gain = -1, 0
@@ -183,6 +188,8 @@ def test_good_covers_names_the_first_uncoverable_node_by_layer():
 
 
 def test_parents_and_covers_make_no_per_node_mask_or_cover_call(monkeypatch):
+    # nodes hold no mask, and only the exact cover search makes masks, of
+    # one node and its parents: a greedy build calls no per-node search
     lat = build_lattice(gen_random_system(400, 30, 0.5, seed=3))
     counts = Counter()
 
@@ -193,11 +200,14 @@ def test_parents_and_covers_make_no_per_node_mask_or_cover_call(monkeypatch):
 
         return wrapper
 
-    for name in ("label_to_mask", "good_cover_greedy"):
+    for name in ("good_cover_exact", "good_cover_greedy"):
         monkeypatch.setattr(lattice, name, counted(name, getattr(lattice, name)))
     covers = lattice.good_covers(lattice.compute_parents(lat))
     assert len(covers) > 100 and counts == {}
-    # the counters see a call when one happens
-    lattice.good_cover_greedy(lat.nodes[next(iter(covers))], lat)
     lat.add_virtual(fs(1, 31))
-    assert counts == {"good_cover_greedy": 1, "label_to_mask": 1}
+    assert not any(hasattr(node, "mask") for node in lat.nodes.values())
+    # the counters see a call when one happens
+    node = lat.nodes[next(iter(covers))]
+    lattice.good_cover_greedy(node, lat)
+    lattice.good_cover_exact(node, lat, budget=len(node.parents))
+    assert counts == {"good_cover_greedy": 1, "good_cover_exact": 1}

@@ -196,7 +196,8 @@ def test_max_of_class_transcript_equals_compare_calls():
 
 def _layer(steps):
     """Compile (child slot, parent slots) steps, one push per parent."""
-    return compile_layer([c for c, into in steps for _ in into], [p for _, into in steps for p in into])
+    (layer,) = compile_layer([c for c, into in steps for _ in into], [p for _, into in steps for p in into])
+    return layer
 
 
 def _listed(champion, slots=0):

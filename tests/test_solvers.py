@@ -15,7 +15,7 @@ from setmaxima.lattice import (
     good_covers,
     label_sort_key,
 )
-from setmaxima.order import ComparisonLedger, KeySpace, compile_classes, compile_layer, compile_sort
+from setmaxima.order import ComparisonLedger, KeySpace, _scan, compile_classes, compile_sort
 from setmaxima.setsystem import system_from_lists
 from setmaxima.solvers import (
     MaximaResult,
@@ -540,11 +540,37 @@ def reference_bucket_plan(system):
     buckets = compile_classes(
         range(len(order)), [len(groups[sig]) for sig in order], [e for sig in order for e in groups[sig]]
     )
-    per_set = compile_layer(
+    per_set = reference_compile_layer(
         [slot for slots in hits for slot in slots],
         [len(order) + i for i, slots in enumerate(hits) for _ in slots],
     )
     return buckets, per_set, buckets.pushes.size + sum(len(slots) - 1 for slots in hits)
+
+
+def reference_compile_layer(children, parents):
+    """One push layer as the per-layer compile laid it out: a stable
+    argsort by parent, and ``np.unique`` for the segments."""
+    child = np.asarray(children, dtype=np.int64)
+    parent = np.asarray(parents, dtype=np.int64)
+    if child.shape != parent.shape:
+        raise ValueError("a push needs one child and one parent slot")
+    if child.size:
+        if min(child.min(), parent.min()) < 0:
+            raise IndexError(f"negative slot in a push layer: {min(child.min(), parent.min())}")
+        receives = np.zeros(max(child.max(), parent.max()) + 1, dtype=bool)
+        receives[parent] = True
+        if receives[child].any():
+            raise ValueError("a slot both pushes and receives in one layer")
+    order = np.argsort(parent, kind="stable")
+    targets, counts = np.unique(parent, return_counts=True)
+    heads = np.cumsum(counts + 1) - (counts + 1)
+    placed = np.arange(parent.size) + np.repeat(np.arange(1, targets.size + 1), counts)
+    source = np.empty(parent.size + targets.size, dtype=np.int64)
+    source[heads] = targets
+    source[placed] = child[order]
+    pushes = np.empty(parent.size, dtype=np.int64)
+    pushes[order] = placed
+    return _scan(source, counts + 1, targets, pushes)
 
 
 def reference_sort_plan(system):
