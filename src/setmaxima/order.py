@@ -134,9 +134,11 @@ def compile_classes(slots: Sequence[int], lengths: Sequence[int], members: Seque
     heads it and every later one costs one comparison, so a one-member
     class is a segment without a push.  Its final maximum goes to the
     class's slot.  Every class must be non-empty (else ValueError) and
-    duplicate-free (else ValueError), and slots and members must be
-    non-negative (else IndexError), so a call only range-checks ``span``,
-    one more than the largest member, against its keys.
+    duplicate-free (else ValueError; one sort of the (class, member) pairs,
+    :func:`~setmaxima.arrays.sort_pairs`, finds a repeat), and slots and
+    members must be non-negative (else IndexError), so a call only
+    range-checks ``span``, one more than the largest member, against its
+    keys.
     """
     slots = np.asarray(slots, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from setmaxima.arrays import sort_pairs
 from setmaxima.generators import gen_keys
 from setmaxima.order import (
     ComparisonLedger,
@@ -15,7 +16,7 @@ from setmaxima.order import (
     compile_layer,
     compile_sort,
 )
-from test_solvers import _merge_sort
+from test_solvers import _assert_same_scan, _merge_sort, reference_compile_layer
 
 
 def _classes(pairs):
@@ -301,6 +302,16 @@ def test_propagate_range_errors():
         _layer([(0, (1,)), (1, (2,))])
     with pytest.raises(ValueError):
         compile_layer([0, 1], [2])
+    # each layer is checked on its own: slot 1 receives in the first layer
+    # and pushes in the second
+    assert len(compile_layer([0, 1], [1, 2], [1, 1])) == 2
+    with pytest.raises(ValueError, match="pushes and receives"):
+        compile_layer([0, 1, 3], [1, 2, 1], [1, 2])
+    with pytest.raises(ValueError, match="one layer"):
+        compile_layer([0, 1], [1, 2], [1])
+    with pytest.raises(IndexError, match="negative slot in a push layer: -2"):
+        compile_layer([0, 1], [1, -2], [1, 1])
+    assert compile_layer([], [], []) == ()
 
 
 def test_compile_classes_rejects_empty_repeated_and_negative_members():
@@ -318,6 +329,27 @@ def test_compile_classes_rejects_empty_repeated_and_negative_members():
     scan = compile_classes([4, 2], [2, 1], [7, 1, 7])
     assert scan.targets.tolist() == [4, 2] and scan.heads.tolist() == [0, 2]
     assert scan.pushes.tolist() == [1] and scan.met.tolist() == [0]
+    assert scan.pushed.tolist() == [1]
+    # members of any size: 2^32 in class 0 is not 0 in class 1, and the
+    # pairs that do not fit one int64 each are sorted exactly too
+    compile_classes([0, 1], [1, 1], [1 << 32, 0])
+    compile_classes([0, 1], [1, 1], [2**63 - 1, 2**63 - 1])
+    with pytest.raises(ValueError, match="twice"):
+        compile_classes([0], [3], [2**63 - 1, 0, 2**63 - 1])
+    with pytest.raises(IndexError, match=rf"^negative index in a class batch: {-(2**62)}$"):
+        compile_classes([0, 1], [2, 1], [-(2**62), 2**62, 2**62])
+
+
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@given(st.lists(st.tuples(st.integers(0, 2**63 - 1) | st.integers(0, 9), _INT64 | st.integers(-3, 3))))
+def test_sort_pairs_is_the_lexicographic_order(pairs):
+    major = np.array([a for a, _ in pairs], dtype=np.int64)
+    minor = np.array([b for _, b in pairs], dtype=np.int64)
+    got = sort_pairs(major, minor)
+    assert list(zip(*(side.tolist() for side in got))) == sorted(pairs)
+    assert all(side.dtype == np.int64 for side in got)
 
 
 def test_propagate_one_call_over_many_layers_equals_a_call_per_layer():
@@ -340,6 +372,18 @@ def test_propagate_one_call_over_many_layers_equals_a_call_per_layer():
             for lo, hi in zip(bounds, bounds[1:-1])
         ]
         compiled = [_layer(steps) for steps in layers]
+        # one call lays out every layer as a call per layer does
+        together = compile_layer(
+            [c for steps in layers for c, into in steps for _ in into],
+            [p for steps in layers for _, into in steps for p in into],
+            [sum(len(into) for _, into in steps) for steps in layers],
+        )
+        assert len(together) == len(compiled)
+        for got, want, steps in zip(together, compiled, layers):
+            _assert_same_scan(got, want)
+            _assert_same_scan(got, reference_compile_layer(
+                [c for c, into in steps for _ in into], [p for _, into in steps for p in into]
+            ))
         per_layer, expected = list(start), list(start)
         per_layer_ledger = ComparisonLedger(record_transcript=True)
         for layer in compiled:
