@@ -28,13 +28,9 @@ def ranges(start: np.ndarray, count: np.ndarray, block: int):
 
 
 def sort_pairs(major: np.ndarray, minor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (major, minor) pairs in lexicographic order, as two int64 arrays;
-    ``major`` must be non-negative.
-
-    One int64 sort of ``major * span + (minor - low)`` where every such
-    number fits in int64, else an ``np.lexsort``, so the order is exact for
-    any int64 pairs.
-    """
+    """The (major, minor) pairs in lexicographic order, for non-negative
+    ``major``: one int64 sort of ``major * span + minor - low`` where those
+    numbers fit in int64, else an ``np.lexsort``, so exact for any pairs."""
     if not minor.size:
         return major, minor
     low = int(minor.min())

@@ -74,9 +74,8 @@ class GeometricInstance:
     """Points (one per element) and convex polygons (one per set).
 
     Checked once, when it is made: k below 3, a polygon of more than k
-    sides, a coordinate beyond ``COORD_BOUND`` or a coordinate that is not
-    an ``int`` raise ``ValueError``.  Membership runs on int64 arrays, which
-    would truncate a ``Fraction``.
+    sides, a coordinate beyond ``COORD_BOUND`` or one that is not an
+    ``int`` (membership reads int64 arrays) raise ``ValueError``.
     """
 
     points: tuple[Point2, ...]
@@ -99,16 +98,7 @@ class GeometricInstance:
                     break
         vertices = chain.from_iterable(poly.vertices for poly in self.polygons)
         if not set(map(type, chain.from_iterable(chain(self.points, vertices)))) <= {int}:
-            violations += [
-                f"point {i} has a non-integer coordinate"
-                for i, p in enumerate(self.points)
-                if set(map(type, p)) != {int}
-            ]
-            violations += [
-                f"polygon {j} has a non-integer coordinate"
-                for j, poly in enumerate(self.polygons, start=1)
-                if set(map(type, chain.from_iterable(poly.vertices))) != {int}
-            ]
+            violations.append("a coordinate is not an int")
         if violations:
             raise ValueError("invalid geometry: " + "; ".join(violations))
 

@@ -115,23 +115,20 @@ class Lattice:
 
         The plan is cached for the covers dict it was compiled from (by
         identity, so the dict must not change afterwards); adding a node
-        drops it.
+        drops it.  A class with a negative member raises LatticeError
+        first, then the first node of layer >= 2, in slot order, that has
+        no cover or a cover member that is not a node.
         """
         if self._plan is None or self._plan[0] is not covers:
             self._plan = (covers, self._compile_plan(covers))
         return self._plan[1]
 
     def _compile_plan(self, covers: dict[Label, tuple[Label, ...]]) -> SolvePlan:
-        """Compile from node ids, numbered in node map order.  A negative
-        class member raises first; then the first node of layer >= 2, in
-        slot order, without a cover or with a cover member that is not a
-        node names the error."""
         labels = list(self.nodes)
         count = len(labels)
         ids = dict(zip(labels, range(count)))
         order, layer = _slot_order(labels)
-        slot = np.empty(count, np.int64)
-        slot[order] = np.arange(count)
+        slot = np.argsort(order)
         ordered = np.fromiter(labels, object, count)[order].tolist()
         # every class, by (slot, member)
         phis = [node.phi for node in self.nodes.values()]
@@ -148,7 +145,7 @@ class Lattice:
         chosen = list(map(covers.get, upper))
         try:
             sizes = np.fromiter(map(len, chosen), np.int64, len(chosen))
-            parents = np.fromiter(map(ids.__getitem__, chain.from_iterable(chosen)), np.int64, int(sizes.sum()))
+            parents = np.fromiter(map(ids.__getitem__, chain.from_iterable(chosen)), np.int64, sizes.sum())
         except (TypeError, KeyError):
             for label, cover in zip(upper, chosen):
                 if cover is None:
@@ -238,13 +235,11 @@ def _slot_order(labels: list[Label]) -> tuple[np.ndarray, np.ndarray]:
     """The label ids in ``labels_by_layer()`` order, and each one's layer:
     one lexsort of the rows of ascending members, by layer first."""
     size = np.fromiter(map(len, labels), np.int64, len(labels))
-    owner, members = sort_pairs(
-        np.repeat(np.arange(len(labels)), size),
-        np.fromiter(chain.from_iterable(labels), np.int64, int(size.sum())),
-    )
-    # row j holds label j's members, ascending, then zeros
-    rows = np.zeros((len(labels), int(size.max(initial=0))), np.int64)
-    rows[owner, np.arange(owner.size) - np.repeat(np.cumsum(size) - size, size)] = members
+    # row j holds label j's members, then the largest int64s, sorted
+    rows = np.full((len(labels), int(size.max(initial=0))), np.iinfo(np.int64).max)
+    members = np.fromiter(chain.from_iterable(labels), np.int64, int(size.sum()))
+    rows[np.repeat(np.arange(len(labels)), size), spread(np.zeros_like(size), size)] = members
+    rows.sort(axis=1)
     order = np.lexsort(np.vstack((rows.T[::-1], size)))
     return order, size[order]
 

@@ -116,9 +116,8 @@ def _scan(
 
 
 def _meet(rank: np.ndarray, scan: Scan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The segmented running maximum of the int32 ranks ``rank[scan.source]``,
-    the rank of each push, and the rank of the champion it meets (0 if
-    none), both int32: the low 32 bits of the running maximum."""
+    """The segmented running maximum of ``rank[scan.source]``, the rank of
+    each push, and the int32 rank of the champion it meets (0 if none)."""
     run = rank[scan.source] + scan.offset
     np.maximum.accumulate(run, out=run)
     return run, rank[scan.pushed], run[scan.met].astype(np.int32)
@@ -134,11 +133,9 @@ def compile_classes(slots: Sequence[int], lengths: Sequence[int], members: Seque
     heads it and every later one costs one comparison, so a one-member
     class is a segment without a push.  Its final maximum goes to the
     class's slot.  Every class must be non-empty (else ValueError) and
-    duplicate-free (else ValueError; one sort of the (class, member) pairs,
-    :func:`~setmaxima.arrays.sort_pairs`, finds a repeat), and slots and
-    members must be non-negative (else IndexError), so a call only
-    range-checks ``span``, one more than the largest member, against its
-    keys.
+    duplicate-free (else ValueError), and slots and members must be
+    non-negative (else IndexError), so a call only range-checks ``span``,
+    one more than the largest member, against its keys.
     """
     slots = np.asarray(slots, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -162,51 +159,44 @@ def compile_layer(
     children: Sequence[int], parents: Sequence[int], sizes: Sequence[int] | None = None
 ) -> tuple[Scan, ...]:
     """Compile consecutive push layers, one :class:`Scan` each: push i
-    moves the champion of slot ``children[i]`` into slot ``parents[i]``,
-    and the first ``sizes[0]`` pushes make the first layer, the next
-    ``sizes[1]`` the second, and so on (by default, one layer of every
-    push).
+    moves the champion of slot ``children[i]`` into slot ``parents[i]``;
+    the first ``sizes[0]`` pushes are the first layer, the next
+    ``sizes[1]`` the second, and so on (one layer by default).
 
     No slot may both push and receive within a layer (else ValueError), so
-    a layer's pushes are independent and run at once: each parent slot of
-    a layer is one segment, headed by its own champion and followed by the
-    pushes into it in push order.  One sort by (layer, parent, push) lays
-    out every layer, and the layers are cut from it.  Slots must be
-    non-negative (else IndexError).
+    a layer's pushes are independent and run at once: each of its parent
+    slots is one segment, headed by its own champion and followed by the
+    pushes into it in push order, as one sort by (layer, parent, push)
+    lays them out.  Slots must be non-negative (else IndexError).
     """
     child = np.asarray(children, dtype=np.int64)
     parent = np.asarray(parents, dtype=np.int64)
     sizes = np.array([child.size] if sizes is None else sizes, dtype=np.int64)
     if child.shape != parent.shape or int(sizes.sum()) != child.size:
         raise ValueError("a push needs one child and one parent slot, and one layer")
-    layer = np.repeat(np.arange(sizes.size), sizes)
-    top = 1
-    if child.size:
-        low = min(child.min(), parent.min())
-        if low < 0:
-            raise IndexError(f"negative slot in a push layer: {low}")
-        top = int(max(child.max(), parent.max())) + 1
-        # slot s of layer l as l * top + s
-        receives = np.zeros(sizes.size * top, dtype=bool)
-        receives[layer * top + parent] = True
-        if receives[layer * top + child].any():
-            raise ValueError("a slot both pushes and receives in one layer")
-    segment_key, order = sort_pairs(layer * top + parent, np.arange(child.size))
-    new = np.diff(segment_key, prepend=-1) != 0
-    segment = np.cumsum(new) - 1
-    segment_layer, targets = np.divmod(segment_key[new], top)
-    counts = np.diff(np.flatnonzero(new), append=child.size)
+    low = min(child.min(initial=0), parent.min(initial=0))
+    if low < 0:
+        raise IndexError(f"negative slot in a push layer: {low}")
+    # slot s of layer l as l * top + s
+    top = int(max(child.max(initial=0), parent.max(initial=0))) + 1
+    layer = np.repeat(np.arange(sizes.size), sizes) * top
+    receives = np.zeros(sizes.size * top, dtype=bool)
+    receives[layer + parent] = True
+    if receives[layer + child].any():
+        raise ValueError("a slot both pushes and receives in one layer")
+    keys, order = sort_pairs(layer + parent, np.arange(child.size))
+    keys, counts = np.unique(keys, return_counts=True)
+    segment_layer, targets = np.divmod(keys, top)
     # the k-th push in (layer, parent) order follows k earlier pushes and
     # the heads of its own and every earlier segment
-    placed = np.arange(child.size) + segment + 1
-    source = np.empty(child.size + targets.size, dtype=np.int64)
+    placed = np.arange(child.size) + np.repeat(np.arange(1, keys.size + 1), counts)
+    source = np.empty(child.size + keys.size, dtype=np.int64)
     source[np.cumsum(counts + 1) - (counts + 1)] = targets
     source[placed] = child[order]
     pushes = np.empty(child.size, dtype=np.int64)
     pushes[order] = placed
-    # layer l holds the pushes from firsts[l] on and the segments
-    # cuts[l]:cuts[l + 1]; its buffer follows the earlier layers' pushes
-    # and heads
+    # layer l has the pushes from firsts[l] on and the segments cuts[l]:
+    # cuts[l + 1]; its buffer follows the earlier layers' pushes and heads
     firsts = np.cumsum(sizes) - sizes
     cuts = np.searchsorted(segment_layer, np.arange(sizes.size + 1)).tolist()
     return tuple(
@@ -410,8 +400,7 @@ class KeySpace:
         for layer in layers:
             run, pushed, met = _meet(rank, layer)
             # a push compares unless it or the champion it meets is empty
-            # (rank 0, and ranks are never negative), or both are the same
-            # element
+            # (rank 0; no rank is negative), or both are the same element
             compared = np.logical_and(pushed, met)
             compared &= pushed != met
             ledger.count += int(np.count_nonzero(compared))

@@ -117,12 +117,15 @@ def test_instance_rejects_coordinates_that_are_not_ints():
     # membership reads coordinates as int64, which would put (0, 0) inside
     # this triangle; a Fraction point, a bool or a float is refused too
     half = ConvexPolygon((Point2(Fraction(1, 2), 0), Point2(2, 0), Point2(2, 2)))
-    with pytest.raises(ValueError, match=r"^invalid geometry: polygon 2 has a non-integer coordinate$"):
+    with pytest.raises(ValueError, match=r"^invalid geometry: a coordinate is not an int$"):
         GeometricInstance(points=(Point2(0, 0), Point2(1, 0)), polygons=(square(0, 0, 1, 1), half), k=4)
     tri = ConvexPolygon((Point2(0, 0), Point2(9, 0), Point2(0, 9)))
     for bad in (Fraction(1, 2), Fraction(2, 1), True, 1.0):
-        with pytest.raises(ValueError, match=r"^invalid geometry: point 1 has a non-integer coordinate$"):
+        with pytest.raises(ValueError, match=r"^invalid geometry: a coordinate is not an int$"):
             GeometricInstance(points=(Point2(1, 1), Point2(1, bad)), polygons=(tri,), k=3)
+    # it joins the other violations
+    with pytest.raises(ValueError, match=r"^invalid geometry: k=2 must be at least 3; .*; a coordinate is not"):
+        GeometricInstance(points=(Point2(1, 1.0),), polygons=(tri,), k=2)
     # a polygon keeps an integral Fraction as an int
     whole = ConvexPolygon((Point2(Fraction(4, 2), 0), Point2(9, 0), Point2(0, 9)))
     assert GeometricInstance(points=(Point2(3, 3),), polygons=(whole,), k=3).membership == (frozenset({0}),)
