@@ -41,6 +41,7 @@ def sort_pairs(major: np.ndarray, minor: np.ndarray) -> tuple[np.ndarray, np.nda
     key = minor - low
     key += major * span
     key.sort()
-    major, minor = np.divmod(key, span)
+    minor = key % span
     minor += low
-    return major, minor
+    key //= span
+    return key, minor

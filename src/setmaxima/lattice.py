@@ -139,13 +139,14 @@ class Lattice:
         owner, members = sort_pairs(np.repeat(slot, lengths), members)
         heads = np.flatnonzero(np.diff(owner, prepend=-1))
         classes = compile_classes(owner[heads], np.diff(heads, append=owner.size), members)
-        # the covers of the nodes of layer >= 2, in slot order, as node ids
+        # the covers of the nodes of layer >= 2, in slot order, as slots
         first = int(np.searchsorted(layer, 2))
         upper = ordered[first:]
         chosen = list(map(covers.get, upper))
         try:
             sizes = np.fromiter(map(len, chosen), np.int64, len(chosen))
-            parents = np.fromiter(map(ids.__getitem__, chain.from_iterable(chosen)), np.int64, sizes.sum())
+            cover_ids = map(ids.__getitem__, chain.from_iterable(chosen))
+            parents = slot[np.fromiter(cover_ids, np.int64, sizes.sum())]
         except (TypeError, KeyError):
             for label, cover in zip(upper, chosen):
                 if cover is None:
@@ -159,7 +160,7 @@ class Lattice:
             raise
         cuts = np.flatnonzero(np.diff(layer[first:], prepend=0))  # each layer's first node
         children = np.repeat(np.arange(first, count), sizes)
-        pushes = compile_layer(children, slot[parents], np.add.reduceat(sizes, cuts))
+        pushes = compile_layer(children, parents, np.add.reduceat(sizes, cuts))
         layers = tuple(zip(layer[first:][cuts].tolist(), pushes))[::-1]
         outputs = slot[[ids[frozenset((i,))] for i in range(1, self.m + 1)]]
         budget = self.n + sum(map(len, covers.values()))
@@ -235,12 +236,12 @@ def _slot_order(labels: list[Label]) -> tuple[np.ndarray, np.ndarray]:
     """The label ids in ``labels_by_layer()`` order, and each one's layer:
     one lexsort of the rows of ascending members, by layer first."""
     size = np.fromiter(map(len, labels), np.int64, len(labels))
-    # row j holds label j's members, then the largest int64s, sorted
-    rows = np.full((len(labels), int(size.max(initial=0))), np.iinfo(np.int64).max)
+    # column j holds label j's members, then the largest int64s, sorted
+    columns = np.full((int(size.max(initial=0)), len(labels)), np.iinfo(np.int64).max)
     members = np.fromiter(chain.from_iterable(labels), np.int64, int(size.sum()))
-    rows[np.repeat(np.arange(len(labels)), size), spread(np.zeros_like(size), size)] = members
-    rows.sort(axis=1)
-    order = np.lexsort(np.vstack((rows.T[::-1], size)))
+    columns[spread(np.zeros_like(size), size), np.repeat(np.arange(len(labels)), size)] = members
+    columns.sort(axis=0)
+    order = np.lexsort((*columns[::-1], size))
     return order, size[order]
 
 

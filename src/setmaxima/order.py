@@ -133,9 +133,10 @@ def compile_classes(slots: Sequence[int], lengths: Sequence[int], members: Seque
     heads it and every later one costs one comparison, so a one-member
     class is a segment without a push.  Its final maximum goes to the
     class's slot.  Every class must be non-empty (else ValueError) and
-    duplicate-free (else ValueError), and slots and members must be
-    non-negative (else IndexError), so a call only range-checks ``span``,
-    one more than the largest member, against its keys.
+    duplicate-free (else ValueError; one sort of the (class, member) pairs
+    finds a repeat), and slots and members must be non-negative (else
+    IndexError), so a call only range-checks ``span``, one more than the
+    largest member, against its keys.
     """
     slots = np.asarray(slots, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -179,22 +180,27 @@ def compile_layer(
         raise IndexError(f"negative slot in a push layer: {low}")
     # slot s of layer l as l * top + s
     top = int(max(child.max(initial=0), parent.max(initial=0))) + 1
-    layer = np.repeat(np.arange(sizes.size), sizes) * top
+    slot = np.repeat(np.arange(sizes.size) * top, sizes)
     receives = np.zeros(sizes.size * top, dtype=bool)
-    receives[layer + parent] = True
-    if receives[layer + child].any():
+    receives[slot + parent] = True
+    if receives[slot + child].any():
         raise ValueError("a slot both pushes and receives in one layer")
-    keys, order = sort_pairs(layer + parent, np.arange(child.size))
-    keys, counts = np.unique(keys, return_counts=True)
-    segment_layer, targets = np.divmod(keys, top)
+    slot += parent
+    keys, order = sort_pairs(slot, np.arange(child.size))
+    del slot  # each push-sized temporary goes once read, which bounds the peak
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    counts = np.diff(starts, append=child.size)
+    segment_layer, targets = np.divmod(keys[starts], top)
+    del keys
     # the k-th push in (layer, parent) order follows k earlier pushes and
     # the heads of its own and every earlier segment
-    placed = np.arange(child.size) + np.repeat(np.arange(1, keys.size + 1), counts)
-    source = np.empty(child.size + keys.size, dtype=np.int64)
+    placed = np.arange(child.size) + np.repeat(np.arange(1, starts.size + 1), counts)
+    source = np.empty(child.size + starts.size, dtype=np.int64)
     source[np.cumsum(counts + 1) - (counts + 1)] = targets
     source[placed] = child[order]
     pushes = np.empty(child.size, dtype=np.int64)
     pushes[order] = placed
+    del order, placed
     # layer l has the pushes from firsts[l] on and the segments cuts[l]:
     # cuts[l + 1]; its buffer follows the earlier layers' pushes and heads
     firsts = np.cumsum(sizes) - sizes
