@@ -128,7 +128,7 @@ class Lattice:
         count = len(labels)
         ids = dict(zip(labels, range(count)))
         order, layer = _slot_order(labels)
-        slot = np.argsort(order)
+        slot = np.argsort(order)  # each node's slot
         ordered = np.fromiter(labels, object, count)[order].tolist()
         # every class, by (slot, member)
         phis = [node.phi for node in self.nodes.values()]
@@ -234,7 +234,7 @@ class _Words:
 
 def _slot_order(labels: list[Label]) -> tuple[np.ndarray, np.ndarray]:
     """The label ids in ``labels_by_layer()`` order, and each one's layer:
-    one lexsort of the rows of ascending members, by layer first."""
+    one lexsort of the labels' ascending members, by layer first."""
     size = np.fromiter(map(len, labels), np.int64, len(labels))
     # column j holds label j's members, then the largest int64s, sorted
     columns = np.full((int(size.max(initial=0)), len(labels)), np.iinfo(np.int64).max)
