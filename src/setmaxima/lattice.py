@@ -10,9 +10,8 @@ Parents and greedy covers come from numpy kernels that run over all nodes
 at once.  They number the nodes internally and hold each label as packed
 64-bit words, keeping only the non-zero ones; results are written back as
 frozenset parents and cover tuples keyed by label.  The solve plan is
-compiled the same way: the nodes are numbered once, in node map order, and
-the slot order, the classes and every push layer come from array sorts
-over those ids.
+compiled from node ids too, its slot order, classes and push layers by
+array sorts.
 
 Building the lattice, computing parents, computing covers and compiling a
 solve plan never touch element keys: no ledger is involved anywhere in
@@ -71,14 +70,12 @@ class LatticeNode:
 class SolvePlan:
     """Key-independent schedule of one lattice solve over fixed covers.
 
-    Slots number the lattice labels in ``labels_by_layer()`` order, which
-    one lexsort of the labels' ascending members, by layer first, gives.
+    Slots number the lattice labels in ``labels_by_layer()`` order.
     ``classes`` holds every non-empty class, by slot, members sorted (see
     :func:`~setmaxima.order.compile_classes`).  ``layers`` holds (layer,
     push layer) for layers >= 2, deepest first; a layer pushes each node's
     slot into the slots of its cover members, nodes in slot order and
-    members in cover order.  One :func:`~setmaxima.order.compile_layer`
-    call lays out every layer.
+    members in cover order (one :func:`~setmaxima.order.compile_layer`).
     ``outputs`` is the slot of the singleton {i} for i = 1..m, and
     ``budget`` is n + sum(|cover|).  Class members come from frozensets, so
     they are duplicate-free; compiling checks they are non-negative, and
@@ -129,7 +126,7 @@ class Lattice:
         ids = dict(zip(labels, range(count)))
         order, layer = _slot_order(labels)
         slot = np.argsort(order)  # each node's slot
-        ordered = np.fromiter(labels, object, count)[order].tolist()
+        ordered = list(map(labels.__getitem__, order.tolist()))
         # every class, by (slot, member)
         phis = [node.phi for node in self.nodes.values()]
         lengths = np.fromiter(map(len, phis), np.int64, count)
@@ -173,7 +170,9 @@ class Lattice:
         return self.nodes[frozenset(label)]
 
     def labels_by_layer(self) -> list[Label]:
-        return sorted(self.nodes, key=lambda lb: (len(lb), label_sort_key(lb)))
+        """The labels by layer, then by their ascending members."""
+        labels = list(self.nodes)
+        return list(map(labels.__getitem__, _slot_order(labels)[0].tolist()))
 
     def dump(self, covers: dict[Label, tuple[Label, ...]]) -> str:
         """One node per line: 'label | phi | parents | cover', layers ascending."""
@@ -234,15 +233,19 @@ class _Words:
 
 def _slot_order(labels: list[Label]) -> tuple[np.ndarray, np.ndarray]:
     """The label ids in ``labels_by_layer()`` order, and each one's layer:
-    one lexsort of the labels' ascending members, by layer first."""
+    the ids by size, then one lexsort per layer of its labels' ascending
+    members, rows of one length, so nothing is padded."""
     size = np.fromiter(map(len, labels), np.int64, len(labels))
-    # column j holds label j's members, then the largest int64s, sorted
-    columns = np.full((int(size.max(initial=0)), len(labels)), np.iinfo(np.int64).max)
+    first = np.cumsum(size) - size
     members = np.fromiter(chain.from_iterable(labels), np.int64, int(size.sum()))
-    columns[spread(np.zeros_like(size), size), np.repeat(np.arange(len(labels)), size)] = members
-    columns.sort(axis=0)
-    order = np.lexsort((*columns[::-1], size))
-    return order, size[order]
+    order = np.argsort(size, kind="stable")
+    layer = size[order]
+    cuts = [*np.flatnonzero(np.diff(layer, prepend=-1)).tolist(), len(labels)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        ids = order[lo:hi]
+        rows = np.sort(members[spread(first[ids], size[ids])].reshape(hi - lo, -1))
+        order[lo:hi] = ids[np.lexsort(rows.T[::-1])]
+    return order, layer
 
 
 def _pack(labels: list[Label]) -> _Words:
@@ -470,9 +473,7 @@ def _greedy_covers(lattice: Lattice) -> tuple[dict[Label, tuple[Label, ...]], La
     ids = dict(zip(labels, range(len(labels))))
     parents = np.fromiter(map(ids.__getitem__, chain.from_iterable(parent_sets)), np.int64, int(count.sum()))
     del ids, parent_sets
-    parents += np.repeat(np.arange(len(targets)) * len(labels), count)
-    parents.sort()
-    parents %= len(labels)
+    _, parents = sort_pairs(np.repeat(np.arange(len(targets)), count), parents)
     # blocks of whole nodes, about _BLOCK parents each
     picked = np.zeros(len(parents), bool)
     failed = np.zeros(len(targets), bool)

@@ -133,10 +133,9 @@ def compile_classes(slots: Sequence[int], lengths: Sequence[int], members: Seque
     heads it and every later one costs one comparison, so a one-member
     class is a segment without a push.  Its final maximum goes to the
     class's slot.  Every class must be non-empty (else ValueError) and
-    duplicate-free (else ValueError; one sort of the (class, member) pairs
-    finds a repeat), and slots and members must be non-negative (else
-    IndexError), so a call only range-checks ``span``, one more than the
-    largest member, against its keys.
+    duplicate-free (else ValueError), and slots and members must be
+    non-negative (else IndexError), so a call only range-checks ``span``,
+    one more than the largest member, against its keys.
     """
     slots = np.asarray(slots, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -181,13 +180,14 @@ def compile_layer(
     # slot s of layer l as l * top + s
     top = int(max(child.max(initial=0), parent.max(initial=0))) + 1
     slot = np.repeat(np.arange(sizes.size) * top, sizes)
-    receives = np.zeros(sizes.size * top, dtype=bool)
-    receives[slot + parent] = True
-    if receives[slot + child].any():
-        raise ValueError("a slot both pushes and receives in one layer")
+    pushing = slot + child
     slot += parent
     keys, order = sort_pairs(slot, np.arange(child.size))
     del slot  # each push-sized temporary goes once read, which bounds the peak
+    # keys holds every receiving slot of every layer
+    if keys.size and np.any(keys[np.searchsorted(keys, pushing) % keys.size] == pushing):
+        raise ValueError("a slot both pushes and receives in one layer")
+    del pushing
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
     counts = np.diff(starts, append=child.size)
     segment_layer, targets = np.divmod(keys[starts], top)

@@ -48,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arrays import sort_pairs
 from .lattice import (
     Label,
     Lattice,
@@ -185,11 +186,10 @@ def _compile_bucket_plan(system: SetSystem) -> BucketPlan:
     if count > min(system.n, (1 << system.m) - 1):
         raise AssertionError("more buckets than distinct signatures can exist")
     buckets = compile_classes(np.arange(count), groups.sizes, groups.elements)
-    # the (set, bucket slot) pairs as one number each, sorted set by set
-    pairs = groups.labels * count + np.repeat(np.arange(count), groups.degrees)
-    pairs.sort()
-    (per_set,) = compile_layer(pairs % count, pairs // count + count - 1)
-    bound = buckets.pushes.size + pairs.size - system.m
+    # the (set, bucket slot) pairs, sorted set by set
+    sets, slots = sort_pairs(groups.labels, np.repeat(np.arange(count), groups.degrees))
+    (per_set,) = compile_layer(slots, sets + count - 1)
+    bound = buckets.pushes.size + slots.size - system.m
     return BucketPlan(buckets, per_set, bound)
 
 

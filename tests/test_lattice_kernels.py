@@ -91,7 +91,7 @@ def reference_greedy_cover(node):
 def reference_covers(lat):
     return {
         label: reference_greedy_cover(lat.nodes[label])
-        for label in lat.labels_by_layer()
+        for label in sorted(lat.nodes, key=lambda lb: (len(lb), label_sort_key(lb)))
         if len(label) >= 2
     }
 

@@ -1,7 +1,7 @@
 """The solve plan compile against the per-layer compile it replaced.
 
-``reference_compile_plan`` is that compile: the labels sorted by
-``labels_by_layer()``, a slot dict, one ``sorted(phi)`` per node, and one
+``reference_compile_plan`` is that compile: the labels sorted by layer
+and ``label_sort_key``, a slot dict, one ``sorted(phi)`` per node, and one
 ``reference_compile_layer`` call per layer over Python lists of slots.
 ``Lattice.solve_plan`` must give an equal plan (every array with its
 dtype, the labels and the budget) on the acceptance corpora, the
@@ -11,6 +11,7 @@ same error on faulty covers.
 """
 
 import random
+import tracemalloc
 from itertools import groupby
 
 import numpy as np
@@ -28,6 +29,7 @@ from setmaxima.lattice import (
     compute_parents,
     format_label,
     good_covers,
+    label_sort_key,
 )
 from setmaxima.order import compile_classes
 from setmaxima.setsystem import system_from_lists
@@ -41,7 +43,7 @@ def fs(*items):
 
 
 def reference_compile_plan(lat, covers):
-    labels = lat.labels_by_layer()
+    labels = sorted(lat.nodes, key=lambda lb: (len(lb), label_sort_key(lb)))
     slot = {label: i for i, label in enumerate(labels)}
     members = [sorted(lat.nodes[label].phi) for label in labels]
     if any(phi and phi[0] < 0 for phi in members):
@@ -77,6 +79,7 @@ def reference_compile_plan(lat, covers):
 def assert_plan_as_reference(lat, covers):
     got, want = lat._compile_plan(covers), reference_compile_plan(lat, covers)
     assert got.labels == want.labels
+    assert lat.labels_by_layer() == list(want.labels)
     _assert_same_scan(got.classes, want.classes)
     assert [layer for layer, _ in got.layers] == [layer for layer, _ in want.layers]
     for (_, push), (_, expected) in zip(got.layers, want.layers):
@@ -135,6 +138,24 @@ def _shuffled(lat, rng, virtual=()):
     for label, phi, is_virtual in nodes:
         copy.add_node(label, phi, virtual=is_virtual)
     return compute_parents(copy)
+
+
+def test_one_wide_label_compiles_in_memory_linear_in_the_labels():
+    # set i holds element 0 and element i: the node {1..m} stands beside m
+    # singletons, so a table of every label padded to the widest would
+    # hold m * m numbers (32 MB of int64 at m = 2000)
+    m = 2000
+    lat, covers = _covered(system_from_lists(m + 1, [{0, i} for i in range(1, m + 1)]))
+    assert max(map(len, lat.nodes)) == m and len(lat.nodes) == m + 1
+    tracemalloc.start()
+    try:
+        plan = lat._compile_plan(covers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan.labels[-1] == frozenset(range(1, m + 1))
+    assert peak < 2_000_000
+    assert_plan_as_reference(lat, covers)
 
 
 def test_plans_equal_the_reference_on_hand_built_lattices():

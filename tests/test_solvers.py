@@ -347,7 +347,7 @@ def reference_solve_lattice(system, keys, cover_mode="greedy", ledger=None, preb
         lattice = compute_parents(build_lattice(system))
         covers = good_covers(lattice, mode=cover_mode)
     champion = {}
-    for label in lattice.labels_by_layer():
+    for label in sorted(lattice.nodes, key=lambda lb: (len(lb), label_sort_key(lb))):
         phi = lattice.nodes[label].phi
         champion[label] = _reference_max(keys, sorted(phi), ledger) if phi else None
     prev_layer = None
