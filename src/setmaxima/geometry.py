@@ -14,7 +14,10 @@ from earlier vertices, so the numbers do not grow: |a|, |b| <= 2^21 and
 coordinate box reach it), and side-test dot products stay below 2^86.
 Points compare by cross-multiplication.  Only the functions that take or
 return ``Point2`` convert, to ``fractions.Fraction`` coordinates where a
-vertex is not integral.  Nothing in this module performs key comparisons.
+vertex is not integral.  ``ClipKernel`` clips many regions at once on
+numpy arrays of line ids, and makes the same regions wherever its
+filtered side tests decide.  Nothing in this module performs key
+comparisons.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
+
+from .arrays import sort_pairs, spread
 
 COORD_BOUND = 1 << 20
 
@@ -394,31 +399,198 @@ def region_of(points: Sequence[Point2], owners: Sequence[Owners]) -> Region:
     return Region(verts, lines, tuple(owners))
 
 
-def polygon_regions(polygons: Sequence[ConvexPolygon], owners: Sequence[Owners]) -> list[Region]:
-    """``region_of`` of every polygon, each edge of polygon j owned by
-    ``owners[j]``, with all edge lines computed in one int64 pass.
+# a float64 sum of three products whose magnitudes sum to S lies within
+# 4u*S (u = 2^-53) of the exact sum; see ``ClipKernel``
+_FILTER = 2.0**-51
 
-    With integer coordinates within ``COORD_BOUND`` a vertex is (x, y, 1)
-    and the line from p to q is (py - qy, qx - px, px*qy - py*qx), so
-    |c| <= 2^41 and int64 cannot overflow; any other coordinate goes
-    through ``region_of`` for every polygon.
+
+class ClipKernel:
+    """Sutherland-Hodgman clipping of many convex regions at once, on the
+    edge lines of convex polygons.
+
+    ``polygons`` must have integer coordinates within ``COORD_BOUND``, as a
+    ``GeometricInstance`` has them by construction: the one int64 pass here
+    computes every edge line (a, b, c) = (py - qy, qx - px, px*qy - py*qx)
+    of an edge from p to q, so |a|, |b| <= 2^21 and |c| <= 2^41.  Line t of
+    polygon j (from 0) has id ``first[j] + t`` and starts at its vertex t.
+
+    A region here is the cycle of its edges' line ids, from its
+    lowest-then-leftmost vertex; vertex t is where edges t - 1 and t meet.
+    Full polygon j is region j, each vertex kept as its input point.
+    ``clip`` clips a batch of regions, each by one full polygon's lines in
+    order, as ``clip_region`` does.
+
+    The side of vertex P x Q against line l is sign(m(P, Q)) * det(P, Q, l),
+    det = c_P*m(Q, l) + c_Q*m(l, P) + c_l*m(P, Q), m(U, V) = a_U*b_V - a_V*b_U.
+    Each m is exact in int64 (|m| <= 2^43), each c and m is exact in
+    float64, and each of the three float products rounds once, so the
+    float sum s is off det by at most gamma_3 * S = 3u/(1 - 3u) * S, where S
+    is the sum of the products' magnitudes and u = 2^-53 (N. J. Higham,
+    "Accuracy and stability of numerical algorithms", 2002, sec. 3.1).  The
+    bound evaluated in float64, 2^-51 * fl(S) >= 4u(1 - u)^3 * S, exceeds
+    that, so |s| above it gives the exact sign: the static filter of J. R.
+    Shewchuk, "Adaptive precision floating-point arithmetic and fast robust
+    geometric predicates", DCG 18 (1997).  A region with a vertex the
+    filter cannot decide, zero sides included, is dropped from the batch,
+    and its clip left to ``clip_region``.  With every side non-zero no
+    vertex repeats, no angle is straight and each edge keeps the one owner
+    of its line, so a clip is the region ``clip_region`` and ``canonical``
+    make.
     """
-    sizes = [len(poly.vertices) for poly in polygons]
-    coords = list(chain.from_iterable(chain.from_iterable(poly.vertices for poly in polygons)))
-    if not (set(map(type, coords)) <= {int} and max(map(abs, coords), default=0) <= COORD_BOUND):
-        return [region_of(poly.vertices, (own,) * len(poly.vertices)) for poly, own in zip(polygons, owners)]
-    x, y = np.array(coords, np.int64).reshape(-1, 2).T
-    ends = np.cumsum(sizes, dtype=np.int64)
-    # the next vertex of each, cyclic within its polygon
-    after = np.arange(1, x.size + 1)
-    after[ends - 1] = ends - sizes
-    qx, qy = x[after], y[after]
-    verts = list(zip(coords[0::2], coords[1::2], [1] * x.size))
-    lines = list(zip((y - qy).tolist(), (qx - x).tolist(), (x * qy - y * qx).tolist()))
-    return [
-        Region(tuple(verts[hi - size : hi]), tuple(lines[hi - size : hi]), (own,) * size)
-        for hi, size, own in zip(ends.tolist(), sizes, owners)
-    ]
+
+    def __init__(self, polygons: Sequence[ConvexPolygon]):
+        sizes = [len(poly.vertices) for poly in polygons]
+        coords = list(chain.from_iterable(chain.from_iterable(poly.vertices for poly in polygons)))
+        x, y = np.array(coords, np.int64).reshape(-1, 2).T
+        ends = np.cumsum(sizes, dtype=np.int64)
+        self.first = np.concatenate(([0], ends))
+        # the next vertex of each, cyclic within its polygon
+        after = np.arange(1, x.size + 1)
+        after[ends - 1] = ends - sizes
+        qx, qy = x[after], y[after]
+        self.a, self.b, self.c = y - qy, qx - x, x * qy - y * qx
+        self.lines = list(zip(self.a.tolist(), self.b.tolist(), self.c.tolist()))
+        self.points = list(zip(coords[0::2], coords[1::2], [1] * x.size))
+        self.polygon = np.repeat(np.arange(len(sizes)), sizes)
+        # region r has lines line[start[r] : start[r] + size[r]], of which
+        # those marked kept start at a vertex of its first polygon
+        self._line = np.arange(x.size)
+        self._kept = np.ones(x.size, bool)
+        self._start = self.first[:-1].copy()
+        self._size = np.asarray(sizes, np.int64)
+
+    def polygon_regions(self, owners: Sequence[Owners]) -> list[Region]:
+        """``region_of`` of every polygon, each edge of polygon j owned by
+        ``owners[j]``."""
+        first = self.first.tolist()
+        return [
+            Region(tuple(self.points[lo:hi]), tuple(self.lines[lo:hi]), (own,) * (hi - lo))
+            for lo, hi, own in zip(first, first[1:], owners)
+        ]
+
+    def region(self, region: int, owners: Sequence[Owners]) -> Region:
+        """Region ``region`` in the form ``clip_region`` gives it, each edge
+        owned by ``owners[j]`` of the polygon j whose line it lies on.  A
+        kept vertex is its input point (x, y, 1); any other is ``meet`` of
+        its two lines, on Python integers (its coordinates reach 2^63)."""
+        start = int(self._start[region])
+        ids = self._line[start : start + int(self._size[region])]
+        kept = self._kept[start : start + len(ids)].tolist()
+        lines = list(map(self.lines.__getitem__, ids.tolist()))
+        verts = [
+            self.points[q] if keep else meet(p, line)
+            for p, line, q, keep in zip(lines[-1:] + lines[:-1], lines, ids.tolist(), kept)
+        ]
+        owns = map(owners.__getitem__, self.polygon[ids].tolist())
+        return Region(tuple(verts), tuple(lines), tuple(owns))
+
+    def _cycles(self, regions: np.ndarray):
+        """The lines and kept flags of ``regions``, concatenated, with the
+        position in ``regions`` of each one's region, and their sizes."""
+        size = self._size[regions]
+        at = spread(self._start[regions], size)
+        return self._line[at], self._kept[at], np.repeat(np.arange(len(regions)), size), size
+
+    @staticmethod
+    def _neighbours(region: np.ndarray, size: np.ndarray):
+        """The cyclic previous and next of each item of concatenated cycles."""
+        first = (np.cumsum(size) - size)[region]
+        index = np.arange(len(region))
+        last = first + size[region] - 1
+        return np.where(index == first, last, index - 1), np.where(index == last, first, index + 1)
+
+    def clip(self, subjects: np.ndarray, clips: np.ndarray) -> np.ndarray:
+        """Clip region ``subjects[i]`` by the lines of full polygon
+        ``clips[i]``, all at once; the new regions' ids, -1 where a side
+        was undecided."""
+        a, b, c = self.a, self.b, self.c
+        line, kept, region, size = self._cycles(subjects)
+        bad = np.zeros(len(subjects), bool)
+        first, sides = self.first[clips], self.first[clips + 1] - self.first[clips]
+        for t in range(int(sides.max(initial=0))):
+            prev, after = self._neighbours(region, size)
+            p, q = line[prev], line
+            clip = (first + np.minimum(t, sides - 1))[region]
+            m_qc = a[q] * b[clip] - a[clip] * b[q]
+            m_cp = a[clip] * b[p] - a[p] * b[clip]
+            m_pq = a[p] * b[q] - a[q] * b[p]
+            t_p, t_q = c[p] * m_qc.astype(float), c[q] * m_cp.astype(float)
+            t_clip = c[clip] * m_pq.astype(float)
+            s = t_p + t_q + t_clip
+            bound = (np.abs(t_p) + np.abs(t_q) + np.abs(t_clip)) * _FILTER
+            active = (t < sides)[region]
+            bad[region[active & (np.abs(s) <= bound)]] = True
+            inside = (s > 0) != (m_pq < 0)
+            # a region done with its clip, or dropped, stays as it is
+            inside |= ~active | bad[region]
+            ahead = inside[after]
+            # an edge with an end inside stays; the clip edge follows the
+            # edge that leaves, and new vertices start both
+            leaves = inside & ~ahead
+            source = np.repeat(np.arange(len(line)), (inside | ahead) + leaves.astype(int))
+            is_clip = np.zeros(len(source), bool)
+            is_clip[1:] = source[1:] == source[:-1]
+            line = np.where(is_clip, clip[source], line[source])
+            kept = kept[source] & inside[source] & ~is_clip
+            region = region[source]
+            size = np.bincount(region, minlength=len(subjects))
+        ok = ~bad
+        own = ok[region]
+        line, kept, region, size = line[own], kept[own], (np.cumsum(ok) - 1)[region[own]], size[ok]
+        # start each at its lowest-then-leftmost vertex, the one between an
+        # edge that falls and one that rises in (y, x) order; an edge runs
+        # along (b, -a), so it rises when a < 0, or a == 0 and b > 0
+        rises = (a[line] < 0) | ((a[line] == 0) & (b[line] > 0))
+        starts = np.flatnonzero(rises & ~rises[self._neighbours(region, size)[0]])
+        first = np.cumsum(size) - size
+        shift = np.zeros(len(size), np.int64)
+        shift[region[starts]] = starts - first[region[starts]]
+        base = first[region]
+        order = base + (np.arange(len(line)) - base + shift[region]) % size[region]
+        ids = np.full(len(subjects), -1)
+        ids[ok] = len(self._size) + np.arange(len(size))
+        self._start = np.concatenate((self._start, len(self._line) + first))
+        self._size = np.concatenate((self._size, size))
+        self._line = np.concatenate((self._line, line[order]))
+        self._kept = np.concatenate((self._kept, kept[order]))
+        return ids
+
+    def _edges(self, regions: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For the first ``size[i]`` edges of each region ``regions[i]``:
+        i, and the polygon whose line the edge lies on."""
+        return np.repeat(np.arange(len(regions)), size), self.polygon[
+            self._line[spread(self._start[regions], size)]
+        ]
+
+    def first_owners(self, regions: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct polygons whose lines carry the first k edges of each
+        region ``regions[i]``, as (i, polygon) pairs, each i's polygons
+        descending."""
+        row, polygon = self._edges(regions, np.minimum(self._size[regions], k))
+        row, polygon = sort_pairs(row, -polygon)
+        fresh = np.ones(len(row), bool)
+        fresh[1:] = (row[1:] != row[:-1]) | (polygon[1:] != polygon[:-1])
+        return row[fresh], -polygon[fresh]
+
+    def owns_edge(self, regions: np.ndarray, polygons: np.ndarray) -> np.ndarray:
+        """Whether region ``regions[i]`` has an edge on a line of polygon
+        ``polygons[i]``."""
+        row, polygon = self._edges(regions, self._size[regions])
+        span = len(self.first)
+        return np.isin(np.arange(len(regions)) * span + polygons, row * span + polygon)
+
+    def encloses(self, outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+        """Whether region ``outer[i]`` is full and its line cycle is not
+        that of region ``inner[i]``."""
+        size = self._size[outer]
+        same = size == self._size[inner]
+        both = np.flatnonzero(same)
+        differ = self._line[spread(self._start[outer[both]], size[both])] != self._line[
+            spread(self._start[inner[both]], size[both])
+        ]
+        row = np.repeat(np.arange(len(both)), size[both])
+        same[both] = np.bincount(row, differ, len(both)) == 0
+        return (size >= 3) & ~same
 
 
 def clip_region(subject: Region, clip_lines: Sequence[Line], clip_owner: Owners) -> Region:

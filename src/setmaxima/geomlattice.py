@@ -4,12 +4,16 @@ intersection regions, side-count-bounded covers, and the circle embedding.
 Containment is one numpy pass over a uniform grid for all polygons at
 once (``grid_membership``), computed once per instance.
 
-Every region Q_I comes from one Sutherland-Hodgman clip loop on
-homogeneous integers (``geometry.clip_region``), whether a polygon of I is
-full or a point or segment (as the circle embedding makes them); only two
-degenerate polygons meet by a separate short rule.  The clipping records
-which polygons own each region edge (carry it on their boundary).  The
-build reads regions in that form and never makes a ``ConvexPolygon`` or a
+Every region Q_I is a Sutherland-Hodgman clip along the sorted prefix of
+I.  The build clips its cover queue a round at a time, each prefix depth
+of a round in one ``geometry.ClipKernel`` call on arrays of input-line
+ids; the scalar clip on homogeneous integers (``geometry.clip_region``)
+makes the regions the kernel leaves, such as those with a point or
+segment polygon (as the circle embedding makes them; only two degenerate
+polygons meet by a separate short rule) or a side the kernel's float
+filter cannot decide.  Both record which polygons own each region edge
+(carry it on their boundary) and give equal ``Region`` values.  The build
+reads regions in that form and never makes a ``ConvexPolygon`` or a
 ``Fraction`` from one.
 
 The cover construction works edge by edge on a node's region Q: an edge
@@ -22,13 +26,15 @@ that are not lattice nodes are inserted as virtual nodes (empty class)
 and covered recursively.  Witness sets, merges and chains are set
 operations on owners; the exact segment predicates stay as their oracle.
 The chain check reads the cover pass's own witness sets: a member has a
-chain on an edge exactly when it fits that edge's witness set.
+chain on an edge exactly when it fits that edge's witness set.  Each edge
+of a kernel region has one owner, so most covers are read off those
+owners as arrays, a round at a time (``_owner_covers``), and only the
+rest go through ``geometric_cover``.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, groupby
@@ -39,6 +45,7 @@ from .arrays import spread
 from .geometry import (
     COORD_BOUND,
     Chain,
+    ClipKernel,
     ConvexPolygon,
     GeometryError,
     Owners,
@@ -48,7 +55,6 @@ from .geometry import (
     clip_region,
     meet_degenerate,
     orientation,
-    polygon_regions,
     same_region,
 )
 from .lattice import (
@@ -86,18 +92,24 @@ class GeometricInstance:
         violations = []
         if self.k < 3:
             violations.append(f"k={self.k} must be at least 3")
-        for idx, p in enumerate(self.points):
-            if abs(p[0]) > COORD_BOUND or abs(p[1]) > COORD_BOUND:
-                violations.append(f"point {idx} exceeds the coordinate bound")
-        for j, poly in enumerate(self.polygons, start=1):
-            if poly.sides > self.k:
-                violations.append(f"polygon {j} has {poly.sides} > k sides")
-            for v in poly.vertices:
-                if abs(v[0]) > COORD_BOUND or abs(v[1]) > COORD_BOUND:
-                    violations.append(f"polygon {j} exceeds the coordinate bound")
-                    break
-        vertices = chain.from_iterable(poly.vertices for poly in self.polygons)
-        if not set(map(type, chain.from_iterable(chain(self.points, vertices)))) <= {int}:
+        vertices = [poly.vertices for poly in self.polygons]
+        coords = list(chain.from_iterable(chain(self.points, chain.from_iterable(vertices))))
+        # checked in bulk; the loops below only name the violations
+        if (
+            max(map(abs, coords), default=0) > COORD_BOUND
+            or max(map(len, vertices), default=0) > self.k
+        ):
+            for idx, p in enumerate(self.points):
+                if abs(p[0]) > COORD_BOUND or abs(p[1]) > COORD_BOUND:
+                    violations.append(f"point {idx} exceeds the coordinate bound")
+            for j, poly in enumerate(self.polygons, start=1):
+                if poly.sides > self.k:
+                    violations.append(f"polygon {j} has {poly.sides} > k sides")
+                for v in poly.vertices:
+                    if abs(v[0]) > COORD_BOUND or abs(v[1]) > COORD_BOUND:
+                        violations.append(f"polygon {j} exceeds the coordinate bound")
+                        break
+        if not set(map(type, coords)) <= {int}:
             violations.append("a coordinate is not an int")
         if violations:
             raise ValueError("invalid geometry: " + "; ".join(violations))
@@ -224,29 +236,44 @@ def induced_system(instance: GeometricInstance) -> SetSystem:
     return instance.system
 
 
+# a prefix depth past this one with fewer prefixes than this to clip is
+# left to the scalar clip: a label that few others share so deep would pay
+# numpy's fixed cost once per polygon
+_SMALL = 16
+
+
 class RegionCache:
     """Memoized intersection regions Q_I, shared across all cover work.
 
     Regions are computed by clipping along the sorted label prefix so that
-    nested labels share work; the polygons' own regions are made all at
-    once (``polygon_regions``).  Each is kept as the ``Region`` the clip
-    kernel makes (homogeneous vertices, edge lines and edge owners), the
-    empty and degenerate ones included; ``region()`` converts one to a
-    ``ConvexPolygon`` on request and keeps no copy.  The owners of a full
-    region's edge are the indices of the label whose polygon carries that
-    edge on its boundary, as the clipping tracked them.
+    nested labels share work.  ``fill`` computes many at once: one
+    ``geometry.ClipKernel`` call per prefix depth clips every missing
+    prefix of that depth whose own prefix the kernel made.  ``entry``
+    clips the rest one ``clip_region`` at a time: a prefix with a point or
+    segment polygon, one with a side the kernel's filter cannot decide,
+    the prefixes built on those, and a depth too small to batch.  A region
+    is handed out as the ``Region`` the scalar clip makes (homogeneous
+    vertices, edge lines and edge owners), the empty and degenerate ones
+    included; the kernel makes its ``Region`` the first time one is asked
+    for.  ``region()`` converts one to a ``ConvexPolygon`` on request and
+    keeps no copy.  The owners of a full region's edge are the indices of
+    the label whose polygon carries that edge on its boundary, as the
+    clipping tracked them.
     """
 
     def __init__(self, instance: GeometricInstance):
         self.polygons = instance.polygons
         # one shared owner set per polygon: most region edges have one owner
         self._owner = [frozenset((j,)) for j in range(1, len(self.polygons) + 1)]
+        self._full = [not poly.is_degenerate for poly in self.polygons]
+        self.kernel = ClipKernel(self.polygons)
         none = frozenset()
-        self._input = polygon_regions(
-            self.polygons,
-            [none if poly.is_degenerate else own for poly, own in zip(self.polygons, self._owner)],
+        self._input = self.kernel.polygon_regions(
+            [own if full else none for full, own in zip(self._full, self._owner)]
         )
         self._memo: dict[tuple[int, ...], Region] = {}
+        # the kernel's region id of each prefix of two or more it clipped
+        self._made: dict[tuple[int, ...], int] = {}
 
     def region(self, label: Label) -> ConvexPolygon | None:
         return self.entry(label).polygon()
@@ -261,21 +288,24 @@ class RegionCache:
         """The region of ``label`` as the clip kernel made it (with no
         vertices when empty)."""
         key = tuple(sorted(label))
-        memo = self._memo
-        entry = memo.get(key)
+        entry = self._known(key)
         if entry is not None:
             return entry
-        # walk down to the longest cached prefix, then clip forward
+        # walk down to the longest known prefix, then clip forward
         size = len(key) - 1
-        while size and key[:size] not in memo:
+        while size and (entry := self._known(key[:size])) is None:
             size -= 1
-        if size:
-            entry = memo[key[:size]]
-        else:
-            entry = memo[key[:1]] = self._input[key[0] - 1]
+        if not size:
+            entry = self._memo[key[:1]] = self._input[key[0] - 1]
             size = 1
         for size in range(size, len(key)):
-            entry = memo[key[: size + 1]] = self._clip(entry, key[size])
+            entry = self._memo[key[: size + 1]] = self._clip(entry, key[size])
+        return entry
+
+    def _known(self, key: tuple[int, ...]) -> Region | None:
+        entry = self._memo.get(key)
+        if entry is None and self._made and key in self._made:
+            entry = self._memo[key] = self.kernel.region(self._made[key], self._owner)
         return entry
 
     def _clip(self, entry: Region, index: int) -> Region:
@@ -288,6 +318,58 @@ class RegionCache:
             # intersecting is symmetric: clip the degenerate polygon instead
             entry, clip = clip, entry
         return clip_region(entry, clip.lines, self._owner[index - 1])
+
+    def _kernel_id(self, key: tuple[int, ...]) -> int:
+        """The kernel's region id of a known prefix; -1 if it has none."""
+        if len(key) == 1:
+            return key[0] - 1 if self._full[key[0] - 1] else -1
+        return self._made.get(key, -1)
+
+    def fill(self, labels: list[Label]) -> np.ndarray:
+        """Compute the regions of ``labels``; the kernel's region id of
+        each, -1 where ``entry`` clipped it.
+
+        Each label whose longest known prefix the kernel made grows from
+        it a depth at a time, shortest prefixes first, one kernel call per
+        depth for all labels; a label stops at a prefix the kernel drops
+        or leaves, and ``entry`` clips the rest of it.  Every prefix
+        ``entry`` would have kept for these labels is then known.
+        """
+        keys = [tuple(sorted(label)) for label in labels]
+        memo, made = self._memo, self._made
+        # the size of a label's longest known prefix -> (label, its id)
+        growing: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+        for key in keys:
+            if key[:1] not in memo:
+                memo[key[:1]] = self._input[key[0] - 1]
+            # the prefixes of a known prefix are known: walk up, which
+            # costs a deep label nothing when little of it is known
+            size = 1
+            while size < len(key) and (key[: size + 1] in made or key[: size + 1] in memo):
+                size += 1
+            if size < len(key) and (subject := self._kernel_id(key[:size])) >= 0:
+                growing.setdefault(size, []).append((key, subject))
+        while growing:
+            size = min(growing)
+            group = growing.pop(size)
+            prefixes = [key[: size + 1] for key, _subject in group]
+            batch = {}
+            for prefix, (key, subject) in zip(prefixes, group):
+                if prefix not in batch and prefix not in made and self._full[key[size] - 1]:
+                    batch[prefix] = (subject, key[size] - 1)
+            if len(batch) >= _SMALL or (batch and size < _SMALL):
+                subjects, clips = zip(*batch.values())
+                ids = self.kernel.clip(np.array(subjects), np.array(clips))
+                made.update((prefix, i) for prefix, i in zip(batch, ids.tolist()) if i >= 0)
+            for prefix, (key, _subject) in zip(prefixes, group):
+                if prefix in made and len(prefix) < len(key):
+                    growing.setdefault(size + 1, []).append((key, made[prefix]))
+        for key in keys:
+            if key not in memo and key not in made:
+                self.entry(key)
+        return np.array(
+            [made.get(key, -1) if len(key) > 1 else self._kernel_id(key) for key in keys], np.int64
+        )
 
 
 @dataclass
@@ -373,20 +455,76 @@ def geometric_cover(
             if changed:
                 break
 
-    for member in members:
+    _check_enclosure(label, region, members, map(cache.entry, members))
+    _check_witness_chains(label, members, edge_sets)
+    return tuple(members)
+
+
+def _check_enclosure(label: Label, region: Region, members, member_regions) -> None:
+    """Every member is a strict subset of ``label`` whose region is full
+    and differs from the label's ``region``; raises on the first that is
+    not."""
+    for member, member_region in zip(members, member_regions):
         if not member < label:
             raise InternalInconsistencyError(
                 f"cover member {format_label(member)} not strictly below "
                 f"{format_label(label)}"
             )
-        member_region = cache.entry(member)
         if member_region.is_degenerate or same_region(member_region, region):
             raise InternalInconsistencyError(
                 f"cover member {format_label(member)} does not strictly "
                 f"enclose the region of {format_label(label)}"
             )
-    _check_witness_chains(label, members, edge_sets)
-    return tuple(members)
+
+
+def _owner_covers(
+    labels: list[Label], cache: RegionCache, k: int
+) -> dict[Label, tuple[Label, ...]]:
+    """``geometric_cover`` of each label whose region the clip kernel made
+    and whose first k edges have two or more owners, read off the owners
+    for all of them at once.
+
+    Each edge of a kernel region has one owner j, so witnesses label - {j}:
+    with two or more owners among the first k edges, those edges' witness
+    sets cover the label, and they are the cover.  No two can merge (their
+    union is the label), and label - {j} sorts before label - {i} by
+    ``label_sort_key`` when j > i, so the members come in descending j.
+    The other labels are left to ``geometric_cover``.
+    """
+    kernel = cache.kernel
+    ids = cache.fill(labels)
+    made = np.flatnonzero(ids >= 0)
+    row, polygon = kernel.first_owners(ids[made], k)
+    keep = np.bincount(row, minlength=len(made))[row] >= 2
+    row, polygon = made[row[keep]], polygon[keep]
+    members = [labels[r] - cache._owner[j] for r, j in zip(row.tolist(), polygon.tolist())]
+    member_ids = cache.fill(members)
+    # the chain check: member label - {j} has a chain on an edge exactly
+    # when j owns it, and one owner per edge keeps two members off one edge
+    passed = kernel.owns_edge(ids[row], polygon)
+    # the enclosure check, where the kernel made the member's region too:
+    # two kernel regions of labels I < J are the same region exactly when
+    # their line cycles are, since an edge of Q_J on a line that two
+    # polygons of J share would have put a vertex on the second one's line
+    # when it clipped, which the kernel leaves to clip_region
+    ours = member_ids >= 0
+    passed[ours] &= kernel.encloses(member_ids[ours], ids[row[ours]])
+    counts = np.bincount(row, minlength=len(labels))
+    rows = np.flatnonzero(counts)
+    failed = np.bincount(row, ~(passed & ours), len(labels))[rows] > 0
+    counts = counts[rows]
+    covers: dict[Label, tuple[Label, ...]] = {}
+    ends = np.cumsum(counts).tolist()
+    for r, lo, hi, check in zip(rows.tolist(), [0, *ends], ends, failed.tolist()):
+        label, cover = labels[r], members[lo:hi]
+        if check:
+            # name the fault as geometric_cover would; a member region
+            # that entry made is checked here
+            region = cache.entry(label)
+            _check_enclosure(label, region, cover, map(cache.entry, cover))
+            _check_witness_chains(label, cover, [label - own for own in region.owners])
+        covers[label] = tuple(cover)
+    return covers
 
 
 def check_cover_chains(
@@ -511,25 +649,31 @@ def build_geometric_lattice(instance: GeometricInstance) -> GeometricLattice:
     covers: dict[Label, tuple[Label, ...]] = {}
     fallbacks: list[Label] = []
 
-    queue = deque(lb for lb in lattice.labels_by_layer() if len(lb) >= 2)
+    # the FIFO queue a round at a time: round r + 1 holds the members
+    # first queued in round r
+    queue = [lb for lb in lattice.labels_by_layer() if len(lb) >= 2]
     while queue:
-        label = queue.popleft()
-        if label in covers:
-            continue
-        cover = geometric_cover(label, cache, instance.k)
-        if cover is None:
-            fallbacks.append(label)
-            node = lattice.nodes.get(label)
-            if node is not None and not node.virtual:
-                cover = good_cover_greedy(node, lattice)
-            else:
-                cover = tuple(frozenset((i,)) for i in sorted(label))
-        covers[label] = cover
-        for member in cover:
-            if member not in lattice.nodes:
-                lattice.add_virtual(member)
-            if len(member) >= 2 and member not in covers:
-                queue.append(member)
+        fresh = list(dict.fromkeys(lb for lb in queue if lb not in covers))
+        owned = _owner_covers(fresh, cache, instance.k)
+        later = []
+        for label in queue:
+            if label in covers:
+                continue
+            cover = owned.get(label) or geometric_cover(label, cache, instance.k)
+            if cover is None:
+                fallbacks.append(label)
+                node = lattice.nodes.get(label)
+                if node is not None and not node.virtual:
+                    cover = good_cover_greedy(node, lattice)
+                else:
+                    cover = tuple(frozenset((i,)) for i in sorted(label))
+            covers[label] = cover
+            for member in cover:
+                if member not in lattice.nodes:
+                    lattice.add_virtual(member)
+                if len(member) >= 2 and member not in covers:
+                    later.append(member)
+        queue = later
     return GeometricLattice(
         instance=instance,
         system=system,

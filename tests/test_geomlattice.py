@@ -113,6 +113,20 @@ def test_instance_validation():
         GeometricInstance(points=(), polygons=(tri, far), k=3)
 
 
+def test_instance_names_every_violation_in_order():
+    # the bulk checks find a bad point, a polygon of too many sides and a
+    # polygon beyond the bound; the loops then name each, as before
+    far = ConvexPolygon((Point2(0, 0), Point2(1 << 21, 0), Point2(0, 9)))
+    points = (Point2(1, 1), Point2(0, -(1 << 21)), Point2(1 << 21, 0))
+    with pytest.raises(ValueError) as raised:
+        GeometricInstance(points=points, polygons=(square(0, 0, 1, 1), far), k=3)
+    assert str(raised.value) == (
+        "invalid geometry: point 1 exceeds the coordinate bound; "
+        "point 2 exceeds the coordinate bound; polygon 1 has 4 > k sides; "
+        "polygon 2 exceeds the coordinate bound"
+    )
+
+
 def test_instance_rejects_coordinates_that_are_not_ints():
     # membership reads coordinates as int64, which would put (0, 0) inside
     # this triangle; a Fraction point, a bool or a float is refused too
