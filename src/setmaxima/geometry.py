@@ -404,6 +404,17 @@ def region_of(points: Sequence[Point2], owners: Sequence[Owners]) -> Region:
 _FILTER = 2.0**-51
 
 
+def _put(store: np.ndarray, used: int, items: np.ndarray) -> np.ndarray:
+    """``store`` with ``items`` written from position ``used`` on; it at
+    least doubles when they do not fit, so appends copy O(1) per item."""
+    end = used + len(items)
+    if end > len(store):
+        room = np.empty(max(end, 2 * len(store)) - used, store.dtype)
+        store = np.concatenate((store[:used], room))
+    store[used:end] = items
+    return store
+
+
 class ClipKernel:
     """Sutherland-Hodgman clipping of many convex regions at once, on the
     edge lines of convex polygons.
@@ -453,11 +464,13 @@ class ClipKernel:
         self.points = list(zip(coords[0::2], coords[1::2], [1] * x.size))
         self.polygon = np.repeat(np.arange(len(sizes)), sizes)
         # region r has lines line[start[r] : start[r] + size[r]], of which
-        # those marked kept start at a vertex of its first polygon
+        # those marked kept start at a vertex of its first polygon; the
+        # first _regions regions and _lines lines of these arrays are made
         self._line = np.arange(x.size)
         self._kept = np.ones(x.size, bool)
         self._start = self.first[:-1].copy()
         self._size = np.asarray(sizes, np.int64)
+        self._regions, self._lines = len(sizes), x.size
 
     def polygon_regions(self, owners: Sequence[Owners]) -> list[Region]:
         """``region_of`` of every polygon, each edge of polygon j owned by
@@ -548,36 +561,26 @@ class ClipKernel:
         base = first[region]
         order = base + (np.arange(len(line)) - base + shift[region]) % size[region]
         ids = np.full(len(subjects), -1)
-        ids[ok] = len(self._size) + np.arange(len(size))
-        self._start = np.concatenate((self._start, len(self._line) + first))
-        self._size = np.concatenate((self._size, size))
-        self._line = np.concatenate((self._line, line[order]))
-        self._kept = np.concatenate((self._kept, kept[order]))
+        ids[ok] = self._regions + np.arange(len(size))
+        self._start = _put(self._start, self._regions, self._lines + first)
+        self._size = _put(self._size, self._regions, size)
+        self._line = _put(self._line, self._lines, line[order])
+        self._kept = _put(self._kept, self._lines, kept[order])
+        self._regions += len(size)
+        self._lines += len(line)
         return ids
-
-    def _edges(self, regions: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """For the first ``size[i]`` edges of each region ``regions[i]``:
-        i, and the polygon whose line the edge lies on."""
-        return np.repeat(np.arange(len(regions)), size), self.polygon[
-            self._line[spread(self._start[regions], size)]
-        ]
 
     def first_owners(self, regions: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The distinct polygons whose lines carry the first k edges of each
         region ``regions[i]``, as (i, polygon) pairs, each i's polygons
         descending."""
-        row, polygon = self._edges(regions, np.minimum(self._size[regions], k))
+        size = np.minimum(self._size[regions], k)
+        row = np.repeat(np.arange(len(regions)), size)
+        polygon = self.polygon[self._line[spread(self._start[regions], size)]]
         row, polygon = sort_pairs(row, -polygon)
         fresh = np.ones(len(row), bool)
         fresh[1:] = (row[1:] != row[:-1]) | (polygon[1:] != polygon[:-1])
         return row[fresh], -polygon[fresh]
-
-    def owns_edge(self, regions: np.ndarray, polygons: np.ndarray) -> np.ndarray:
-        """Whether region ``regions[i]`` has an edge on a line of polygon
-        ``polygons[i]``."""
-        row, polygon = self._edges(regions, self._size[regions])
-        span = len(self.first)
-        return np.isin(np.arange(len(regions)) * span + polygons, row * span + polygon)
 
     def encloses(self, outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
         """Whether region ``outer[i]`` is full and its line cycle is not

@@ -236,10 +236,16 @@ def induced_system(instance: GeometricInstance) -> SetSystem:
     return instance.system
 
 
-# a prefix depth past this one with fewer prefixes than this to clip is
-# left to the scalar clip: a label that few others share so deep would pay
-# numpy's fixed cost once per polygon
-_SMALL = 16
+# past prefix depth _DEEP, a batch of fewer than _BATCH prefixes is left to
+# the scalar clip.  A kernel call costs about 210 us for up to 32 prefixes,
+# a scalar clip of a quadrilateral about 18 us, so the kernel pays from
+# about 12 prefixes; a chain of m nested squares, one prefix a depth,
+# builds 1.5 to 1.7 times slower with every depth on the kernel (m = 64 to
+# 1,000).  Labels of random convex instances are at most 8 deep (k <= 8,
+# n up to 10^5), so below _DEEP every batch is clipped on the kernel and
+# all their covers come off the owners.
+_DEEP = 16
+_BATCH = 12
 
 
 class RegionCache:
@@ -251,7 +257,8 @@ class RegionCache:
     prefix of that depth whose own prefix the kernel made.  ``entry``
     clips the rest one ``clip_region`` at a time: a prefix with a point or
     segment polygon, one with a side the kernel's filter cannot decide,
-    the prefixes built on those, and a depth too small to batch.  A region
+    the prefixes built on those, and a batch too small for the kernel to
+    pay past depth ``_DEEP`` (fewer than ``_BATCH`` prefixes).  A region
     is handed out as the ``Region`` the scalar clip makes (homogeneous
     vertices, edge lines and edge owners), the empty and degenerate ones
     included; the kernel makes its ``Region`` the first time one is asked
@@ -357,7 +364,7 @@ class RegionCache:
             for prefix, (key, subject) in zip(prefixes, group):
                 if prefix not in batch and prefix not in made and self._full[key[size] - 1]:
                     batch[prefix] = (subject, key[size] - 1)
-            if len(batch) >= _SMALL or (batch and size < _SMALL):
+            if len(batch) >= _BATCH or (batch and size <= _DEEP):
                 subjects, clips = zip(*batch.values())
                 ids = self.kernel.clip(np.array(subjects), np.array(clips))
                 made.update((prefix, i) for prefix, i in zip(batch, ids.tolist()) if i >= 0)
@@ -479,17 +486,21 @@ def _check_enclosure(label: Label, region: Region, members, member_regions) -> N
 
 def _owner_covers(
     labels: list[Label], cache: RegionCache, k: int
-) -> dict[Label, tuple[Label, ...]]:
+) -> tuple[dict[Label, tuple[Label, ...]], set[Label]]:
     """``geometric_cover`` of each label whose region the clip kernel made
     and whose first k edges have two or more owners, read off the owners
-    for all of them at once.
+    for all of them at once; and the labels among them whose covers the
+    array check could not pass, which ``_check_owner_cover`` must check.
 
     Each edge of a kernel region has one owner j, so witnesses label - {j}:
     with two or more owners among the first k edges, those edges' witness
     sets cover the label, and they are the cover.  No two can merge (their
     union is the label), and label - {j} sorts before label - {i} by
     ``label_sort_key`` when j > i, so the members come in descending j.
-    The other labels are left to ``geometric_cover``.
+    The chain check holds by construction: member label - {j} has a chain
+    on an edge exactly when j owns it, j was read off an edge it owns,
+    and one owner per edge keeps two members off one edge.  The other
+    labels are left to ``geometric_cover``.
     """
     kernel = cache.kernel
     ids = cache.fill(labels)
@@ -499,32 +510,31 @@ def _owner_covers(
     row, polygon = made[row[keep]], polygon[keep]
     members = [labels[r] - cache._owner[j] for r, j in zip(row.tolist(), polygon.tolist())]
     member_ids = cache.fill(members)
-    # the chain check: member label - {j} has a chain on an edge exactly
-    # when j owns it, and one owner per edge keeps two members off one edge
-    passed = kernel.owns_edge(ids[row], polygon)
     # the enclosure check, where the kernel made the member's region too:
     # two kernel regions of labels I < J are the same region exactly when
     # their line cycles are, since an edge of Q_J on a line that two
     # polygons of J share would have put a vertex on the second one's line
     # when it clipped, which the kernel leaves to clip_region
     ours = member_ids >= 0
-    passed[ours] &= kernel.encloses(member_ids[ours], ids[row[ours]])
+    passed = np.zeros(len(row), bool)
+    passed[ours] = kernel.encloses(member_ids[ours], ids[row[ours]])
     counts = np.bincount(row, minlength=len(labels))
     rows = np.flatnonzero(counts)
-    failed = np.bincount(row, ~(passed & ours), len(labels))[rows] > 0
-    counts = counts[rows]
-    covers: dict[Label, tuple[Label, ...]] = {}
-    ends = np.cumsum(counts).tolist()
-    for r, lo, hi, check in zip(rows.tolist(), [0, *ends], ends, failed.tolist()):
-        label, cover = labels[r], members[lo:hi]
-        if check:
-            # name the fault as geometric_cover would; a member region
-            # that entry made is checked here
-            region = cache.entry(label)
-            _check_enclosure(label, region, cover, map(cache.entry, cover))
-            _check_witness_chains(label, cover, [label - own for own in region.owners])
-        covers[label] = tuple(cover)
-    return covers
+    failed = np.bincount(row, ~passed, len(labels))[rows] > 0
+    ends = np.cumsum(counts[rows]).tolist()
+    covers = {
+        labels[r]: tuple(members[lo:hi]) for r, lo, hi in zip(rows.tolist(), [0, *ends], ends)
+    }
+    return covers, {labels[r] for r in rows[failed].tolist()}
+
+
+def _check_owner_cover(label: Label, cover: tuple[Label, ...], cache: RegionCache) -> None:
+    """The checks ``geometric_cover`` makes, on an owner cover the array
+    check left open: a member region that ``entry`` made, or a fault,
+    which this names as ``geometric_cover`` would."""
+    region = cache.entry(label)
+    _check_enclosure(label, region, cover, map(cache.entry, cover))
+    _check_witness_chains(label, cover, [label - own for own in region.owners])
 
 
 def check_cover_chains(
@@ -654,12 +664,18 @@ def build_geometric_lattice(instance: GeometricInstance) -> GeometricLattice:
     queue = [lb for lb in lattice.labels_by_layer() if len(lb) >= 2]
     while queue:
         fresh = list(dict.fromkeys(lb for lb in queue if lb not in covers))
-        owned = _owner_covers(fresh, cache, instance.k)
+        owned, unchecked = _owner_covers(fresh, cache, instance.k)
         later = []
         for label in queue:
             if label in covers:
                 continue
-            cover = owned.get(label) or geometric_cover(label, cache, instance.k)
+            cover = owned.get(label)
+            if cover is None:
+                cover = geometric_cover(label, cache, instance.k)
+            elif label in unchecked:
+                # at the label's own place in the queue, so the first
+                # fault is named in queue order
+                _check_owner_cover(label, cover, cache)
             if cover is None:
                 fallbacks.append(label)
                 node = lattice.nodes.get(label)

@@ -197,9 +197,60 @@ def test_general_position_build_clips_nothing_label_by_label(monkeypatch):
 def test_a_label_the_array_checks_flag_is_checked_as_geometric_cover_checks_it(monkeypatch):
     inst = gen_convex_instance(n=600, m=60, k=4, seed=2600)
     # flagged with no fault: the scalar checks pass it, and nothing changes
-    monkeypatch.setattr(ClipKernel, "owns_edge", lambda self, regions, polygons: polygons < 0)
+    monkeypatch.setattr(ClipKernel, "encloses", lambda self, outer, inner: outer < 0)
     _assert_build_matches_reference(inst)
     # flagged with a fault: the build names it as geometric_cover does
     monkeypatch.setattr(geomlattice, "same_region", lambda p, q: True)
     with pytest.raises(geomlattice.InternalInconsistencyError, match="does not strictly enclose"):
         build_geometric_lattice(inst)
+
+
+def _square(x, y, s):
+    corners = ((x - s, y - s), (x + s, y - s), (x + s, y + s), (x - s, y + s))
+    return ConvexPolygon(tuple(Point2(*c) for c in corners))
+
+
+def test_flagged_owner_covers_fail_in_queue_order(monkeypatch):
+    # square 2 nests in square 1, so {1, 2} has one owner and goes to
+    # geometric_cover first; {1, 3} has two and gets an owner cover, which
+    # every check then fails: the build names {1, 2}'s fault, the first in
+    # queue order, as the label-at-a-time loop did
+    polygons = (_square(0, 0, 100), _square(0, 0, 10), _square(100, 0, 50))
+    inst = GeometricInstance(points=(Point2(0, 0), Point2(70, 0)), polygons=polygons, k=4)
+    owned, _unchecked = geomlattice._owner_covers([fs(1, 2), fs(1, 3)], RegionCache(inst), 4)
+    assert list(owned) == [fs(1, 3)]
+
+    def fault(label, cache, k):
+        raise geomlattice.InternalInconsistencyError(f"fault at {sorted(label)}")
+
+    monkeypatch.setattr(ClipKernel, "encloses", lambda self, outer, inner: outer < 0)
+    monkeypatch.setattr(geomlattice, "same_region", lambda p, q: True)
+    monkeypatch.setattr(geomlattice, "geometric_cover", fault)
+    with pytest.raises(geomlattice.InternalInconsistencyError, match=r"fault at \[1, 2\]"):
+        build_geometric_lattice(inst)
+
+
+def _nested_squares(m):
+    """m strictly nested squares, square 1 outermost, one point in each
+    ring and one inside square m: the labels are {1, ..., i}, one prefix
+    at each depth."""
+    sizes = [1000 * (m + 1 - i) for i in range(1, m + 1)]
+    points = tuple(Point2(s - 500, 0) for s in sizes)
+    return GeometricInstance(points=points, polygons=tuple(_square(0, 0, s) for s in sizes), k=4)
+
+
+def test_a_deep_label_few_share_is_clipped_by_the_scalar_path_past_the_batch_depth():
+    inst = _nested_squares(geomlattice._DEEP + 24)
+    glat = _assert_build_matches_reference(inst)
+    # one prefix a depth: the kernel clips to depth _DEEP, entry the rest
+    assert max(map(len, glat.regions._made)) == geomlattice._DEEP + 1
+    assert len(max(glat.regions._memo, key=len)) == len(inst.polygons)
+
+
+def test_a_deep_label_clipped_on_the_kernel_throughout_matches_reference(monkeypatch):
+    # the depth limit is a cost choice only: with every batch on the
+    # kernel, the build is the same
+    monkeypatch.setattr(geomlattice, "_BATCH", 1)
+    inst = _nested_squares(geomlattice._DEEP + 24)
+    glat = _assert_build_matches_reference(inst)
+    assert max(map(len, glat.regions._made)) == len(inst.polygons)
