@@ -2,7 +2,8 @@
 
 All arithmetic is exact.  Input coordinates are integers bounded by
 COORD_BOUND = 2^20, so batched int64 evaluation (the polygon check
-``convex_polygons`` here, membership elsewhere) cannot overflow.
+``convex_polygons``, and the readers of an ``EdgeTable``: membership and
+``ClipKernel``) cannot overflow.
 
 Clipping works on homogeneous integers and never divides.  Every input
 edge has a line (a, b, c) = (ay-by, bx-ax, ax*by-ay*bx), positive on its
@@ -15,8 +16,8 @@ coordinate box reach it), and side-test dot products stay below 2^86.
 Points compare by cross-multiplication.  Only the functions that take or
 return ``Point2`` convert, to ``fractions.Fraction`` coordinates where a
 vertex is not integral.  ``ClipKernel`` clips many regions at once on
-numpy arrays of line ids, and makes the same regions wherever its
-filtered side tests decide.  Nothing in this module performs key
+numpy arrays of the ``EdgeTable``'s line ids, and makes the same regions
+wherever its filtered side tests decide.  Nothing in this module performs key
 comparisons.
 """
 
@@ -399,6 +400,44 @@ def region_of(points: Sequence[Point2], owners: Sequence[Owners]) -> Region:
     return Region(verts, lines, tuple(owners))
 
 
+@dataclass(frozen=True, eq=False)
+class EdgeTable:
+    """Convex polygons as int64 arrays, one row per vertex: vertex v is
+    (x[v], y[v]), polygon j has vertices ``first[j]`` up to ``first[j + 1]``,
+    and (a[v], b[v], c[v]) = (py - qy, qx - px, px*qy - py*qx) is the line
+    of the edge from p = vertex v to q, the next vertex of polygon
+    ``polygon[v]``, positive on its left.  A point's one line is zero, and
+    a segment's two run both ways along it."""
+
+    x: np.ndarray
+    y: np.ndarray
+    first: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    polygon: np.ndarray
+
+    def lines(self, ids: Sequence[int]) -> list[Line]:
+        """The edge lines ``ids`` as ``Line`` tuples."""
+        return list(zip(self.a[ids].tolist(), self.b[ids].tolist(), self.c[ids].tolist()))
+
+
+def edge_table(coords: Sequence[int], sizes: Sequence[int]) -> EdgeTable:
+    """The ``EdgeTable`` of polygons of ``sizes[j]`` vertices, whose x and y
+    in turn are ``coords``: integers within ``COORD_BOUND``, as a
+    ``GeometricInstance`` checks them.  Then |a|, |b| <= 2^21 and
+    |c| <= 2^41, so the int64 sums of products that the table's readers
+    form (membership's side tests, the clip kernel's m(U, V)) are exact."""
+    x, y = np.array(coords, np.int64).reshape(-1, 2).T
+    first = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+    # the next vertex of each, cyclic within its polygon
+    after = np.arange(1, x.size + 1)
+    after[first[1:] - 1] = first[:-1]
+    qx, qy = x[after], y[after]
+    polygon = np.repeat(np.arange(len(sizes)), sizes)
+    return EdgeTable(x, y, first, y - qy, qx - x, x * qy - y * qx, polygon)
+
+
 # a float64 sum of three products whose magnitudes sum to S lies within
 # 4u*S (u = 2^-53) of the exact sum; see ``ClipKernel``
 _FILTER = 2.0**-51
@@ -417,17 +456,11 @@ def _put(store: np.ndarray, used: int, items: np.ndarray) -> np.ndarray:
 
 class ClipKernel:
     """Sutherland-Hodgman clipping of many convex regions at once, on the
-    edge lines of convex polygons.
-
-    ``polygons`` must have integer coordinates within ``COORD_BOUND``, as a
-    ``GeometricInstance`` has them by construction: the one int64 pass here
-    computes every edge line (a, b, c) = (py - qy, qx - px, px*qy - py*qx)
-    of an edge from p to q, so |a|, |b| <= 2^21 and |c| <= 2^41.  Line t of
-    polygon j (from 0) has id ``first[j] + t`` and starts at its vertex t.
+    edge lines of an ``EdgeTable``.
 
     A region here is the cycle of its edges' line ids, from its
     lowest-then-leftmost vertex; vertex t is where edges t - 1 and t meet.
-    Full polygon j is region j, each vertex kept as its input point.
+    Input polygon j is region j, each vertex kept as its input point.
     ``clip`` clips a batch of regions, each by one full polygon's lines in
     order, as ``clip_region`` does.
 
@@ -443,43 +476,23 @@ class ClipKernel:
     Shewchuk, "Adaptive precision floating-point arithmetic and fast robust
     geometric predicates", DCG 18 (1997).  A region with a vertex the
     filter cannot decide, zero sides included, is dropped from the batch,
-    and its clip left to ``clip_region``.  With every side non-zero no
-    vertex repeats, no angle is straight and each edge keeps the one owner
-    of its line, so a clip is the region ``clip_region`` and ``canonical``
-    make.
+    and its clip left to ``clip_region``; so is every clip of a point or
+    segment polygon's region, whose lines are zero or opposite and make
+    every side zero.  With every side non-zero no vertex repeats, no angle
+    is straight and each edge keeps the one owner of its line, so a clip
+    is the region ``clip_region`` and ``canonical`` make.
     """
 
-    def __init__(self, polygons: Sequence[ConvexPolygon]):
-        sizes = [len(poly.vertices) for poly in polygons]
-        coords = list(chain.from_iterable(chain.from_iterable(poly.vertices for poly in polygons)))
-        x, y = np.array(coords, np.int64).reshape(-1, 2).T
-        ends = np.cumsum(sizes, dtype=np.int64)
-        self.first = np.concatenate(([0], ends))
-        # the next vertex of each, cyclic within its polygon
-        after = np.arange(1, x.size + 1)
-        after[ends - 1] = ends - sizes
-        qx, qy = x[after], y[after]
-        self.a, self.b, self.c = y - qy, qx - x, x * qy - y * qx
-        self.lines = list(zip(self.a.tolist(), self.b.tolist(), self.c.tolist()))
-        self.points = list(zip(coords[0::2], coords[1::2], [1] * x.size))
-        self.polygon = np.repeat(np.arange(len(sizes)), sizes)
+    def __init__(self, table: EdgeTable):
+        self.table = table
         # region r has lines line[start[r] : start[r] + size[r]], of which
         # those marked kept start at a vertex of its first polygon; the
         # first _regions regions and _lines lines of these arrays are made
-        self._line = np.arange(x.size)
-        self._kept = np.ones(x.size, bool)
-        self._start = self.first[:-1].copy()
-        self._size = np.asarray(sizes, np.int64)
-        self._regions, self._lines = len(sizes), x.size
-
-    def polygon_regions(self, owners: Sequence[Owners]) -> list[Region]:
-        """``region_of`` of every polygon, each edge of polygon j owned by
-        ``owners[j]``."""
-        first = self.first.tolist()
-        return [
-            Region(tuple(self.points[lo:hi]), tuple(self.lines[lo:hi]), (own,) * (hi - lo))
-            for lo, hi, own in zip(first, first[1:], owners)
-        ]
+        self._line = np.arange(table.a.size)
+        self._kept = np.ones(table.a.size, bool)
+        self._start = table.first[:-1].copy()
+        self._size = np.diff(table.first)
+        self._regions, self._lines = len(self._size), table.a.size
 
     def region(self, region: int, owners: Sequence[Owners]) -> Region:
         """Region ``region`` in the form ``clip_region`` gives it, each edge
@@ -489,12 +502,13 @@ class ClipKernel:
         start = int(self._start[region])
         ids = self._line[start : start + int(self._size[region])]
         kept = self._kept[start : start + len(ids)].tolist()
-        lines = list(map(self.lines.__getitem__, ids.tolist()))
+        lines = self.table.lines(ids)
+        xs, ys = self.table.x[ids].tolist(), self.table.y[ids].tolist()
         verts = [
-            self.points[q] if keep else meet(p, line)
-            for p, line, q, keep in zip(lines[-1:] + lines[:-1], lines, ids.tolist(), kept)
+            (x, y, 1) if keep else meet(p, line)
+            for p, line, x, y, keep in zip(lines[-1:] + lines[:-1], lines, xs, ys, kept)
         ]
-        owns = map(owners.__getitem__, self.polygon[ids].tolist())
+        owns = map(owners.__getitem__, self.table.polygon[ids].tolist())
         return Region(tuple(verts), tuple(lines), tuple(owns))
 
     def _cycles(self, regions: np.ndarray):
@@ -516,10 +530,11 @@ class ClipKernel:
         """Clip region ``subjects[i]`` by the lines of full polygon
         ``clips[i]``, all at once; the new regions' ids, -1 where a side
         was undecided."""
-        a, b, c = self.a, self.b, self.c
+        table = self.table
+        a, b, c = table.a, table.b, table.c
         line, kept, region, size = self._cycles(subjects)
         bad = np.zeros(len(subjects), bool)
-        first, sides = self.first[clips], self.first[clips + 1] - self.first[clips]
+        first, sides = table.first[clips], table.first[clips + 1] - table.first[clips]
         for t in range(int(sides.max(initial=0))):
             prev, after = self._neighbours(region, size)
             p, q = line[prev], line
@@ -576,7 +591,7 @@ class ClipKernel:
         descending."""
         size = np.minimum(self._size[regions], k)
         row = np.repeat(np.arange(len(regions)), size)
-        polygon = self.polygon[self._line[spread(self._start[regions], size)]]
+        polygon = self.table.polygon[self._line[spread(self._start[regions], size)]]
         row, polygon = sort_pairs(row, -polygon)
         fresh = np.ones(len(row), bool)
         fresh[1:] = (row[1:] != row[:-1]) | (polygon[1:] != polygon[:-1])

@@ -2,12 +2,13 @@
 intersection regions, side-count-bounded covers, and the circle embedding.
 
 Containment is one numpy pass over a uniform grid for all polygons at
-once (``grid_membership``), computed once per instance.
+once (``grid_membership``), computed once per instance from its
+``geometry.EdgeTable``, the polygons' int64 vertices and edge lines.
 
 Every region Q_I is a Sutherland-Hodgman clip along the sorted prefix of
 I.  The build clips its cover queue a round at a time, each prefix depth
-of a round in one ``geometry.ClipKernel`` call on arrays of input-line
-ids; the scalar clip on homogeneous integers (``geometry.clip_region``)
+of a round in one ``geometry.ClipKernel`` call on arrays of the table's
+line ids; the scalar clip on homogeneous integers (``geometry.clip_region``)
 makes the regions the kernel leaves, such as those with a point or
 segment polygon (as the circle embedding makes them; only two degenerate
 polygons meet by a separate short rule) or a side the kernel's float
@@ -35,7 +36,7 @@ rest go through ``geometric_cover``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, groupby
 
@@ -47,12 +48,14 @@ from .geometry import (
     Chain,
     ClipKernel,
     ConvexPolygon,
+    EdgeTable,
     GeometryError,
     Owners,
     Point2,
     Region,
     chains,
     clip_region,
+    edge_table,
     meet_degenerate,
     orientation,
     same_region,
@@ -81,24 +84,26 @@ class GeometricInstance:
 
     Checked once, when it is made: k below 3, a polygon of more than k
     sides, a coordinate beyond ``COORD_BOUND`` or one that is not an
-    ``int`` (membership reads int64 arrays) raise ``ValueError``.
+    ``int`` (membership reads int64 arrays) raise ``ValueError``.  The
+    checked polygons' int64 form, which membership and the clip kernel
+    read, is then made once, as ``edges``.
     """
 
     points: tuple[Point2, ...]
     polygons: tuple[ConvexPolygon, ...]
     k: int
+    edges: EdgeTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         violations = []
         if self.k < 3:
             violations.append(f"k={self.k} must be at least 3")
         vertices = [poly.vertices for poly in self.polygons]
-        coords = list(chain.from_iterable(chain(self.points, chain.from_iterable(vertices))))
+        sizes = list(map(len, vertices))
+        corners = list(chain.from_iterable(chain.from_iterable(vertices)))
+        coords = [*chain.from_iterable(self.points), *corners]
         # checked in bulk; the loops below only name the violations
-        if (
-            max(map(abs, coords), default=0) > COORD_BOUND
-            or max(map(len, vertices), default=0) > self.k
-        ):
+        if max(map(abs, coords), default=0) > COORD_BOUND or max(sizes, default=0) > self.k:
             for idx, p in enumerate(self.points):
                 if abs(p[0]) > COORD_BOUND or abs(p[1]) > COORD_BOUND:
                     violations.append(f"point {idx} exceeds the coordinate bound")
@@ -113,6 +118,7 @@ class GeometricInstance:
             violations.append("a coordinate is not an int")
         if violations:
             raise ValueError("invalid geometry: " + "; ".join(violations))
+        object.__setattr__(self, "edges", edge_table(corners, sizes))
 
     @property
     def n(self) -> int:
@@ -128,7 +134,7 @@ class GeometricInstance:
         belongs to polygon j when it lies in the interior or on the
         perimeter.  Exact (int64 stays in range because coordinates are
         bounded)."""
-        return grid_membership(self.points, self.polygons)
+        return grid_membership(self.points, self.edges)
 
     @cached_property
     def system(self) -> SetSystem:
@@ -143,46 +149,35 @@ class GeometricInstance:
 _BLOCK = 4096
 
 
-def grid_membership(
-    points: tuple[Point2, ...], polygons: tuple[ConvexPolygon, ...]
-) -> tuple[frozenset[int], ...]:
-    """The points of each polygon, interior or perimeter, found for every
-    polygon in one pass over a uniform grid (W. R. Franklin, "Uniform
-    grids: a technique for intersection detection on serial and parallel
-    machines", Auto-Carto 9, 1989).
+def grid_membership(points: tuple[Point2, ...], table: EdgeTable) -> tuple[frozenset[int], ...]:
+    """The points of each polygon of ``table``, interior or perimeter,
+    found for every polygon in one pass over a uniform grid (W. R.
+    Franklin, "Uniform grids: a technique for intersection detection on
+    serial and parallel machines", Auto-Carto 9, 1989).
 
     The cells are squares of half the polygons' mean bbox side, and the
     points are bucketed by cell.  A polygon's candidates are the points of
     the cells its bbox meets, one run of the bucketed points per cell row,
     kept when inside its bbox; all k edge tests then run over every
     candidate at once, in blocks of whole polygons with about ``_BLOCK``
-    candidates each, whose member sets are made before the next block.  A
-    polygon of fewer than k vertices repeats its last vertex; the
-    zero-length edges this makes pass every point, so points and segments
-    need no case of their own.  Exact: coordinates are bounded, so int64
-    cannot overflow.
+    candidates each, whose member sets are made before the next block.
+    Edge test t of a polygon of s vertices reads its line min(t, s - 1),
+    so one of fewer than k vertices tests its closing edge again, and
+    points and segments need no case of their own.  Exact for points
+    within ``COORD_BOUND``, as the table's polygons are.
     """
-    n, m = len(points), len(polygons)
+    n, m = len(points), len(table.first) - 1
     if not n or not m:
         return (frozenset(),) * m
     xy = np.fromiter(chain.from_iterable(points), np.int64, 2 * n).reshape(n, 2)
-    sizes = np.fromiter((len(poly.vertices) for poly in polygons), np.int64, m)
-    verts = np.fromiter(
-        chain.from_iterable(chain.from_iterable(poly.vertices for poly in polygons)),
-        np.int64,
-        2 * int(sizes.sum()),
-    ).reshape(-1, 2)
-    # corner t of polygon j is its vertex min(t, size - 1)
-    corner = (np.cumsum(sizes) - sizes)[:, None] + np.minimum(
-        np.arange(sizes.max()), sizes[:, None] - 1
-    )
-    ax, ay = verts[corner, 0], verts[corner, 1]
-    bx, by = np.roll(ax, -1, 1), np.roll(ay, -1, 1)
-    # edge t, corner t to corner t + 1, as a*x + b*y + c >= 0 on its left
-    lines = ((ay - by).T.copy(), (bx - ax).T.copy(), (ax * by - ay * bx).T.copy())
-    low = np.stack((ax.min(1), ay.min(1)), 1)
-    high = np.stack((ax.max(1), ay.max(1)), 1)
-    del verts, corner, ax, ay, bx, by
+    sizes = np.diff(table.first)
+    # edge t of polygon j starts at its vertex min(t, size - 1)
+    corner = table.first[:-1, None] + np.minimum(np.arange(sizes.max()), sizes[:, None] - 1)
+    lines = (table.a[corner].T.copy(), table.b[corner].T.copy(), table.c[corner].T.copy())
+    x, y = table.x[corner], table.y[corner]
+    low = np.stack((x.min(1), y.min(1)), 1)
+    high = np.stack((x.max(1), y.max(1)), 1)
+    del corner, x, y
 
     origin = xy.min(0)
     span = xy.max(0) - origin + 1
@@ -252,20 +247,23 @@ class RegionCache:
     """Memoized intersection regions Q_I, shared across all cover work.
 
     Regions are computed by clipping along the sorted label prefix so that
-    nested labels share work.  ``fill`` computes many at once: one
-    ``geometry.ClipKernel`` call per prefix depth clips every missing
-    prefix of that depth whose own prefix the kernel made.  ``entry``
-    clips the rest one ``clip_region`` at a time: a prefix with a point or
-    segment polygon, one with a side the kernel's filter cannot decide,
-    the prefixes built on those, and a batch too small for the kernel to
-    pay past depth ``_DEEP`` (fewer than ``_BATCH`` prefixes).  A region
-    is handed out as the ``Region`` the scalar clip makes (homogeneous
-    vertices, edge lines and edge owners), the empty and degenerate ones
-    included; the kernel makes its ``Region`` the first time one is asked
-    for.  ``region()`` converts one to a ``ConvexPolygon`` on request and
-    keeps no copy.  The owners of a full region's edge are the indices of
-    the label whose polygon carries that edge on its boundary, as the
-    clipping tracked them.
+    nested labels share work.  The ``geometry.ClipKernel`` holds every
+    region it made: polygon j is its region j - 1, and ``_made`` records
+    the id of each prefix of two or more that it clipped.  ``fill``
+    computes many at once: one kernel call per prefix depth clips every
+    missing prefix of that depth whose own prefix the kernel made.
+    ``entry`` clips the rest one ``clip_region`` at a time: a prefix with
+    a point or segment polygon, one with a side the kernel's filter cannot
+    decide, the prefixes built on those, and a batch too small for the
+    kernel to pay past depth ``_DEEP`` (fewer than ``_BATCH`` prefixes).
+    A region is handed out as the ``Region`` the scalar clip makes
+    (homogeneous vertices, edge lines and edge owners), the empty and
+    degenerate ones included; ``_memo`` keeps each one handed out or
+    clipped, a kernel region from the first time ``entry`` asks for it.
+    ``region()`` converts one to a ``ConvexPolygon`` on request and keeps
+    no copy.  The owners of a full region's edge are the indices of the
+    label whose polygon carries that edge on its boundary, as the clipping
+    tracked them.
     """
 
     def __init__(self, instance: GeometricInstance):
@@ -273,11 +271,7 @@ class RegionCache:
         # one shared owner set per polygon: most region edges have one owner
         self._owner = [frozenset((j,)) for j in range(1, len(self.polygons) + 1)]
         self._full = [not poly.is_degenerate for poly in self.polygons]
-        self.kernel = ClipKernel(self.polygons)
-        none = frozenset()
-        self._input = self.kernel.polygon_regions(
-            [own if full else none for full, own in zip(self._full, self._owner)]
-        )
+        self.kernel = ClipKernel(instance.edges)
         self._memo: dict[tuple[int, ...], Region] = {}
         # the kernel's region id of each prefix of two or more it clipped
         self._made: dict[tuple[int, ...], int] = {}
@@ -298,27 +292,29 @@ class RegionCache:
         entry = self._known(key)
         if entry is not None:
             return entry
-        # walk down to the longest known prefix, then clip forward
+        # walk down to the longest known prefix (a polygon is known), then
+        # clip forward
         size = len(key) - 1
-        while size and (entry := self._known(key[:size])) is None:
+        while (entry := self._known(key[:size])) is None:
             size -= 1
-        if not size:
-            entry = self._memo[key[:1]] = self._input[key[0] - 1]
-            size = 1
         for size in range(size, len(key)):
             entry = self._memo[key[: size + 1]] = self._clip(entry, key[size])
         return entry
 
     def _known(self, key: tuple[int, ...]) -> Region | None:
         entry = self._memo.get(key)
-        if entry is None and self._made and key in self._made:
-            entry = self._memo[key] = self.kernel.region(self._made[key], self._owner)
+        if entry is None and (region := self._kernel_id(key)) >= 0:
+            entry = self.kernel.region(region, self._owner)
+            if len(key) == 1 and not self._full[region]:
+                # a point or segment polygon's edges carry no owner
+                entry = entry._replace(owners=(frozenset(),) * len(entry.owners))
+            self._memo[key] = entry
         return entry
 
     def _clip(self, entry: Region, index: int) -> Region:
         if not entry.vertices:
             return entry
-        clip = self._input[index - 1]
+        clip = self._known((index,))
         if clip.is_degenerate:
             if entry.is_degenerate:
                 return meet_degenerate(entry, clip)
@@ -327,10 +323,8 @@ class RegionCache:
         return clip_region(entry, clip.lines, self._owner[index - 1])
 
     def _kernel_id(self, key: tuple[int, ...]) -> int:
-        """The kernel's region id of a known prefix; -1 if it has none."""
-        if len(key) == 1:
-            return key[0] - 1 if self._full[key[0] - 1] else -1
-        return self._made.get(key, -1)
+        """The kernel's region id of a prefix; -1 if it has none."""
+        return key[0] - 1 if len(key) == 1 else self._made.get(key, -1)
 
     def fill(self, labels: list[Label]) -> np.ndarray:
         """Compute the regions of ``labels``; the kernel's region id of
@@ -347,8 +341,6 @@ class RegionCache:
         # the size of a label's longest known prefix -> (label, its id)
         growing: dict[int, list[tuple[tuple[int, ...], int]]] = {}
         for key in keys:
-            if key[:1] not in memo:
-                memo[key[:1]] = self._input[key[0] - 1]
             # the prefixes of a known prefix are known: walk up, which
             # costs a deep label nothing when little of it is known
             size = 1
@@ -371,12 +363,11 @@ class RegionCache:
             for prefix, (key, _subject) in zip(prefixes, group):
                 if prefix in made and len(prefix) < len(key):
                     growing.setdefault(size + 1, []).append((key, made[prefix]))
-        for key in keys:
-            if key not in memo and key not in made:
+        ids = [self._kernel_id(key) for key in keys]
+        for key, region in zip(keys, ids):
+            if region < 0 and key not in memo:
                 self.entry(key)
-        return np.array(
-            [made.get(key, -1) if len(key) > 1 else self._kernel_id(key) for key in keys], np.int64
-        )
+        return np.array(ids, np.int64)
 
 
 @dataclass
@@ -462,35 +453,29 @@ def geometric_cover(
             if changed:
                 break
 
-    _check_enclosure(label, region, members, map(cache.entry, members))
-    _check_witness_chains(label, members, edge_sets)
-    return tuple(members)
-
-
-def _check_enclosure(label: Label, region: Region, members, member_regions) -> None:
-    """Every member is a strict subset of ``label`` whose region is full
-    and differs from the label's ``region``; raises on the first that is
-    not."""
-    for member, member_region in zip(members, member_regions):
+    for member in members:
         if not member < label:
             raise InternalInconsistencyError(
                 f"cover member {format_label(member)} not strictly below "
                 f"{format_label(label)}"
             )
+        member_region = cache.entry(member)
         if member_region.is_degenerate or same_region(member_region, region):
             raise InternalInconsistencyError(
                 f"cover member {format_label(member)} does not strictly "
                 f"enclose the region of {format_label(label)}"
             )
+    _check_witness_chains(label, members, edge_sets)
+    return tuple(members)
 
 
 def _owner_covers(
     labels: list[Label], cache: RegionCache, k: int
-) -> tuple[dict[Label, tuple[Label, ...]], set[Label]]:
-    """``geometric_cover`` of each label whose region the clip kernel made
-    and whose first k edges have two or more owners, read off the owners
-    for all of them at once; and the labels among them whose covers the
-    array check could not pass, which ``_check_owner_cover`` must check.
+) -> dict[Label, tuple[Label, ...]]:
+    """``geometric_cover`` of each label whose region the clip kernel made,
+    whose first k edges have two or more owners, and whose cover passes
+    the enclosure check on arrays, read off the owners for all of them at
+    once.
 
     Each edge of a kernel region has one owner j, so witnesses label - {j}:
     with two or more owners among the first k edges, those edges' witness
@@ -500,7 +485,8 @@ def _owner_covers(
     The chain check holds by construction: member label - {j} has a chain
     on an edge exactly when j owns it, j was read off an edge it owns,
     and one owner per edge keeps two members off one edge.  The other
-    labels are left to ``geometric_cover``.
+    labels are left to ``geometric_cover``, which makes the same cover of
+    those the array check flags (nothing merges) and checks it.
     """
     kernel = cache.kernel
     ids = cache.fill(labels)
@@ -520,21 +506,13 @@ def _owner_covers(
     passed[ours] = kernel.encloses(member_ids[ours], ids[row[ours]])
     counts = np.bincount(row, minlength=len(labels))
     rows = np.flatnonzero(counts)
-    failed = np.bincount(row, ~passed, len(labels))[rows] > 0
+    failed = (np.bincount(row, ~passed, len(labels))[rows] > 0).tolist()
     ends = np.cumsum(counts[rows]).tolist()
-    covers = {
-        labels[r]: tuple(members[lo:hi]) for r, lo, hi in zip(rows.tolist(), [0, *ends], ends)
+    return {
+        labels[r]: tuple(members[lo:hi])
+        for r, lo, hi, fault in zip(rows.tolist(), [0, *ends], ends, failed)
+        if not fault
     }
-    return covers, {labels[r] for r in rows[failed].tolist()}
-
-
-def _check_owner_cover(label: Label, cover: tuple[Label, ...], cache: RegionCache) -> None:
-    """The checks ``geometric_cover`` makes, on an owner cover the array
-    check left open: a member region that ``entry`` made, or a fault,
-    which this names as ``geometric_cover`` would."""
-    region = cache.entry(label)
-    _check_enclosure(label, region, cover, map(cache.entry, cover))
-    _check_witness_chains(label, cover, [label - own for own in region.owners])
 
 
 def check_cover_chains(
@@ -664,18 +642,17 @@ def build_geometric_lattice(instance: GeometricInstance) -> GeometricLattice:
     queue = [lb for lb in lattice.labels_by_layer() if len(lb) >= 2]
     while queue:
         fresh = list(dict.fromkeys(lb for lb in queue if lb not in covers))
-        owned, unchecked = _owner_covers(fresh, cache, instance.k)
+        owned = _owner_covers(fresh, cache, instance.k)
         later = []
         for label in queue:
             if label in covers:
                 continue
             cover = owned.get(label)
             if cover is None:
+                # every label without an owner cover, flagged ones included,
+                # at its own place in the queue, so the first fault is named
+                # in queue order
                 cover = geometric_cover(label, cache, instance.k)
-            elif label in unchecked:
-                # at the label's own place in the queue, so the first
-                # fault is named in queue order
-                _check_owner_cover(label, cover, cache)
             if cover is None:
                 fallbacks.append(label)
                 node = lattice.nodes.get(label)

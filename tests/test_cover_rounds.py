@@ -7,7 +7,7 @@ clipped by ``RegionCache.entry`` alone and each cover made by
 time with ``geometry.ClipKernel`` and reads most covers off the kernel's
 edge owners; it must give the same covers in the same order, the same
 fallbacks, the same virtual nodes in the same order, and a region cache
-that knows the same prefixes with equal regions.
+that knows every prefix the reference clipped, with equal regions.
 """
 
 import random
@@ -75,7 +75,8 @@ def _assert_build_matches_reference(instance, glat=None):
         (lb, nd.virtual) for lb, nd in lattice.nodes.items()
     ]
     regions = glat.regions
-    assert set(regions._memo) | set(regions._made) == set(cache._memo)
+    # known before entry is asked for it: handed out, or a kernel region
+    assert all(key in regions._memo or regions._kernel_id(key) >= 0 for key in cache._memo)
     assert {key: regions.entry(key) for key in cache._memo} == cache._memo
     return glat
 
@@ -159,12 +160,12 @@ def test_nearly_concurrent_lines_go_to_the_scalar_clip():
         (Point2(0, 500_000), v, Point2(1_000_000, 500_000), Point2(500_000, 1_000_000))
     )
     b = ConvexPolygon((Point2(500_000, 500_000), Point2(500_001, 1_000_000), Point2(0, 1_000_000)))
-    kernel = ClipKernel((a, b))
+    inst = GeometricInstance(points=(), polygons=(a, b), k=4)
     # v starts A, so its edges are lines 3 and 0; B's first edge is line 4
     assert a.vertices[0] == v
-    assert geometry._side(kernel.lines[4], meet(kernel.lines[3], kernel.lines[0])) < 0
-    assert kernel.clip(np.array([0]), np.array([1])).tolist() == [-1]
-    inst = GeometricInstance(points=(), polygons=(a, b), k=4)
+    clip_line, *v_lines = inst.edges.lines([4, 3, 0])
+    assert geometry._side(clip_line, meet(*v_lines)) < 0
+    assert ClipKernel(inst.edges).clip(np.array([0]), np.array([1])).tolist() == [-1]
     cache = RegionCache(inst)
     assert cache.fill([fs(1, 2)]).tolist() == [-1]
     region = cache.entry(fs(1, 2))
@@ -172,11 +173,30 @@ def test_nearly_concurrent_lines_go_to_the_scalar_clip():
     assert v not in [geometry.to_point(p) for p in region.vertices]
 
 
+def test_a_new_region_cache_makes_no_region(monkeypatch):
+    made = []
+    new = geometry.Region.__new__
+
+    def counted(cls, *args):
+        made.append(args)
+        return new(cls, *args)
+
+    monkeypatch.setattr(geometry.Region, "__new__", counted)
+    inst = gen_convex_instance(n=600, m=60, k=4, seed=2700)
+    cache = RegionCache(inst)
+    assert made == [] and cache._memo == {}
+    # a polygon's region is made the first time it is asked for
+    vertices = inst.polygons[6].vertices
+    assert cache.entry(fs(7)) == geometry.region_of(vertices, [fs(7)] * len(vertices))
+    assert len(made) == 2 and list(cache._memo) == [(7,)]
+
+
 def test_general_position_build_clips_nothing_label_by_label(monkeypatch):
-    # every region comes from the kernel, and geometric_cover sees only the
-    # labels whose first k edges have one owner
+    # every region comes from the kernel, geometric_cover sees only the
+    # labels whose first k edges have one owner, and the kernel makes the
+    # Region of a label only when entry is asked for it
     inst = gen_convex_instance(n=2000, m=200, k=4, seed=1)
-    clipped, covered = [], []
+    clipped, covered, asked, made = [], [], [], []
 
     def clip_region(*args):
         clipped.append(args)
@@ -186,12 +206,26 @@ def test_general_position_build_clips_nothing_label_by_label(monkeypatch):
         covered.append(label)
         return geometric_cover(label, cache, k)
 
+    entry, region = RegionCache.entry, ClipKernel.region
+
+    def asked_entry(self, label):
+        asked.append(tuple(sorted(label)))
+        return entry(self, label)
+
+    def made_region(self, i, owners):
+        made.append(i)
+        return region(self, i, owners)
+
     monkeypatch.setattr(geomlattice, "clip_region", clip_region)
     monkeypatch.setattr(geomlattice, "geometric_cover", cover)
+    monkeypatch.setattr(RegionCache, "entry", asked_entry)
+    monkeypatch.setattr(ClipKernel, "region", made_region)
     glat = build_geometric_lattice(inst)
     assert clipped == [] and len(glat.covers) > 200 and glat.regions._made
     for label in covered:
-        assert len(set(glat.regions.entry(label).owners[: inst.k])) == 1
+        assert len(set(entry(glat.regions, label).owners[: inst.k])) == 1
+    assert sorted(made) == sorted({glat.regions._kernel_id(key) for key in asked})
+    assert set(glat.regions._memo) == set(asked)
 
 
 def test_a_label_the_array_checks_flag_is_checked_as_geometric_cover_checks_it(monkeypatch):
@@ -212,22 +246,26 @@ def _square(x, y, s):
 
 def test_flagged_owner_covers_fail_in_queue_order(monkeypatch):
     # square 2 nests in square 1, so {1, 2} has one owner and goes to
-    # geometric_cover first; {1, 3} has two and gets an owner cover, which
-    # every check then fails: the build names {1, 2}'s fault, the first in
-    # queue order, as the label-at-a-time loop did
+    # geometric_cover first; {1, 3} has two and gets an owner cover, unless
+    # the array check flags it: then it reaches geometric_cover after
+    # {1, 2}, and the build names {1, 2}'s fault, the first in queue order,
+    # as the label-at-a-time loop did
     polygons = (_square(0, 0, 100), _square(0, 0, 10), _square(100, 0, 50))
     inst = GeometricInstance(points=(Point2(0, 0), Point2(70, 0)), polygons=polygons, k=4)
-    owned, _unchecked = geomlattice._owner_covers([fs(1, 2), fs(1, 3)], RegionCache(inst), 4)
-    assert list(owned) == [fs(1, 3)]
+    labels = [fs(1, 2), fs(1, 3)]
+    assert list(geomlattice._owner_covers(labels, RegionCache(inst), 4)) == [fs(1, 3)]
+    monkeypatch.setattr(ClipKernel, "encloses", lambda self, outer, inner: outer < 0)
+    assert geomlattice._owner_covers(labels, RegionCache(inst), 4) == {}
+    covered = []
 
     def fault(label, cache, k):
+        covered.append(label)
         raise geomlattice.InternalInconsistencyError(f"fault at {sorted(label)}")
 
-    monkeypatch.setattr(ClipKernel, "encloses", lambda self, outer, inner: outer < 0)
-    monkeypatch.setattr(geomlattice, "same_region", lambda p, q: True)
     monkeypatch.setattr(geomlattice, "geometric_cover", fault)
     with pytest.raises(geomlattice.InternalInconsistencyError, match=r"fault at \[1, 2\]"):
         build_geometric_lattice(inst)
+    assert covered == [fs(1, 2)]
 
 
 def _nested_squares(m):

@@ -16,9 +16,17 @@ import pytest
 from corpora import mixed_circle_embeddings, tangency_heavy_instances
 from hypothesis import given
 from hypothesis import strategies as st
+from test_homogeneous_clip import _box_polygons
 
-from setmaxima.generators import _PointIndex
-from setmaxima.geometry import COORD_BOUND, ConvexPolygon, GeometryError, Point2, convex_polygons
+from setmaxima.generators import _PointIndex, gen_convex_instance
+from setmaxima.geometry import (
+    COORD_BOUND,
+    ConvexPolygon,
+    GeometryError,
+    Point2,
+    convex_polygons,
+    edge_table,
+)
 from setmaxima.geomlattice import GeometricInstance, grid_membership
 from setmaxima.instance_io import InputError, _geometry_from_dict, _integers
 
@@ -30,8 +38,14 @@ def reference_members(points, polygons):
     return tuple(index.members(poly) for poly in polygons)
 
 
+def _table(polygons):
+    """The ``EdgeTable`` of polygons that need not make an instance."""
+    coords = [c for poly in polygons for v in poly.vertices for c in v]
+    return edge_table(coords, [len(poly.vertices) for poly in polygons])
+
+
 def _assert_members_match(points, polygons):
-    got = grid_membership(tuple(points), tuple(polygons))
+    got = grid_membership(tuple(points), _table(polygons))
     assert got == reference_members(tuple(points), tuple(polygons))
     return got
 
@@ -54,6 +68,21 @@ def test_membership_matches_reference_on_tangency_heavy_instances():
 def test_membership_matches_reference_on_mixed_circle_embeddings():
     for inst in mixed_circle_embeddings(300, 23):
         _assert_members_match(inst.points, inst.polygons)
+
+
+def test_membership_matches_reference_on_polygons_at_the_coordinate_bound():
+    rng = random.Random(53)
+    for _ in range(40):
+        points = [Point2(rng.randint(-B, B), rng.randint(-B, B)) for _ in range(80)]
+        members = _assert_members_match(points, _box_polygons(rng, 5))
+        assert any(members)
+
+
+@pytest.mark.parametrize("m, k", [(2000, 4), (200, 8)])
+def test_membership_matches_reference_on_the_convex_workload_shapes(m, k):
+    # the shapes of the benchmark's convex workloads
+    inst = gen_convex_instance(n=20000, m=m, k=k, seed=7)
+    assert inst.membership == reference_members(inst.points, inst.polygons)
 
 
 def test_membership_counts_vertices_and_edges():
@@ -90,8 +119,8 @@ def test_membership_of_one_point_and_of_no_point():
     far = ConvexPolygon((Point2(100, 100), Point2(108, 100), Point2(100, 108)))
     assert _assert_members_match([Point2(1, 1)], [tri, far]) == ({0}, frozenset())
     assert _assert_members_match([Point2(B, -B)], [tri]) == (frozenset(),)
-    assert grid_membership((), (tri, far)) == (frozenset(), frozenset())
-    assert grid_membership((Point2(1, 1),), ()) == ()
+    assert grid_membership((), _table((tri, far))) == (frozenset(), frozenset())
+    assert grid_membership((Point2(1, 1),), _table(())) == ()
 
 
 def test_membership_with_every_point_in_one_cell():

@@ -422,7 +422,7 @@ def test_non_integers_are_not_coerced():
 
 
 def _count_membership(monkeypatch):
-    """The polygon lists the membership kernel is called on, and a guard
+    """The edge tables the membership kernel is called on, and a guard
     that fails on any use of the placement loop's per-polygon index."""
     from setmaxima import geomlattice
     from setmaxima.generators import _PointIndex
@@ -430,9 +430,9 @@ def _count_membership(monkeypatch):
     kernel = geomlattice.grid_membership
     calls = []
 
-    def counted(points, polygons):
-        calls.append(polygons)
-        return kernel(points, polygons)
+    def counted(points, table):
+        calls.append(table)
+        return kernel(points, table)
 
     def refused(self, poly):
         raise AssertionError("load or build used the placement loop's index")
@@ -443,16 +443,27 @@ def _count_membership(monkeypatch):
 
 
 def test_load_and_build_find_membership_once(tmp_path, monkeypatch):
+    from setmaxima import geomlattice
     from setmaxima.geomlattice import build_geometric_lattice
 
     inst = gen_convex_instance(n=300, m=25, k=4, seed=4)
     path = tmp_path / "geo.json"
     save_instance(path, ProblemInstance(system=induced_system(inst), geometry=inst))
     calls = _count_membership(monkeypatch)
+    tables = []
+    make = geomlattice.edge_table
+
+    def counted(coords, sizes):
+        tables.append(make(coords, sizes))
+        return tables[-1]
+
+    monkeypatch.setattr(geomlattice, "edge_table", counted)
     loaded = load_instance(path)
     glat = build_geometric_lattice(loaded.geometry)
-    # one kernel pass over every polygon, for load and build together
-    assert calls == [loaded.geometry.polygons] and len(calls[0]) == inst.m
+    # one edge table and one kernel pass over every polygon, for load and
+    # build together; the clip kernel reads that same table
+    assert len(tables) == 1 and tables[0].first.size == inst.m + 1
+    assert calls == tables and glat.regions.kernel.table is tables[0]
     assert glat.system.sets == loaded.system.sets
 
 
@@ -474,7 +485,7 @@ def test_load_and_build_check_geometry_and_sets_once(tmp_path, monkeypatch):
     loaded = load_instance(path)
     glat = build_geometric_lattice(loaded.geometry)
     assert checked == ["GeometricInstance", "SetSystem"]
-    assert calls == [loaded.geometry.polygons] and len(calls[0]) == inst.m
+    assert calls == [loaded.geometry.edges] and calls[0].first.size == inst.m + 1
     assert loaded.system is loaded.geometry.system is glat.system
 
 
