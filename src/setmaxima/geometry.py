@@ -1,9 +1,9 @@
 """Exact 2D primitives: orientation, hulls, convex polygons, clipping, chains.
 
 All arithmetic is exact.  Input coordinates are integers bounded by
-COORD_BOUND = 2^20, so batched int64 evaluation (the polygon check
-``convex_polygons``, and the readers of an ``EdgeTable``: membership and
-``ClipKernel``) cannot overflow.
+COORD_BOUND = 2^20, so batched int64 evaluation cannot overflow: the
+one check and table of the input points and polygons (``edge_table``), and
+the readers of that ``EdgeTable``, membership and ``ClipKernel``.
 
 Clipping works on homogeneous integers and never divides.  Every input
 edge has a line (a, b, c) = (ay-by, bx-ax, ax*by-ay*bx), positive on its
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -186,58 +185,6 @@ class ConvexPolygon:
         xs = [p[0] for p in self.vertices]
         ys = [p[1] for p in self.vertices]
         return min(xs), min(ys), max(xs), max(ys)
-
-
-def convex_polygons(vertices: Sequence[Point2], sizes: Sequence[int]) -> list[ConvexPolygon]:
-    """``ConvexPolygon`` of each run of ``sizes`` integer vertices, checked
-    all at once.
-
-    One cross-product sign test covers every cyclic vertex triple, and one
-    count every polygon's vertices lower, in (y, x) order, than both their
-    neighbours.  A cycle that turns strictly left at every vertex winds as
-    many times as it has such vertices, so a polygon of three or more
-    vertices that passes both tests, with one such vertex, is strictly
-    convex and CCW and repeats no vertex: it is made through
-    ``ConvexPolygon.trusted``, from that lowest-then-leftmost vertex.  Every
-    other polygon goes through the constructor, in order, so the first bad
-    one raises the constructor's error; so do all of them when a coordinate
-    lies beyond ``COORD_BOUND``, where int64 could overflow.
-    """
-    sizes = np.asarray(sizes, np.int64).reshape(-1)
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    batch = sizes >= 3
-    coords = list(chain.from_iterable(vertices))
-    if coords and max(map(abs, coords)) <= COORD_BOUND:
-        xy = np.array(coords, np.int64).reshape(-1, 2)
-        owner = np.repeat(np.arange(len(sizes)), sizes)
-        size, first = sizes[owner], starts[owner]
-        local = np.arange(len(xy)) - first
-        b = first + (local - 1) % size
-        a = first + (local - 2) % size
-        turn = (xy[b, 0] - xy[a, 0]) * (xy[:, 1] - xy[a, 1]) - (xy[b, 1] - xy[a, 1]) * (
-            xy[:, 0] - xy[a, 0]
-        )
-        # (y, x) order as one number: |x| <= 2^20 < 2^21
-        key = (xy[:, 1] << 22) + xy[:, 0]
-        lowest = (key[b] < key[a]) & (key[b] < key)
-        batch &= np.bincount(owner, turn <= 0, len(sizes)) == 0
-        batch &= np.bincount(owner, lowest, len(sizes)) == 1
-        start = np.zeros(len(sizes), np.int64)
-        start[owner[lowest]] = b[lowest] - starts[owner[lowest]]
-        # vertex t of a checked polygon is its input vertex start + t
-        order = first + (local + start[owner]) % size
-        rotated = list(map(vertices.__getitem__, order.tolist()))
-        del xy, owner, size, first, local, a, b, turn, key, lowest, order
-    else:
-        batch[:] = False
-    polygons = []
-    for lo, hi, checked in zip(starts.tolist(), ends.tolist(), batch.tolist()):
-        if checked:
-            polygons.append(ConvexPolygon.trusted(tuple(rotated[lo:hi])))
-        else:
-            polygons.append(ConvexPolygon(tuple(vertices[lo:hi])))
-    return polygons
 
 
 def point_in_convex(poly: ConvexPolygon, pt: Point2) -> str:
@@ -402,13 +349,16 @@ def region_of(points: Sequence[Point2], owners: Sequence[Owners]) -> Region:
 
 @dataclass(frozen=True, eq=False)
 class EdgeTable:
-    """Convex polygons as int64 arrays, one row per vertex: vertex v is
-    (x[v], y[v]), polygon j has vertices ``first[j]`` up to ``first[j + 1]``,
-    and (a[v], b[v], c[v]) = (py - qy, qx - px, px*qy - py*qx) is the line
-    of the edge from p = vertex v to q, the next vertex of polygon
+    """Points and convex polygons as int64 arrays: point i is
+    ``points[i]`` = (x, y); polygon j has vertices ``first[j]`` up to
+    ``first[j + 1]``, vertex v being (x[v], y[v]), from its
+    lowest-then-leftmost one as ``ConvexPolygon`` keeps them; and
+    (a[v], b[v], c[v]) = (py - qy, qx - px, px*qy - py*qx) is the line of
+    the edge from p = vertex v to q, the next vertex of polygon
     ``polygon[v]``, positive on its left.  A point's one line is zero, and
     a segment's two run both ways along it."""
 
+    points: np.ndarray
     x: np.ndarray
     y: np.ndarray
     first: np.ndarray
@@ -417,25 +367,55 @@ class EdgeTable:
     c: np.ndarray
     polygon: np.ndarray
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, EdgeTable) and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("points", "x", "y", "first")
+        )
+
     def lines(self, ids: Sequence[int]) -> list[Line]:
         """The edge lines ``ids`` as ``Line`` tuples."""
         return list(zip(self.a[ids].tolist(), self.b[ids].tolist(), self.c[ids].tolist()))
 
 
-def edge_table(coords: Sequence[int], sizes: Sequence[int]) -> EdgeTable:
-    """The ``EdgeTable`` of polygons of ``sizes[j]`` vertices, whose x and y
-    in turn are ``coords``: integers within ``COORD_BOUND``, as a
-    ``GeometricInstance`` checks them.  Then |a|, |b| <= 2^21 and
-    |c| <= 2^41, so the int64 sums of products that the table's readers
-    form (membership's side tests, the clip kernel's m(U, V)) are exact."""
-    x, y = np.array(coords, np.int64).reshape(-1, 2).T
-    first = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
-    # the next vertex of each, cyclic within its polygon
-    after = np.arange(1, x.size + 1)
-    after[first[1:] - 1] = first[:-1]
-    qx, qy = x[after], y[after]
+def edge_table(coords: Sequence[int], sizes: Sequence[int]) -> EdgeTable | None:
+    """The ``EdgeTable`` of the points, then the polygons of ``sizes[j]``
+    vertices, whose x and y in turn are the integers ``coords``; None unless
+    all lie within ``COORD_BOUND`` and ``ConvexPolygon`` takes each polygon.
+    In a full polygon each vertex must lie strictly left of the edge before
+    it, and in any polygon but a point one vertex, where it then starts, must
+    lie lower in (y, x) order than its neighbours: a cycle turning left
+    everywhere winds as often as it has such vertices.  The bound keeps
+    |a|, |b| <= 2^21 and |c| <= 2^41: the readers' int64 sums are exact.
+    """
+    sizes = np.asarray(sizes, np.int64)
+    try:
+        xy = np.array(coords, np.int64).reshape(-1, 2)
+    except OverflowError:
+        return None
+    if np.any((xy < -COORD_BOUND) | (xy > COORD_BOUND)):
+        return None
+    count = len(xy) - sizes.sum()
+    points, (x, y) = xy[:count], xy[count:].T
+    first = np.concatenate(([0], np.cumsum(sizes)))
     polygon = np.repeat(np.arange(len(sizes)), sizes)
-    return EdgeTable(x, y, first, y - qy, qx - x, x * qy - y * qx, polygon)
+    start, size = first[polygon], sizes[polygon]
+    local = np.arange(x.size) - start
+    # the vertices after and before each, cyclic within its polygon
+    after, before = start + (local + 1) % size, start + (local - 1) % size
+    a, b, c = y - y[after], x[after] - x, x * y[after] - y * x[after]
+    turn = a[before] * x[after] + b[before] * y[after] + c[before]
+    # (y, x) order as one number: |x| <= 2^20 < 2^21
+    key = (y << 22) + x
+    lowest = (key < key[before]) & (key < key[after])
+    lows = np.bincount(polygon, lowest, len(sizes))
+    if np.any((turn <= 0) & (size >= 3)) or np.any((lows == 1) != (sizes != 1)):
+        return None
+    shift = np.zeros(len(sizes), np.int64)
+    shift[polygon[lowest]] = local[lowest]
+    # vertex t of polygon j is its input vertex shift[j] + t
+    order = start + (local + shift[polygon]) % size
+    return EdgeTable(points, x[order], y[order], first, a[order], b[order], c[order], polygon)
 
 
 # a float64 sum of three products whose magnitudes sum to S lies within

@@ -1,9 +1,9 @@
 """Convex-polygon set systems: containment-induced systems, per-node
 intersection regions, side-count-bounded covers, and the circle embedding.
 
-Containment is one numpy pass over a uniform grid for all polygons at
-once (``grid_membership``), computed once per instance from its
-``geometry.EdgeTable``, the polygons' int64 vertices and edge lines.
+An instance is one ``geometry.EdgeTable`` of int64 points, polygon
+vertices and edge lines.  Containment is one numpy pass over a uniform
+grid for all its polygons at once (``grid_membership``).
 
 Every region Q_I is a Sutherland-Hodgman clip along the sorted prefix of
 I.  The build clips its cover queue a round at a time, each prefix depth
@@ -78,55 +78,63 @@ class InternalInconsistencyError(Exception):
     """Exact-arithmetic invariant broke; indicates a predicate bug."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GeometricInstance:
-    """Points (one per element) and convex polygons (one per set).
-
-    Checked once, when it is made: k below 3, a polygon of more than k
-    sides, a coordinate beyond ``COORD_BOUND`` or one that is not an
-    ``int`` (membership reads int64 arrays) raise ``ValueError``.  The
-    checked polygons' int64 form, which membership and the clip kernel
-    read, is then made once, as ``edges``.
+    """Points (one per element) and convex polygons (one per set) of at
+    most ``k`` sides, held as one ``geometry.EdgeTable``, ``edges``; the
+    ``points`` and ``polygons`` are made from it when asked for, and
+    equality compares tables and k.  ``edge_table`` and ``__post_init__``
+    check it once, when it is made: a coordinate beyond ``COORD_BOUND`` or
+    not an ``int``, k below 3 or a polygon of more than k sides raise
+    ``ValueError``, which names each violation unless the instance is made
+    by ``from_coords`` (of flat integers, as the loader reads them).
     """
 
-    points: tuple[Point2, ...]
-    polygons: tuple[ConvexPolygon, ...]
+    edges: EdgeTable = field(repr=False)
     k: int
-    edges: EdgeTable = field(init=False, repr=False, compare=False)
+
+    def __init__(self, points: tuple[Point2, ...], polygons: tuple[ConvexPolygon, ...], k: int):
+        vertices = [poly.vertices for poly in polygons]
+        coords = [*chain.from_iterable(points), *chain.from_iterable(chain.from_iterable(vertices))]
+        ints = set(map(type, coords)) <= {int}
+        table = edge_table(coords, list(map(len, vertices))) if ints else None
+        object.__setattr__(self, "edges", table)
+        object.__setattr__(self, "k", k)
+        try:
+            self.__post_init__()
+        except ValueError:
+            raise ValueError(_violations(points, polygons, k, ints)) from None
+
+    @classmethod
+    def from_coords(cls, coords: list[int], sizes: list[int], k: int) -> GeometricInstance:
+        """The instance of integer ``coords`` laid out as ``edge_table`` reads them."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "edges", edge_table(coords, sizes))
+        object.__setattr__(self, "k", k)
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
-        violations = []
-        if self.k < 3:
-            violations.append(f"k={self.k} must be at least 3")
-        vertices = [poly.vertices for poly in self.polygons]
-        sizes = list(map(len, vertices))
-        corners = list(chain.from_iterable(chain.from_iterable(vertices)))
-        coords = [*chain.from_iterable(self.points), *corners]
-        # checked in bulk; the loops below only name the violations
-        if max(map(abs, coords), default=0) > COORD_BOUND or max(sizes, default=0) > self.k:
-            for idx, p in enumerate(self.points):
-                if abs(p[0]) > COORD_BOUND or abs(p[1]) > COORD_BOUND:
-                    violations.append(f"point {idx} exceeds the coordinate bound")
-            for j, poly in enumerate(self.polygons, start=1):
-                if poly.sides > self.k:
-                    violations.append(f"polygon {j} has {poly.sides} > k sides")
-                for v in poly.vertices:
-                    if abs(v[0]) > COORD_BOUND or abs(v[1]) > COORD_BOUND:
-                        violations.append(f"polygon {j} exceeds the coordinate bound")
-                        break
-        if not set(map(type, coords)) <= {int}:
-            violations.append("a coordinate is not an int")
-        if violations:
-            raise ValueError("invalid geometry: " + "; ".join(violations))
-        object.__setattr__(self, "edges", edge_table(corners, sizes))
+        if self.edges is None or self.k < 3 or np.diff(self.edges.first).max(initial=0) > self.k:
+            raise ValueError("invalid geometry")
+
+    @cached_property
+    def points(self) -> tuple[Point2, ...]:
+        return tuple(map(Point2._make, self.edges.points.tolist()))
+
+    @cached_property
+    def polygons(self) -> tuple[ConvexPolygon, ...]:
+        vertices = list(map(Point2._make, zip(self.edges.x.tolist(), self.edges.y.tolist())))
+        first = self.edges.first.tolist()
+        return tuple(ConvexPolygon.trusted(tuple(vertices[i:j])) for i, j in zip(first, first[1:]))
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return len(self.edges.points)
 
     @property
     def m(self) -> int:
-        return len(self.polygons)
+        return len(self.edges.first) - 1
 
     @cached_property
     def membership(self) -> tuple[frozenset[int], ...]:
@@ -134,7 +142,7 @@ class GeometricInstance:
         belongs to polygon j when it lies in the interior or on the
         perimeter.  Exact (int64 stays in range because coordinates are
         bounded)."""
-        return grid_membership(self.points, self.edges)
+        return grid_membership(self.edges.points, self.edges)
 
     @cached_property
     def system(self) -> SetSystem:
@@ -143,17 +151,35 @@ class GeometricInstance:
         return SetSystem(n=self.n, sets=self.membership)
 
 
+def _violations(points, polygons, k: int, ints: bool) -> str:
+    """Each fault of an instance, named in order; ``ints`` if every
+    coordinate is an int (the table reads int64)."""
+    violations = [f"k={k} must be at least 3"] if k < 3 else []
+    for idx, p in enumerate(points):
+        if abs(p[0]) > COORD_BOUND or abs(p[1]) > COORD_BOUND:
+            violations.append(f"point {idx} exceeds the coordinate bound")
+    for j, poly in enumerate(polygons, start=1):
+        if poly.sides > k:
+            violations.append(f"polygon {j} has {poly.sides} > k sides")
+        if any(abs(v[0]) > COORD_BOUND or abs(v[1]) > COORD_BOUND for v in poly.vertices):
+            violations.append(f"polygon {j} exceeds the coordinate bound")
+    if not ints:
+        violations.append("a coordinate is not an int")
+    return "invalid geometry: " + "; ".join(violations or ["a polygon is not convex"])
+
+
 # (polygon, point) candidates tested at once by the membership kernel,
 # which bounds its per-candidate temporaries; larger blocks save a few ms
 # on 2,000 polygons but raise the kernel's peak memory
 _BLOCK = 4096
 
 
-def grid_membership(points: tuple[Point2, ...], table: EdgeTable) -> tuple[frozenset[int], ...]:
-    """The points of each polygon of ``table``, interior or perimeter,
-    found for every polygon in one pass over a uniform grid (W. R.
-    Franklin, "Uniform grids: a technique for intersection detection on
-    serial and parallel machines", Auto-Carto 9, 1989).
+def grid_membership(points: np.ndarray, table: EdgeTable) -> tuple[frozenset[int], ...]:
+    """The ``points`` (n x 2 int64, such as ``table.points``) of each polygon
+    of ``table``, interior or perimeter, found for every polygon in one pass
+    over a uniform grid (W. R. Franklin, "Uniform grids: a technique for
+    intersection detection on serial and parallel machines", Auto-Carto 9,
+    1989).
 
     The cells are squares of half the polygons' mean bbox side, and the
     points are bucketed by cell.  A polygon's candidates are the points of
@@ -166,10 +192,10 @@ def grid_membership(points: tuple[Point2, ...], table: EdgeTable) -> tuple[froze
     points and segments need no case of their own.  Exact for points
     within ``COORD_BOUND``, as the table's polygons are.
     """
-    n, m = len(points), len(table.first) - 1
+    xy = np.asarray(points, np.int64).reshape(-1, 2)
+    n, m = len(xy), len(table.first) - 1
     if not n or not m:
         return (frozenset(),) * m
-    xy = np.fromiter(chain.from_iterable(points), np.int64, 2 * n).reshape(n, 2)
     sizes = np.diff(table.first)
     # edge t of polygon j starts at its vertex min(t, size - 1)
     corner = table.first[:-1, None] + np.minimum(np.arange(sizes.max()), sizes[:, None] - 1)
@@ -267,10 +293,9 @@ class RegionCache:
     """
 
     def __init__(self, instance: GeometricInstance):
-        self.polygons = instance.polygons
         # one shared owner set per polygon: most region edges have one owner
-        self._owner = [frozenset((j,)) for j in range(1, len(self.polygons) + 1)]
-        self._full = [not poly.is_degenerate for poly in self.polygons]
+        self._owner = [frozenset((j,)) for j in range(1, instance.m + 1)]
+        self._full = (np.diff(instance.edges.first) >= 3).tolist()
         self.kernel = ClipKernel(instance.edges)
         self._memo: dict[tuple[int, ...], Region] = {}
         # the kernel's region id of each prefix of two or more it clipped
@@ -701,14 +726,11 @@ def circle_embedding(system: SetSystem) -> GeometricInstance:
     members.  The resulting k is unbounded (max set size), which is the
     whole point: without a side bound the geometry encodes anything.
     """
-    n = system.n
-    points = _convex_position_points(n)
-    polygons = []
-    for s in system.sets:
-        verts = tuple(points[e] for e in sorted(s))
-        polygons.append(ConvexPolygon(verts))
-    k = max(3, max((len(s) for s in system.sets), default=3))
-    return GeometricInstance(points=tuple(points), polygons=tuple(polygons), k=k)
+    points = _convex_position_points(system.n)
+    members = [sorted(s) for s in system.sets]
+    coords = [*chain.from_iterable(points), *(c for s in members for e in s for c in points[e])]
+    k = max(3, max(map(len, members), default=3))
+    return GeometricInstance.from_coords(coords, list(map(len, members)), k)
 
 
 def _convex_position_points(n: int) -> list[Point2]:

@@ -17,21 +17,22 @@ induces.  ``SetSystem`` and ``GeometricInstance`` check themselves when they
 are made; the loader reports their ``ValueError`` as an ``InputError`` with
 the same text.
 
-Well-formed geometry is checked in bulk: all coordinates in one type pass,
-and all polygons in one ``geometry.convex_polygons`` call.  Where a bulk
-check fails, the items are read again one at a time, so the first bad item
-names the error, in the same words as a per-item parse.
+Well-formed geometry is read in bulk: one type pass over its rows, then
+one ``GeometricInstance.from_coords`` call, which makes no ``Point2`` or
+``ConvexPolygon``.  Where a bulk step fails, the items are read again one
+at a time, so the first bad item names the error, in the same words as a
+per-item parse.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain
 from pathlib import Path
 
-from .geometry import ConvexPolygon, GeometryError, Point2, convex_polygons
+from .geometry import ConvexPolygon, GeometryError, Point2
 from .geomlattice import GeometricInstance
 from .order import KeySpace
 from .setsystem import SetSystem
@@ -56,13 +57,13 @@ def instance_to_dict(instance: ProblemInstance) -> dict:
     if instance.keys is not None:
         doc["keys"] = list(instance.keys.oracle_keys())
     if instance.geometry is not None:
-        geo = instance.geometry
+        table = instance.geometry.edges
+        vertices = list(map(list, zip(table.x.tolist(), table.y.tolist())))
+        first = table.first.tolist()
         doc["geometry"] = {
-            "points": [[int(p[0]), int(p[1])] for p in geo.points],
-            "polygons": [
-                [[int(v[0]), int(v[1])] for v in poly.vertices] for poly in geo.polygons
-            ],
-            "k": geo.k,
+            "points": table.points.tolist(),
+            "polygons": [vertices[lo:hi] for lo, hi in zip(first, first[1:])],
+            "k": instance.geometry.k,
         }
     return doc
 
@@ -119,10 +120,6 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
     return ProblemInstance(system=system, keys=keys, geometry=geometry)
 
 
-# a Point2 from a row already checked to be two integers
-_point = partial(tuple.__new__, Point2)
-
-
 def _lists(rows) -> bool:
     """Whether ``rows`` is a list of lists."""
     return type(rows) is list and set(map(type, rows)) <= {list}
@@ -138,43 +135,43 @@ def _integer_pairs(rows) -> bool:
 
 
 def _geometry_from_dict(geo: dict, n: int, m: int) -> GeometricInstance:
-    """Well-formed points and polygons are type-checked in one pass each,
-    and every polygon is checked by one ``convex_polygons`` call.  When a
-    pass finds a bad row it reads the rows again one at a time, a polygon's
-    vertices and then the polygon itself, so the first bad item names the
-    error as it always has."""
+    """Rows of integer pairs and an integer k are type-checked in one pass
+    and made into the instance by one ``GeometricInstance.from_coords``
+    call.  Where either fails, the rows are read again one at a time, each
+    point, then a polygon's vertices and the polygon itself, and then k, so
+    the first bad item names the error as it always has."""
     if not isinstance(geo, dict):
         raise InputError("'geometry' must be an object")
-    try:
-        raw = geo["points"]
-        if _integer_pairs(raw):
-            points = tuple(map(_point, raw))
-        else:
+    points, polygons, k = geo.get("points"), geo.get("polygons"), geo.get("k")
+    vertices = list(chain.from_iterable(polygons)) if _lists(polygons) else None
+    geometry = None
+    if type(k) is int and _integer_pairs(points) and _integer_pairs(vertices):
+        coords = [*chain.from_iterable(points), *chain.from_iterable(vertices)]
+        with suppress(ValueError):
+            geometry = GeometricInstance.from_coords(coords, list(map(len, polygons)), k)
+    if geometry is None:
+        try:
             points = tuple(
-                Point2(*_integers(p, f"a coordinate of point {i}")) for i, p in enumerate(raw)
+                Point2(*_integers(p, f"a coordinate of point {i}"))
+                for i, p in enumerate(geo["points"])
             )
-        raw = geo["polygons"]
-        vertices = list(chain.from_iterable(raw)) if _lists(raw) else None
-        if vertices is not None and _integer_pairs(vertices):
-            polygons = tuple(convex_polygons(list(map(_point, vertices)), list(map(len, raw))))
-        else:
             polygons = tuple(
                 ConvexPolygon(
                     tuple(Point2(*_integers(v, f"a coordinate of polygon {j}")) for v in poly)
                 )
-                for j, poly in enumerate(raw, start=1)
+                for j, poly in enumerate(geo["polygons"], start=1)
             )
-        (k,) = _integers([geo["k"]], "'k'")
-    except GeometryError as exc:
-        raise InputError(f"bad polygon in geometry block: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed geometry block: {exc}") from exc
+            (k,) = _integers([geo["k"]], "'k'")
+        except GeometryError as exc:
+            raise InputError(f"bad polygon in geometry block: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"malformed geometry block: {exc}") from exc
     if len(points) != n:
         raise InputError(f"geometry has {len(points)} points for {n} elements")
     if len(polygons) != m:
         raise InputError(f"geometry has {len(polygons)} polygons for {m} sets")
     try:
-        return GeometricInstance(points=points, polygons=polygons, k=k)
+        return geometry or GeometricInstance(points=points, polygons=polygons, k=k)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 

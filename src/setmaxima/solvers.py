@@ -269,38 +269,3 @@ def solve_lattice(
         raise AssertionError(f"lattice count {used} > budget {plan.budget}")
     return MaximaResult("lattice", maxima, used, plan.budget)
 
-
-def _check_loop_invariant(lattice, covers, champion, keys, layer):
-    """The loop invariant of a lattice solve, for the tests' checks: before
-    a layer is pushed, every node at or below it must already hold the max
-    over its reachable classes (checked unaudited)."""
-    raw = keys.oracle_keys()
-    children: dict[Label, list[Label]] = {lb: [] for lb in lattice.nodes}
-    for label, cover in covers.items():
-        for parent in cover:
-            children[parent].append(label)
-
-    reach_best: dict[Label, int | None] = {}
-
-    def best_of(label: Label) -> int | None:
-        if label in reach_best:
-            return reach_best[label]
-        node = lattice.nodes[label]
-        cands = [max(node.phi, key=raw.__getitem__)] if node.phi else []
-        for child in children[label]:
-            b = best_of(child)
-            if b is not None:
-                cands.append(b)
-        result = max(cands, key=raw.__getitem__) if cands else None
-        reach_best[label] = result
-        return result
-
-    for label, node in lattice.nodes.items():
-        if node.layer >= layer:
-            expected = best_of(label)
-            # slots past the last one the call names are empty
-            if champion.get(label) != expected:
-                raise AssertionError(
-                    f"loop invariant broken at layer {layer}: node holds "
-                    f"{champion.get(label)}, reachable max is {expected}"
-                )

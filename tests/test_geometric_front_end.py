@@ -14,7 +14,7 @@ import random
 
 import pytest
 from corpora import mixed_circle_embeddings, tangency_heavy_instances
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from test_homogeneous_clip import _box_polygons
 
@@ -24,7 +24,6 @@ from setmaxima.geometry import (
     ConvexPolygon,
     GeometryError,
     Point2,
-    convex_polygons,
     edge_table,
 )
 from setmaxima.geomlattice import GeometricInstance, grid_membership
@@ -202,21 +201,26 @@ def _constructed(polygons):
 
 
 def _batched(polygons):
-    try:
-        vertices = [Point2(*v) for p in polygons for v in p]
-        return convex_polygons(vertices, [len(p) for p in polygons]), None
-    except GeometryError as exc:
-        return None, str(exc)
+    """The polygons' vertices as ``edge_table`` rows them; None where it
+    refuses them."""
+    table = edge_table([c for p in polygons for v in p for c in v], [len(p) for p in polygons])
+    if table is None:
+        return None
+    vertices = list(map(Point2._make, zip(table.x.tolist(), table.y.tolist())))
+    first = table.first.tolist()
+    return [tuple(vertices[lo:hi]) for lo, hi in zip(first, first[1:])]
 
 
 def _assert_batch_matches(polygons):
+    # the table takes what the constructor takes within the bound, in the
+    # constructor's vertex order
     polygons = [[Point2(*v) for v in p] for p in polygons]
-    got, want = _batched(polygons), _constructed(polygons)
-    assert got == want
-    if got[0] is not None:
-        for a, b in zip(got[0], want[0]):
-            assert a.vertices == b.vertices
-            assert all(type(c) is int for v in a.vertices for c in v)
+    got, (want, _error) = _batched(polygons), _constructed(polygons)
+    in_bound = all(abs(c) <= B for p in polygons for v in p for c in v)
+    assert (got is not None) == (want is not None and in_bound)
+    if got is not None:
+        assert got == [poly.vertices for poly in want]
+        assert all(type(c) is int for p in got for v in p for c in v)
 
 
 def _star(sides, turns, radius=1000):
@@ -247,9 +251,13 @@ def test_batch_matches_constructor_on_named_cases():
     }
     for polygons in cases.values():
         _assert_batch_matches(polygons)
-    assert _batched([square[::-1]])[1] == "polygon not strictly convex CCW at vertex Point2(x=0, y=0)"
-    assert _batched([_star(5, 2)])[1] == "vertex cycle winds more than once"
-    assert _batched([[(0, 0), (4, 0), (4, 4), (4, 0)]])[1] == "repeated polygon vertex"
+    for polygon, error in [
+        (square[::-1], "polygon not strictly convex CCW at vertex Point2(x=0, y=0)"),
+        (_star(5, 2), "vertex cycle winds more than once"),
+        ([(0, 0), (4, 0), (4, 4), (4, 0)], "repeated polygon vertex"),
+    ]:
+        polygons = [[Point2(*v) for v in polygon]]
+        assert _batched(polygons) is None and _constructed(polygons)[1] == error
 
 
 @st.composite
@@ -364,7 +372,33 @@ def _geometry_blocks(draw):
     return geo
 
 
+def _block(*polygons, points=([1, 1], [3, 3], [5, 5]), k=4):
+    """A geometry block of three points and the polygons as given."""
+    return {"points": [list(p) for p in points], "polygons": [list(p) for p in polygons], "k": k}
+
+
+_SQUARE = [[0, 0], [4, 0], [4, 4], [0, 4]]
+
+
 @given(_geometry_blocks())
+# a vertex of three integers, a non-convex polygon beyond int64, coordinates
+# at the bound, a bool after a non-convex polygon, and a polygon of too many
+# sides beyond the bound: inputs whose errors a bulk path could reorder
+@example(_block(_SQUARE, [[2, 2], [6, 2, 1], [6, 6]], [[7, 7]]))
+@example(_block(_SQUARE, [[0, 0], [0, 4], [1 << 70, 0]], [[7, 7]]))
+@example(
+    _block(
+        [[-B, -B], [B, -B], [B, B], [-B, B]], [[B, B]], [[-B, B]], points=[[B, -B], [-B, 0], [0, B]]
+    )
+)
+@example(_block(_SQUARE[::-1], [[2, 2], [True, 2], [6, 6]], [[7, 7]]))
+@example(
+    _block(
+        _SQUARE,
+        [[0, 0], [4 << 19, 0], [6 << 19, 3 << 19], [2 << 19, 6 << 19], [-2 << 19, 3 << 19]],
+        [[7, 7]],
+    )
+)
 def test_loader_reports_what_the_per_item_loader_reports(geo):
     want = _outcome(reference_geometry, copy.deepcopy(geo), 3, 3)
     assert _outcome(_geometry_from_dict, geo, 3, 3) == want
@@ -388,3 +422,41 @@ def test_loader_error_order(geo):
     want = _outcome(reference_geometry, geo, 1, 1)
     assert want[0] == "error"
     assert _outcome(_geometry_from_dict, geo, 1, 1) == want
+
+
+def test_convex_load_and_build_make_no_point_or_polygon(monkeypatch):
+    # the convex-k4 workload's shape: the loader tables the rows and the
+    # build reads the table, so neither makes a Point2 (by its constructor
+    # or _make) or a ConvexPolygon (checked or trusted)
+    from setmaxima.geomlattice import build_geometric_lattice
+    from setmaxima.instance_io import ProblemInstance, instance_from_dict, instance_to_dict
+
+    inst = gen_convex_instance(n=20000, m=2000, k=4, seed=7)
+    doc = instance_to_dict(ProblemInstance(system=inst.system, geometry=inst))
+    geo = doc["geometry"]
+    # the per-item parse: the objects the loader made before it tabled rows
+    points = tuple(Point2(*p) for p in geo["points"])
+    polygons = tuple(ConvexPolygon(tuple(Point2(*v) for v in poly)) for poly in geo["polygons"])
+    made = []
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            made.append(name)
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(Point2, "__new__", counted("Point2", Point2.__new__))
+    monkeypatch.setattr(Point2, "_make", classmethod(counted("Point2", Point2._make.__func__)))
+    checked = counted("checked", ConvexPolygon.__post_init__)
+    trusted = counted("trusted", ConvexPolygon.trusted.__func__)
+    monkeypatch.setattr(ConvexPolygon, "__post_init__", checked)
+    monkeypatch.setattr(ConvexPolygon, "trusted", classmethod(trusted))
+    loaded = instance_from_dict(doc).geometry
+    glat = build_geometric_lattice(loaded)
+    assert made == [] and glat.fallback_labels == ()
+    assert "points" not in vars(loaded) and "polygons" not in vars(loaded)
+    monkeypatch.undo()
+    assert loaded.points == points
+    assert [poly.vertices for poly in loaded.polygons] == [poly.vertices for poly in polygons]
+    assert loaded == inst

@@ -418,7 +418,7 @@ def _assert_owners_match_predicates(glat):
             continue
         region, owners = cache.region(label), cache.owners(label)
         assert [label - own for own in owners] == _predicate_edge_label_sets(
-            label, region, cache.polygons
+            label, region, glat.instance.polygons
         )
         for member in cover:
             assert owner_chains(owners, member) == chains(cache.region(member), region)

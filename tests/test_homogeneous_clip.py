@@ -28,7 +28,6 @@ from setmaxima.geometry import (
     canonical,
     clip_convex,
     clip_region,
-    convex_polygons,
     homogeneous,
     join,
     meet,
@@ -316,8 +315,9 @@ def test_line_intersection_matches_reference():
 
 
 def test_general_position_build_makes_no_fraction_vertex(monkeypatch):
-    # loading checks each input polygon once, all in one batched check;
-    # the build checks none and turns no region into Point2 form
+    # loading checks each input polygon once, all in one edge_table call,
+    # and makes no polygon object; the build makes none either and turns
+    # no region into Point2 form
     inst = gen_convex_instance(n=600, m=60, k=4, seed=17)
     doc = instance_to_dict(ProblemInstance(system=geomlattice.induced_system(inst), geometry=inst))
     counts = Counter()
@@ -329,28 +329,28 @@ def test_general_position_build_makes_no_fraction_vertex(monkeypatch):
 
         return wrapper
 
-    def batch(vertices, sizes):
-        counts["batch-checked"] += len(sizes)
-        return convex_polygons(vertices, sizes)
+    table = geomlattice.edge_table
+
+    def tabled(coords, sizes):
+        counts["tabled"] += len(sizes)
+        return table(coords, sizes)
 
     checked = counted("checked", ConvexPolygon.__post_init__)
     trusted = counted("trusted", ConvexPolygon.trusted.__func__)
     monkeypatch.setattr(ConvexPolygon, "__post_init__", checked)
     monkeypatch.setattr(ConvexPolygon, "trusted", classmethod(trusted))
-    # every binding of the batched check and of the Point2 conversions,
-    # wherever a module imported them
+    monkeypatch.setattr(geomlattice, "edge_table", tabled)
+    # every binding of the Point2 conversions, wherever a module imported them
     for module in [m for name, m in sys.modules.items() if name.startswith("setmaxima")]:
-        if hasattr(module, "convex_polygons"):
-            monkeypatch.setattr(module, "convex_polygons", batch)
         for name in ("to_point", "_ratio"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     geometry = instance_from_dict(doc).geometry
-    # each polygon checked once, by the batch, which made it unchecked
-    assert counts == {"batch-checked": inst.m, "trusted": inst.m}
+    # each polygon checked once, by the table
+    assert counts == {"tabled": inst.m}
     glat = build_geometric_lattice(geometry)
     assert glat.fallback_labels == () and len(glat.covers) > 0
-    assert counts == {"batch-checked": inst.m, "trusted": inst.m}
+    assert counts == {"tabled": inst.m}
     # the counters see a conversion when one happens
     glat.regions.region(next(iter(glat.covers)))
-    assert counts["to_point"] > 0 and counts["trusted"] == inst.m + 1
+    assert counts["to_point"] > 0 and counts["trusted"] == 1

@@ -9,6 +9,7 @@ from setmaxima.generators import gen_convex_instance, gen_keys, gen_random_syste
 from setmaxima.geomlattice import build_geometric_lattice, induced_system, solve_lattice_geometric
 from setmaxima.instance_io import ProblemInstance, load_instance, save_instance
 from setmaxima.lattice import (
+    Label,
     Lattice,
     build_lattice,
     compute_parents,
@@ -19,7 +20,6 @@ from setmaxima.order import ComparisonLedger, KeySpace, _scan, compile_classes, 
 from setmaxima.setsystem import system_from_lists
 from setmaxima.solvers import (
     MaximaResult,
-    _check_loop_invariant,
     bucket_comparison_bound,
     bucket_plan,
     solve_bruteforce,
@@ -170,6 +170,42 @@ def test_lattice_matches_oracle_100_instances(cover_mode):
         result = solve_lattice(system, keys, cover_mode=cover_mode)
         assert result.maxima == solve_bruteforce(system, keys).maxima
         assert result.comparisons <= result.bound
+
+
+def _check_loop_invariant(lattice, covers, champion, keys, layer):
+    """The loop invariant of a lattice solve: before a layer is pushed,
+    every node at or below it must already hold the max over its reachable
+    classes (checked unaudited)."""
+    raw = keys.oracle_keys()
+    children: dict[Label, list[Label]] = {lb: [] for lb in lattice.nodes}
+    for label, cover in covers.items():
+        for parent in cover:
+            children[parent].append(label)
+
+    reach_best: dict[Label, int | None] = {}
+
+    def best_of(label: Label) -> int | None:
+        if label in reach_best:
+            return reach_best[label]
+        node = lattice.nodes[label]
+        cands = [max(node.phi, key=raw.__getitem__)] if node.phi else []
+        for child in children[label]:
+            b = best_of(child)
+            if b is not None:
+                cands.append(b)
+        result = max(cands, key=raw.__getitem__) if cands else None
+        reach_best[label] = result
+        return result
+
+    for label, node in lattice.nodes.items():
+        if node.layer >= layer:
+            expected = best_of(label)
+            # slots past the last one the call names are empty
+            if champion.get(label) != expected:
+                raise AssertionError(
+                    f"loop invariant broken at layer {layer}: node holds "
+                    f"{champion.get(label)}, reachable max is {expected}"
+                )
 
 
 def check_loop_invariant_per_layer(lattice, covers, keys):
